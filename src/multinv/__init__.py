@@ -39,6 +39,7 @@ from .groups import (
     GroupAction,
     ProjectionPair,
     close_group,
+    displacement_ranks,
     effective_quotient,
     fixed_sublattice,
     induced_matrix,
@@ -62,7 +63,6 @@ from .laurent import (
     fundamental_invariants,
     fundamental_invariants_detailed,
     is_invariant,
-    multiply,
     orbit_sum,
     orbit_sum_decomposition,
 )
@@ -81,7 +81,6 @@ from .roots import (
     build_root_system,
     coroot_pairing,
     find_reflections,
-    fundamental_group_of_roots,
     is_reflection_group,
     pi_image_weight_coords,
 )

@@ -25,6 +25,7 @@ from .groups import (
     EffectiveQuotient,
     GroupAction,
     close_group,
+    displacement_ranks,
     effective_quotient,
 )
 from .lattice import (
@@ -58,10 +59,7 @@ def min_displacement_rank(action: GroupAction) -> int:
     height of the ideal cutting out the non-free locus."""
     if action.order == 1:
         raise TrivialGroup("displacement rank needs a nontrivial group")
-    identity = IntMatrix.identity(action.rank)
-    return min(
-        (identity - g).rank() for g in action.elements if g != identity
-    )
+    return min(r for r in displacement_ranks(action) if r)
 
 
 def is_fixed_point_free(action: GroupAction) -> bool:

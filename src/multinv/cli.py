@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +25,9 @@ from .classify import (
 )
 from .errors import InvalidInput, MultInvError
 from .groups import DEFAULT_CLOSURE_CAP, close_group, effective_quotient
-from .lattice import ElementaryDivisors, IntMatrix
+from .lattice import IntMatrix
 from .laurent import fundamental_invariants_detailed, variable_labels
-from .roots import find_reflections, is_reflection_group
+from .roots import build_root_system, find_reflections, is_reflection_group
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ def load_action(doc) -> ActionDescription:
     if not isinstance(doc, dict):
         raise InvalidInput("top-level document must be a JSON object")
     rank = doc.get("rank")
-    if not isinstance(rank, int) or rank < 0:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise InvalidInput("'rank' must be a nonnegative integer")
     raw_gens = doc.get("generators", [])
     if not isinstance(raw_gens, list):
@@ -228,11 +227,7 @@ def cmd_invariants(desc: ActionDescription, cap: int):
 def cmd_classgroup(desc: ActionDescription, cap: int):
     action = _build_group(desc, cap)
     cl = class_group(action)
-    if action.order > 1:
-        pipe = reflection_monoid(action, base=desc.base_override)
-        fg = pipe.root_datum.fundamental_group
-    else:
-        fg = ElementaryDivisors(())
+    fg = build_root_system(action, base=desc.base_override).fundamental_group
     report = {
         "command": "classgroup",
         "class_group": {"divisors": list(cl.divisors), "description": str(cl)},
@@ -384,12 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # MULTINV_THREADS is accepted as a parallelism hint; this
-    # implementation is single threaded and only validates it.
-    threads = os.environ.get("MULTINV_THREADS")
-    if threads is not None and not threads.isdigit():
-        print("warning: ignoring non-numeric MULTINV_THREADS", file=sys.stderr)
     try:
+        if args.group_cap < 1:
+            raise InvalidInput("--group-cap must be a positive integer")
         doc = _read_document(args.input)
         if args.base_override is not None:
             if not isinstance(doc, dict):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 from .errors import GroupTooLarge, NotUnimodular
 from .lattice import (
@@ -27,16 +28,22 @@ class GroupAction:
     `elements` is the complete, canonically sorted element list (identity
     included); `generator_indices` point at the elements that were given
     as generators.
+
+    Facts derived from the group (fixed sublattice, effective quotient,
+    displacement ranks, reflections, whether the reflections generate)
+    are memoised on the action (see `memoised`): each is computed on
+    first use and read back after that.  They are deterministic, so sharing an action
+    between threads can at worst compute a fact twice.
     """
 
-    __slots__ = ("rank", "elements", "generator_indices", "_index", "_fixed")
+    __slots__ = ("rank", "elements", "generator_indices", "_index", "_memo")
 
     def __init__(self, rank, elements, generator_indices):
         self.rank = rank
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
         self._index = {g: i for i, g in enumerate(self.elements)}
-        self._fixed = None
+        self._memo = {}
 
     @property
     def order(self) -> int:
@@ -63,6 +70,19 @@ class GroupAction:
 
     def __repr__(self):
         return f"GroupAction(rank={self.rank}, order={self.order})"
+
+
+def memoised(compute):
+    """Make compute(action) a fact memoised on the action: computed on
+    first use, read back from the action after that."""
+
+    @wraps(compute)
+    def fact(action: GroupAction):
+        if compute not in action._memo:
+            action._memo[compute] = compute(action)
+        return action._memo[compute]
+
+    return fact
 
 
 def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
@@ -117,17 +137,23 @@ def orbit(action: GroupAction, point) -> frozenset:
     return frozenset(g.apply(start) for g in action.elements)
 
 
+@memoised
 def fixed_sublattice(action: GroupAction) -> Sublattice:
     """The saturated sublattice of vectors fixed by the whole group."""
-    if action._fixed is None:
-        gens = action.generators
-        if not gens:
-            action._fixed = Sublattice.full(action.rank)
-        else:
-            identity = IntMatrix.identity(action.rank)
-            stacked = IntMatrix.hstack([g - identity for g in gens])
-            action._fixed = kernel_lattice(stacked)
-    return action._fixed
+    gens = action.generators
+    if not gens:
+        return Sublattice.full(action.rank)
+    identity = IntMatrix.identity(action.rank)
+    return kernel_lattice(IntMatrix.hstack([g - identity for g in gens]))
+
+
+@memoised
+def displacement_ranks(action: GroupAction) -> tuple[int, ...]:
+    """rank(1 - g) for every element, in element order; only the
+    identity has rank 0."""
+    identity = IntMatrix.identity(action.rank)
+    return tuple(0 if g == identity else (identity - g).rank()
+                 for g in action.elements)
 
 
 @dataclass(frozen=True)
@@ -181,6 +207,7 @@ class EffectiveQuotient:
     induced: GroupAction
 
 
+@memoised
 def effective_quotient(action: GroupAction) -> EffectiveQuotient:
     """Split the lattice as fixed part plus complement and restrict the
     action to the (effective) quotient."""
@@ -231,6 +258,7 @@ __all__ = [
     "close_group",
     "orbit",
     "fixed_sublattice",
+    "displacement_ranks",
     "reynolds",
     "effective_quotient",
     "induced_matrix",

@@ -164,45 +164,53 @@ class IntMatrix:
 
     def rank(self) -> int:
         """Rank over the rationals."""
-        rows = [[Fraction(x) for x in row] for row in self.entries]
-        r = 0
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            lead = rows[r][c]
-            for i in range(r + 1, len(rows)):
-                if rows[i][c]:
-                    f = rows[i][c] / lead
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-        return r
+        return len(_reduced_echelon(self.entries, self.ncols)[1])
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse; requires det = +-1 so the inverse is integral."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.entries)
-        ]
-        for c in range(n):
-            piv = next((i for i in range(c, n) if aug[i][c]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            lead = aug[c][c]
-            aug[c] = [x / lead for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        inv = [row[n:] for row in aug]
+        aug = [row + tuple(int(i == j) for j in range(n))
+               for i, row in enumerate(self.entries)]
+        rows, pivots = _reduced_echelon(aug, n)
+        if len(pivots) < n:
+            raise ValueError("singular matrix")
+        inv = [row[n:] for row in rows]
         if any(x.denominator != 1 for row in inv for x in row):
             raise ValueError("matrix is not unimodular")
         return IntMatrix([[int(x) for x in row] for row in inv], ncols=n)
+
+
+def _reduced_echelon(rows, ncols: int):
+    """Gauss-Jordan elimination over the rationals on the first `ncols`
+    columns of `rows`; further columns (an augmented part) ride along.
+
+    Returns (reduced, pivots): the rows as Fractions in reduced row
+    echelon form, pivot rows first with leading 1s and their pivot
+    columns cleared in every other row, and the list of pivot columns.
+    The reduced form is unique, so it does not depend on which rows are
+    picked as pivots.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][c]
+        if lead != 1:
+            rows[r] = [x / lead for x in rows[r]]
+        pivot_row = rows[r]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [a - f * b if b else a
+                           for a, b in zip(row, pivot_row)]
+        pivots.append(c)
+    return rows, pivots
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -425,9 +433,6 @@ class Sublattice:
         cs = self.coefficients(v)
         return cs is not None and all(c.denominator == 1 for c in cs)
 
-    def contains_lattice(self, other: "Sublattice") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
 
 def kernel_lattice(m: IntMatrix) -> Sublattice:
     """The saturated sublattice {x in Z^nrows : x * m == 0}."""
@@ -526,31 +531,13 @@ def solve_linear(equations, rhs):
     if not equations:
         return ()
     ncols = len(equations[0])
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(b)]
-        for row, b in zip(equations, rhs)
-    ]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][c]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            return None
+    aug = [list(row) + [b] for row, b in zip(equations, rhs)]
+    rows, pivots = _reduced_echelon(aug, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        x[c] = aug[i][ncols]
+    for row, c in zip(rows, pivots):
+        x[c] = row[ncols]
     return tuple(x)
 
 

@@ -222,13 +222,10 @@ def orbit_sum(action: GroupAction, point) -> LaurentPolynomial:
     return LaurentPolynomial(action.rank, den, terms)
 
 
-def multiply(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
-    """Convolution product; function form of `p * q`."""
-    return p * q
-
-
 def is_invariant(action: GroupAction, p: LaurentPolynomial) -> bool:
-    return all(p.transform(g) == p for g in action.elements)
+    """True when every generator fixes p; the action is a right action,
+    p.(gh) = (p.g).h, so the generators suffice."""
+    return all(p.transform(g) == p for g in action.generators)
 
 
 def orbit_sum_decomposition(action: GroupAction, p: LaurentPolynomial) -> dict:
@@ -331,7 +328,6 @@ __all__ = [
     "FundamentalInvariant",
     "variable_labels",
     "orbit_sum",
-    "multiply",
     "is_invariant",
     "orbit_sum_decomposition",
     "fundamental_invariants",

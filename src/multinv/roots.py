@@ -21,7 +21,14 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import AxiomFailure, InvalidBase, NotMultiple, NotReflectionGroup
-from .groups import GroupAction, close_group, fixed_sublattice, reynolds
+from .groups import (
+    GroupAction,
+    close_group,
+    displacement_ranks,
+    fixed_sublattice,
+    memoised,
+    reynolds,
+)
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
@@ -50,16 +57,16 @@ class Reflection:
     diagonalizable: bool
 
 
-def find_reflections(action: GroupAction) -> list[Reflection]:
+@memoised
+def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
     """All reflections of the action, in element order."""
     n = action.rank
     identity = IntMatrix.identity(n)
     out = []
-    for idx, g in enumerate(action.elements):
-        if g == identity:
+    for idx, moved_rank in enumerate(displacement_ranks(action)):
+        if moved_rank != 1:
             continue
-        if (identity - g).rank() != 1:
-            continue
+        g = action.elements[idx]
         if g * g != identity:
             raise AxiomFailure("rank-1 moved space but g^2 != 1")
         negated = kernel_lattice(g + identity)
@@ -73,9 +80,10 @@ def find_reflections(action: GroupAction) -> list[Reflection]:
         split = IntMatrix(list(fixed.basis) + [root], ncols=n)
         diagonalizable = abs(split.det()) == 1
         out.append(Reflection(idx, g, tuple(root), diagonalizable))
-    return out
+    return tuple(out)
 
 
+@memoised
 def is_reflection_group(action: GroupAction) -> bool:
     """True when the reflections generate the whole group (vacuously true
     for the trivial group)."""
@@ -121,11 +129,6 @@ class RootDatum:
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
     root_lattice: Sublattice
     fundamental_group: ElementaryDivisors
-
-    @property
-    def weight_lattice_basis(self):
-        """The fundamental weights are a Z-basis of the weight lattice."""
-        return self.fundamental_weights
 
 
 def _generic_base(roots: frozenset, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -178,15 +181,11 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     """
     n = action.rank
     refls = find_reflections(action)
-    if refls:
-        sub = close_group([r.matrix for r in refls], cap=action.order)
-        if sub.order != action.order:
-            raise NotReflectionGroup(
-                f"reflections generate a subgroup of order {sub.order} < "
-                f"{action.order}"
-            )
-    elif action.order != 1:
-        raise NotReflectionGroup("the group contains no reflections")
+    if not is_reflection_group(action):
+        raise NotReflectionGroup(
+            "the reflections generate a proper subgroup" if refls
+            else "the group contains no reflections"
+        )
 
     roots = frozenset(r.root for r in refls) | frozenset(
         tuple(-x for x in r.root) for r in refls
@@ -194,7 +193,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     if len(roots) != 2 * len(refls):
         raise AxiomFailure("reflections do not have distinct root lines")
     projections = reynolds(action)
-    rank = n - _fixed_rank(action)
+    rank = n - fixed_sublattice(action).rank
     if refls and IntMatrix(sorted(roots), ncols=n).rank() != rank:
         raise AxiomFailure("roots do not span the moving subspace")
 
@@ -256,10 +255,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         root_lattice=Sublattice(n, sorted(roots)),
         fundamental_group=fundamental_group,
     )
-
-
-def _fixed_rank(action: GroupAction) -> int:
-    return fixed_sublattice(action).rank
 
 
 def _solve_weights(action, rho, base, base_reflections):
@@ -360,11 +355,6 @@ def pi_image_weight_coords(rd: RootDatum) -> Sublattice:
     return lat
 
 
-def fundamental_group_of_roots(rd: RootDatum) -> ElementaryDivisors:
-    """Elementary divisors of weight lattice / root lattice."""
-    return rd.fundamental_group
-
-
 __all__ = [
     "Reflection",
     "RootDatum",
@@ -373,5 +363,4 @@ __all__ = [
     "coroot_pairing",
     "build_root_system",
     "pi_image_weight_coords",
-    "fundamental_group_of_roots",
 ]

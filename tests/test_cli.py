@@ -1,6 +1,8 @@
 import json
 
+from multinv import classify, cli, groups, roots
 from multinv.cli import main
+from multinv.lattice import IntMatrix
 from helpers import BASE_RANK2
 
 RANK2_DOC = {
@@ -248,3 +250,55 @@ def test_labels_are_used_in_rendering(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert "x*y^-1" in report["invariants"][2]["expanded"]
+
+
+def test_boolean_rank_exits_2(tmp_path, capsys):
+    for rank in (True, False):
+        path = write_doc(tmp_path, {"rank": rank, "generators": []})
+        code, _, err = run(capsys, ["analyze", path])
+        assert code == 2 and "'rank'" in err
+
+
+def test_nonpositive_group_cap_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, RANK2_DOC)
+    for cap in ("0", "-5"):
+        code, _, err = run(capsys, ["analyze", path, "--group-cap", cap])
+        assert code == 2 and "--group-cap" in err
+
+
+def test_analyze_computes_each_group_fact_once(tmp_path, capsys,
+                                               monkeypatch):
+    # S3 permuting the coordinates of Z^3: order 6, fixed rank 1, and an
+    # induced action of order 6 on the rank-2 effective quotient
+    doc = {
+        "rank": 3,
+        "generators": [
+            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        ],
+    }
+    calls = {"close_group": 0, "rank": 0}
+    close_group = groups.close_group
+    rank = IntMatrix.rank
+
+    def counted_close_group(*args, **kwargs):
+        calls["close_group"] += 1
+        return close_group(*args, **kwargs)
+
+    def counted_rank(self):
+        calls["rank"] += 1
+        return rank(self)
+
+    for module in (groups, roots, classify, cli):
+        monkeypatch.setattr(module, "close_group", counted_close_group)
+    monkeypatch.setattr(IntMatrix, "rank", counted_rank)
+    code, out, _ = run(capsys, ["analyze", write_doc(tmp_path, doc),
+                                "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["group_order"], report["fixed_rank"]) == (6, 1)
+    # the input group, the induced quotient group, the reflection subgroup
+    assert calls["close_group"] == 3
+    # rank(1 - g) once per nonidentity element of G and of the induced
+    # group, plus the root-span and base checks of the root system
+    assert calls["rank"] <= (6 - 1) + (6 - 1) + 2

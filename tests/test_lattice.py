@@ -179,6 +179,18 @@ def test_solve_rational_inconsistent():
     assert solve_rational(m, (0, 1)) is None
 
 
+def test_solve_rational_sets_free_variables_to_zero():
+    # x1 + 2*x2 = 4 with x3 unconstrained: x1 is the pivot, x2 and x3 free
+    m = mat([[1], [2], [0]])
+    assert solve_rational(m, (4,)) == (4, 0, 0)
+
+
+def test_inverse_unimodular_rejects_singular_and_non_unimodular():
+    for m in (mat([[1, 2], [2, 4]]), mat([[2, 0], [0, 1]])):
+        with pytest.raises(ValueError):
+            m.inverse_unimodular()
+
+
 def test_solve_integer():
     m = mat([[2, 0], [0, 3], [1, 1]])
     x = solve_integer(m, (3, 4))

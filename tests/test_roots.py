@@ -11,7 +11,6 @@ from multinv import (
     coroot_pairing,
     effective_quotient,
     find_reflections,
-    fundamental_group_of_roots,
     induced_matrix,
     is_reflection_group,
     pi_image_weight_coords,
@@ -45,7 +44,7 @@ def test_find_reflections_rank3():
 
 
 def test_find_reflections_none_for_minus_identity():
-    assert find_reflections(minus_identity_action(2)) == []
+    assert find_reflections(minus_identity_action(2)) == ()
 
 
 def test_diagonalizable_flags():
@@ -110,7 +109,7 @@ def test_build_root_system_rank3_with_fixed_base():
         (Fraction(1, 4), Fraction(-3, 4), Fraction(1, 4)),
         (Fraction(-1, 4), Fraction(-1, 4), Fraction(-1, 4)),
     )
-    assert fundamental_group_of_roots(rd) == ElementaryDivisors((1, 1, 4))
+    assert rd.fundamental_group == ElementaryDivisors((1, 1, 4))
 
 
 def test_build_root_system_rank1():
