@@ -199,7 +199,10 @@ def verdict(action: GroupAction, base=None) -> Verdict:
             md,
         )
     bar = effective_quotient(action).induced
-    if is_fixed_point_free(bar) and bar.rank >= 2:
+    # over Q the lattice is the fixed space plus a G-stable complement,
+    # and g is the identity on the fixed space: rank(1 - g) is the same
+    # on the quotient, so the ranks known for G decide fixed-point-freeness
+    if bar.rank >= 2 and min_displacement_rank(action) == bar.rank:
         if _is_odd_prime(action.order):
             return Verdict(
                 NOT_SEMIGROUP_ALGEBRA,
@@ -282,15 +285,11 @@ def sign_group_singular_locus(action: GroupAction) -> SignGroupReport:
             primes.append((coords, signs))
     component_count = len(primes)
     component_dimension = n - min(len(c) for c in minimal)
-    points = 0
-    for sigma in product((1, -1), repeat=n):
-        covering = [
-            coords
-            for coords, signs in primes
-            if all(sigma[i] == s for i, s in zip(coords, signs))
-        ]
-        if len(covering) >= 2 and set().union(*covering) == set(range(n)):
-            points += 1
+    # a sign point lies on exactly one component per minimal coordinate
+    # set (the one with its own signs there), so either every sign point
+    # counts or none does
+    covers = len(minimal) >= 2 and set().union(*minimal) == set(range(n))
+    points = 2 ** n if covers else 0
     return SignGroupReport(
         tuple(primes), component_count, component_dimension, points
     )

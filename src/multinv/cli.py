@@ -17,7 +17,6 @@ from fractions import Fraction
 from .classify import (
     UNKNOWN,
     class_group,
-    is_fixed_point_free,
     min_displacement_rank,
     reflection_monoid,
     sign_group_singular_locus,
@@ -150,7 +149,10 @@ def cmd_analyze(desc: ActionDescription, cap: int):
         "fixed_rank": eq.fixed.rank,
         "effective_rank": eq.quotient_rank,
         "ideal_height": height,
-        "fixed_point_free_on_quotient": is_fixed_point_free(eq.induced),
+        # rank(1 - g) is the same on the effective quotient as on the
+        # lattice (see classify.verdict)
+        "fixed_point_free_on_quotient": (action.order == 1
+                                         or height == eq.quotient_rank),
         "verdict": _verdict_json(v),
     }
     lines = [

@@ -203,7 +203,6 @@ class EffectiveQuotient:
     quotient_rank: int
     projection: IntMatrix
     section: IntMatrix
-    section_lattice: Sublattice
     induced: GroupAction
 
 
@@ -216,7 +215,7 @@ def effective_quotient(action: GroupAction) -> EffectiveQuotient:
     f = fixed.rank
     if f == 0:
         eye = IntMatrix.identity(n)
-        return EffectiveQuotient(fixed, n, eye, eye, Sublattice.full(n), action)
+        return EffectiveQuotient(fixed, n, eye, eye, action)
     if f == n:
         trivial = close_group([], rank=0)
         return EffectiveQuotient(
@@ -224,7 +223,6 @@ def effective_quotient(action: GroupAction) -> EffectiveQuotient:
             0,
             IntMatrix([()] * n, ncols=0),
             IntMatrix([], ncols=n),
-            Sublattice(n),
             trivial,
         )
     basis_matrix = IntMatrix(fixed.basis, ncols=n)
@@ -240,9 +238,7 @@ def effective_quotient(action: GroupAction) -> EffectiveQuotient:
     induced = close_group(images, cap=action.order, rank=q)
     if fixed_sublattice(induced).rank != 0:
         raise AssertionError("induced quotient action must be effective")
-    return EffectiveQuotient(
-        fixed, q, projection, section, Sublattice(n, section.entries), induced
-    )
+    return EffectiveQuotient(fixed, q, projection, section, induced)
 
 
 def induced_matrix(eq: EffectiveQuotient, g: IntMatrix) -> IntMatrix:

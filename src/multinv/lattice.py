@@ -3,17 +3,22 @@
 Conventions used throughout the package:
 
 * vectors are rows, and matrices act on the right: ``v -> v * m``;
-* all arithmetic is exact (Python ints and fractions.Fraction), floats
-  never appear;
+* all arithmetic is exact, floats never appear;
 * sublattices are stored in a canonical Hermite form (lower triangular,
   positive pivots) so that equal sublattices have identical bases.
+
+Everything rests on two integer primitives: `_echelon`, a fraction-free
+(Bareiss) Gauss-Jordan elimination behind determinants, ranks, unimodular
+inverses and linear solves, and `_row_step`, a unimodular two-row step
+behind the Smith and Hermite forms.  Fractions appear only in rational
+answers: solutions, coordinates and weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 
 from .errors import NotContained
 
@@ -142,29 +147,12 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        _, pivots, scale, sign = _echelon(self.entries, self.ncols)
+        return sign * scale if len(pivots) == self.nrows else 0
 
     def rank(self) -> int:
         """Rank over the rationals."""
-        return len(_reduced_echelon(self.entries, self.ncols)[1])
+        return len(_echelon(self.entries, self.ncols)[1])
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse; requires det = +-1 so the inverse is integral."""
@@ -173,44 +161,69 @@ class IntMatrix:
             raise ValueError("inverse of a non-square matrix")
         aug = [row + tuple(int(i == j) for j in range(n))
                for i, row in enumerate(self.entries)]
-        rows, pivots = _reduced_echelon(aug, n)
+        rows, pivots, scale, _ = _echelon(aug, n)
         if len(pivots) < n:
             raise ValueError("singular matrix")
-        inv = [row[n:] for row in rows]
-        if any(x.denominator != 1 for row in inv for x in row):
+        if scale not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        return IntMatrix([[int(x) for x in row] for row in inv], ncols=n)
+        return IntMatrix([[scale * x for x in row[n:]] for row in rows],
+                         ncols=n)
 
 
-def _reduced_echelon(rows, ncols: int):
-    """Gauss-Jordan elimination over the rationals on the first `ncols`
-    columns of `rows`; further columns (an augmented part) ride along.
+def _echelon(rows, ncols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss exact division) on
+    the first `ncols` columns of integer `rows`; further columns (an
+    augmented part) ride along.
 
-    Returns (reduced, pivots): the rows as Fractions in reduced row
-    echelon form, pivot rows first with leading 1s and their pivot
-    columns cleared in every other row, and the list of pivot columns.
-    The reduced form is unique, so it does not depend on which rows are
-    picked as pivots.
+    Returns (rows, pivots, scale, sign): the eliminated integer rows,
+    pivot rows first; the list of pivot columns; the last pivot, which
+    every pivot row carries in its pivot column; and the sign of the row
+    permutation.  Divided by `scale`, the rows are the unique reduced
+    row echelon form, and for a square matrix of full rank
+    sign * scale is the determinant.
     """
-    rows = [[Fraction(x) for x in row] for row in rows]
+    rows = [list(row) for row in rows]
     pivots = []
+    scale, sign = 1, 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = [x / lead for x in rows[r]]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         pivot_row = rows[r]
+        p = pivot_row[c]
         for i, row in enumerate(rows):
             f = row[c]
-            if f and i != r:
-                rows[i] = [a - f * b if b else a
-                           for a, b in zip(row, pivot_row)]
+            if i == r or (not f and p == scale):
+                continue
+            rows[i] = [(p * a - f * b) // scale
+                       for a, b in zip(row, pivot_row)]
+        scale = p
         pivots.append(c)
-    return rows, pivots
+    return rows, pivots, scale, sign
+
+
+def _row_step(i: int, k: int, col: int, rows, *companions) -> None:
+    """Unimodular step on rows i and k that clears rows[k][col] and
+    leaves a gcd of the two old entries in rows[i][col]; the same step
+    is applied to the companion matrices (lists of rows)."""
+    a, b = rows[i][col], rows[k][col]
+    if b == 0:
+        return
+    if a != 0 and b % a == 0:
+        q = b // a
+        for m in (rows, *companions):
+            m[k] = [x - q * y for x, y in zip(m[k], m[i])]
+        return
+    x, y, g = xgcd(a, b)
+    aa, bb = a // g, b // g
+    for m in (rows, *companions):
+        mi, mk = m[i], m[k]
+        m[i] = [x * p + y * q for p, q in zip(mi, mk)]
+        m[k] = [-bb * p + aa * q for p, q in zip(mi, mk)]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -224,50 +237,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     nr, nc = m.nrows, m.ncols
     d = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_combine(i, k, col):
-        # zero out d[k][col] using pivot row i
-        a, b = d[i][col], d[k][col]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            d[k] = [x - q * y for x, y in zip(d[k], d[i])]
-            u[k] = [x - q * y for x, y in zip(u[k], u[i])]
-            return
-        x, y, g = xgcd(a, b)
-        aa, bb = a // g, b // g
-        di, dk = d[i], d[k]
-        ui, uk = u[i], u[k]
-        d[i] = [x * p + y * q for p, q in zip(di, dk)]
-        d[k] = [-bb * p + aa * q for p, q in zip(di, dk)]
-        u[i] = [x * p + y * q for p, q in zip(ui, uk)]
-        u[k] = [-bb * p + aa * q for p, q in zip(ui, uk)]
-
-    def col_combine(j, k, row):
-        # zero out d[row][k] using pivot column j
-        a, b = d[row][j], d[row][k]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            for rr in d:
-                rr[k] -= q * rr[j]
-            for rr in v:
-                rr[k] -= q * rr[j]
-            return
-        x, y, g = xgcd(a, b)
-        aa, bb = a // g, b // g
-        for rr in d:
-            p, q = rr[j], rr[k]
-            rr[j] = x * p + y * q
-            rr[k] = -bb * p + aa * q
-        for rr in v:
-            p, q = rr[j], rr[k]
-            rr[j] = x * p + y * q
-            rr[k] = -bb * p + aa * q
-
+    # column operations are row steps on the transposes, so v is kept
+    # transposed
+    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]
     t = 0
     while t < min(nr, nc):
         pivot = min(
@@ -288,13 +260,14 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if pj != t:
             for rr in d:
                 rr[t], rr[pj] = rr[pj], rr[t]
-            for rr in v:
-                rr[t], rr[pj] = rr[pj], rr[t]
+            vt[t], vt[pj] = vt[pj], vt[t]
         while True:
             for i in range(t + 1, nr):
-                row_combine(t, i, t)
+                _row_step(t, i, t, d, u)
+            dt = [list(col) for col in zip(*d)]
             for j in range(t + 1, nc):
-                col_combine(t, j, t)
+                _row_step(t, j, t, dt, vt)
+            d = [list(row) for row in zip(*dt)]
             if any(d[i][t] for i in range(t + 1, nr)):
                 continue
             if any(d[t][j] for j in range(t + 1, nc)):
@@ -322,7 +295,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return (
         IntMatrix(u, ncols=nr),
         IntMatrix(d, ncols=nc),
-        IntMatrix(v, ncols=nc),
+        IntMatrix(zip(*vt), ncols=nc),
     )
 
 
@@ -351,12 +324,7 @@ def hermite_basis(ambient_rank: int, vectors) -> tuple[tuple[int, ...], ...]:
             continue
         base = idxs[0]
         for i in idxs[1:]:
-            a, b = work[base][col], work[i][col]
-            x, y, g = xgcd(a, b)
-            aa, bb = a // g, b // g
-            ra, rb = work[base], work[i]
-            work[base] = [x * p + y * q for p, q in zip(ra, rb)]
-            work[i] = [-bb * p + aa * q for p, q in zip(ra, rb)]
+            _row_step(base, i, col, work)
         row = work.pop(base)
         if row[col] < 0:
             row = [-x for x in row]
@@ -429,9 +397,18 @@ class Sublattice:
         return tuple(coeffs)
 
     def contains(self, v) -> bool:
-        """Integral membership: is v an integer combination of the basis?"""
-        cs = self.coefficients(v)
-        return cs is not None and all(c.denominator == 1 for c in cs)
+        """Integral membership: is v an integer combination of the basis?
+        Decided in integers, back-substituting down the triangular basis."""
+        if len(v) != self.ambient_rank:
+            raise ValueError("vector length does not match ambient rank")
+        rem = list(v)
+        for row, p in zip(reversed(self.basis), reversed(self._pivots)):
+            q, r = divmod(rem[p], row[p])
+            if r:
+                return False
+            if q:
+                rem = [a - q * b for a, b in zip(rem, row)]
+        return not any(rem)
 
 
 def kernel_lattice(m: IntMatrix) -> Sublattice:
@@ -486,12 +463,7 @@ class ElementaryDivisors:
 
     def order(self) -> int | None:
         """Group order, or None when there is a free summand."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.divisors:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.divisors)
 
     def annihilated_by(self, n: int) -> bool:
         return self.free_rank == 0 and all(n % d == 0 for d in self.torsion)
@@ -531,13 +503,16 @@ def solve_linear(equations, rhs):
     if not equations:
         return ()
     ncols = len(equations[0])
-    aug = [list(row) + [b] for row, b in zip(equations, rhs)]
-    rows, pivots = _reduced_echelon(aug, ncols)
+    aug = []
+    for row, b in zip(equations, rhs):
+        den = common_denominator([*row, b])
+        aug.append([int(x * den) for x in (*row, b)])
+    rows, pivots, scale, _ = _echelon(aug, ncols)
     if any(row[ncols] for row in rows[len(pivots):]):
         return None
     x = [Fraction(0)] * ncols
     for row, c in zip(rows, pivots):
-        x[c] = row[ncols]
+        x[c] = Fraction(row[ncols], scale)
     return tuple(x)
 
 
@@ -552,18 +527,13 @@ def solve_rational(m: IntMatrix, b):
 def solve_integer(m: IntMatrix, b):
     """Any integer x with x * m == b, or None if none exists."""
     u, d, v = smith_normal_form(m)
-    c = [Fraction(x) for x in v.apply(b)]  # b * v
     t = [0] * m.nrows
-    for j in range(m.ncols):
-        dj = d.entries[j][j] if j < min(m.nrows, m.ncols) else 0
-        if dj == 0:
-            if c[j]:
-                return None
-        else:
-            q = c[j] / dj
-            if q.denominator != 1:
-                return None
-            t[j] = int(q)
+    for j, c in enumerate(v.apply(b)):  # b * v
+        dj = d.entries[j][j] if j < m.nrows else 0
+        if dj:
+            t[j], c = divmod(c, dj)
+        if c:
+            return None
     return u.apply(t)
 
 
@@ -611,5 +581,4 @@ __all__ = [
     "rmat_mul",
     "common_denominator",
     "xgcd",
-    "gcd",
 ]

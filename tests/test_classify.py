@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -186,6 +188,51 @@ def test_sign_group_minus_identity_rank2():
     assert rep.component_count == 4
     assert rep.component_dimension == 0
     assert rep.intersection_point_count == 0
+
+
+def _scanned_intersection_points(rep, n):
+    """The sign points on at least two components that jointly freeze
+    every coordinate, found by scanning all 2^n sign points."""
+    points = 0
+    for sigma in product((1, -1), repeat=n):
+        covering = [
+            coords
+            for coords, signs in rep.minimal_primes
+            if all(sigma[i] == s for i, s in zip(coords, signs))
+        ]
+        if len(covering) >= 2 and set().union(*covering) == set(range(n)):
+            points += 1
+    return points
+
+
+def test_sign_group_intersection_points_match_the_scan():
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(2, 6)
+        gens = [tuple(rng.choice((1, -1)) for _ in range(n))
+                for _ in range(rng.randint(1, 3))]
+        try:
+            rep = sign_group_singular_locus(diag_action(*gens))
+        except (HasReflections, TrivialGroup):
+            continue
+        assert rep.intersection_point_count == _scanned_intersection_points(
+            rep, n)
+        checked += 1
+
+
+def test_sign_group_rank16_is_fast():
+    # two halves flipped independently: two minimal sets covering all 16
+    # coordinates, so every one of the 2^16 sign points counts
+    half = (-1,) * 8 + (1,) * 8
+    start = time.perf_counter()
+    rep = sign_group_singular_locus(diag_action(half, half[::-1]))
+    assert rep.intersection_point_count == 2 ** 16
+    assert rep.component_count == 2 * 2 ** 8
+    rep = sign_group_singular_locus(minus_identity_action(16))
+    assert rep.intersection_point_count == 0
+    assert rep.component_count == 2 ** 16
+    assert time.perf_counter() - start < 0.5
 
 
 def test_sign_group_rejections():

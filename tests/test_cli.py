@@ -299,6 +299,6 @@ def test_analyze_computes_each_group_fact_once(tmp_path, capsys,
     assert (report["group_order"], report["fixed_rank"]) == (6, 1)
     # the input group, the induced quotient group, the reflection subgroup
     assert calls["close_group"] == 3
-    # rank(1 - g) once per nonidentity element of G and of the induced
-    # group, plus the root-span and base checks of the root system
-    assert calls["rank"] <= (6 - 1) + (6 - 1) + 2
+    # rank(1 - g) once per nonidentity element of G (the induced group
+    # needs none), plus the root-span and base checks of the root system
+    assert calls["rank"] <= (6 - 1) + 2

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multinv import (
     ElementaryDivisors,
@@ -15,7 +17,51 @@ from multinv import (
     solve_integer,
     solve_rational,
 )
+from multinv.lattice import common_denominator, solve_linear
 from helpers import mat, random_unimodular, snf_diagonal_by_minors
+
+# deterministic example streams, and no example database in the checkout
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+ENTRY = st.integers(-9, 9)
+
+
+def int_rows(nrows, ncols, elements=ENTRY):
+    return st.lists(st.lists(elements, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def matrices(draw, max_size=8):
+    nr = draw(st.integers(1, max_size))
+    nc = draw(st.integers(1, max_size))
+    # small entries and low-rank products reach rank-deficient cases
+    if draw(st.booleans()):
+        return IntMatrix(draw(int_rows(nr, nc)))
+    k = draw(st.integers(1, min(nr, nc)))
+    a = IntMatrix(draw(int_rows(nr, k, st.integers(-2, 2))))
+    b = IntMatrix(draw(int_rows(k, nc, st.integers(-2, 2))))
+    return a * b
+
+
+@st.composite
+def square_pairs(draw, max_size=8):
+    n = draw(st.integers(0, max_size))
+    return (IntMatrix(draw(int_rows(n, n)), ncols=n),
+            IntMatrix(draw(int_rows(n, n)), ncols=n))
+
+
+def leibniz_det(m):
+    n = m.nrows
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m.entries[i][j]
+        total += term
+    return total
 
 
 def snf_checks(m):
@@ -197,6 +243,9 @@ def test_solve_integer():
     assert x is not None
     assert m.apply(x) == (3, 4)
     assert solve_integer(mat([[2, 0], [0, 2]]), (1, 0)) is None
+    # more columns than rows: the trailing columns must be consistent
+    assert solve_integer(mat([[2, 4, 6]]), (4, 8, 12)) == (2,)
+    assert solve_integer(mat([[2, 4, 6]]), (4, 8, 13)) is None
 
 
 def test_matrix_basics():
@@ -210,3 +259,118 @@ def test_matrix_basics():
     assert (u * u.inverse_unimodular()).is_identity()
     with pytest.raises(TypeError):
         IntMatrix([[1.5]])
+
+
+@PROPERTY
+@given(square_pairs())
+def test_det_is_multiplicative(pair):
+    a, b = pair
+    assert (a * b).det() == a.det() * b.det()
+
+
+@PROPERTY
+@given(square_pairs(max_size=4))
+def test_det_matches_leibniz_expansion(pair):
+    for m in pair:
+        assert m.det() == leibniz_det(m)
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_of_transpose(m):
+    assert m.rank() == m.transpose().rank()
+    assert m.rank() <= min(m.nrows, m.ncols)
+
+
+def _rank(rows):
+    """Rank of rational rows, each scaled to integers first."""
+    return IntMatrix(
+        [[int(x * common_denominator(row)) for x in row] for row in rows],
+        ncols=len(rows[0]),
+    ).rank()
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_solve_linear_solution_or_none(m, data):
+    dens = data.draw(st.lists(st.integers(1, 6), min_size=m.nrows,
+                              max_size=m.nrows))
+    equations = [[Fraction(x, den) for x in row]
+                 for row, den in zip(m.entries, dens)]
+    rhs = data.draw(st.lists(st.integers(-9, 9).map(lambda x: Fraction(x, 2)),
+                             min_size=m.nrows, max_size=m.nrows))
+    for eqs in (equations, [list(row) for row in m.entries]):
+        x = solve_linear(eqs, rhs)
+        aug = [[*row, b] for row, b in zip(eqs, rhs)]
+        if x is None:
+            assert _rank(aug) > _rank(eqs)
+            continue
+        for row, b in zip(eqs, rhs):
+            assert sum(a * xi for a, xi in zip(row, x)) == b
+        # free variables (columns dependent on earlier ones) are zero
+        for c in range(1, m.ncols):
+            if _rank([row[:c + 1] for row in eqs]) == _rank(
+                    [row[:c] for row in eqs]):
+                assert x[c] == 0
+        if not any(row[0] for row in eqs):
+            assert x[0] == 0
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 2 ** 32))
+def test_inverse_unimodular_is_the_inverse(n, seed):
+    a = random_unimodular(random.Random(seed), n, steps=12)
+    assert (a * a.inverse_unimodular()).is_identity()
+    assert (a.inverse_unimodular() * a).is_identity()
+
+
+@PROPERTY
+@given(matrices(max_size=5), st.data())
+def test_contains_agrees_with_integral_coefficients(m, data):
+    lat = Sublattice(m.ncols, m.entries)
+    n = m.ncols
+    combo = data.draw(st.lists(st.integers(-3, 3).map(lambda x: Fraction(x, 2)),
+                               min_size=m.nrows, max_size=m.nrows))
+    inside = [sum(c * row[j] for c, row in zip(combo, m.entries))
+              for j in range(n)]
+    shift = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    for v in (inside, [a + b for a, b in zip(inside, shift)],
+              data.draw(int_rows(1, n))[0]):
+        if any(Fraction(x).denominator != 1 for x in v):
+            continue
+        v = [int(x) for x in v]
+        cs = lat.coefficients(v)
+        integral = cs is not None and all(c.denominator == 1 for c in cs)
+        assert lat.contains(v) == integral
+    with pytest.raises(ValueError):
+        lat.contains([0] * (n + 1))
+
+
+# (u, d, v) of the Smith form, pinned: effective_quotient reads v and
+# solve_integer reads u and v, so the transforms must not drift
+PINNED_SMITH_FORMS = [
+    (
+        [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+        [[1, 0, 0], [2, -1, -1], [3, -4, -3]],
+        [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
+        [[1, -2, 2], [0, 1, -2], [0, 0, 1]],
+    ),
+    (
+        [[3, 1, 4, 1], [5, 9, 2, 6]],
+        [[1, 0], [-9, 1]],
+        [[1, 0, 0, 0], [0, 1, 0, 0]],
+        [[0, 0, 0, 1], [1, -7, -22, -157], [0, -1, -3, -22],
+         [0, 11, 34, 242]],
+    ),
+    (
+        [[2, 4, 6], [1, 2, 3], [4, 8, 12]],
+        [[0, 1, 0], [1, -2, 0], [0, -4, 1]],
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[1, -2, -3], [0, 1, 0], [0, 0, 1]],
+    ),
+]
+
+
+@pytest.mark.parametrize("m, u, d, v", PINNED_SMITH_FORMS)
+def test_smith_form_transforms_are_pinned(m, u, d, v):
+    assert smith_normal_form(mat(m)) == (mat(u), mat(d), mat(v))
