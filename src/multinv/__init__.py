@@ -24,6 +24,7 @@ from .errors import (
     HasReflections,
     InvalidBase,
     InvalidInput,
+    LocusTooLarge,
     MultInvError,
     NotContained,
     NotInvariant,

@@ -17,6 +17,7 @@ from itertools import product
 from .errors import (
     AmbiguousFormula,
     HasReflections,
+    LocusTooLarge,
     NotReflectionGroup,
     NotSignGroup,
     TrivialGroup,
@@ -52,6 +53,10 @@ from .roots import (
 SEMIGROUP_ALGEBRA = "SemigroupAlgebra"
 NOT_SEMIGROUP_ALGEBRA = "NotSemigroupAlgebra"
 UNKNOWN = "Unknown"
+
+# Most singular-locus components `sign_group_singular_locus` lists: the
+# 2^16 sign patterns of -I on Z^16.
+MAX_SIGN_COMPONENTS = 2 ** 16
 
 
 def min_displacement_rank(action: GroupAction) -> int:
@@ -220,13 +225,13 @@ def verdict(action: GroupAction, base=None) -> Verdict:
             "algebra",
         )
     if _is_sign_group(action) and not find_reflections(action):
-        report = sign_group_singular_locus(action)
-        if report.intersection_point_count >= 2:
+        _, component_count, _, points = _sign_locus(action)
+        if points >= 2:
             return Verdict(
                 NOT_SEMIGROUP_ALGEBRA,
                 "sign-group-singularities",
-                f"the singular locus has {report.component_count} components "
-                f"meeting in {report.intersection_point_count} points, all "
+                f"the singular locus has {component_count} components "
+                f"meeting in {points} points, all "
                 "of which would have to be fixed by the one-fixed-point "
                 "torus action, so the invariants are not a semigroup "
                 "algebra",
@@ -256,11 +261,11 @@ class SignGroupReport:
     intersection_point_count: int
 
 
-def sign_group_singular_locus(action: GroupAction) -> SignGroupReport:
-    """Minimal primes over the non-free-locus ideal of a diagonal sign
-    group without reflections, plus the count of candidate torus-fixed
-    intersection points (sign points lying on at least two components
-    that jointly freeze every coordinate)."""
+def _sign_locus(action: GroupAction):
+    """The minimal coordinate sets of a diagonal sign group without
+    reflections, and the component count, component dimension and
+    intersection point count of its singular locus (see SignGroupReport),
+    all without listing a component."""
     if not _is_sign_group(action):
         raise NotSignGroup("every element must be diagonal with +-1 entries")
     n = action.rank
@@ -279,19 +284,38 @@ def sign_group_singular_locus(action: GroupAction) -> SignGroupReport:
         if not any(t < s for t in inversion_sets)
     ]
     minimal = sorted(tuple(sorted(s)) for s in minimal)
-    primes = []
-    for coords in minimal:
-        for signs in product((1, -1), repeat=len(coords)):
-            primes.append((coords, signs))
-    component_count = len(primes)
+    component_count = sum(2 ** len(c) for c in minimal)
     component_dimension = n - min(len(c) for c in minimal)
     # a sign point lies on exactly one component per minimal coordinate
     # set (the one with its own signs there), so either every sign point
     # counts or none does
     covers = len(minimal) >= 2 and set().union(*minimal) == set(range(n))
     points = 2 ** n if covers else 0
+    return minimal, component_count, component_dimension, points
+
+
+def sign_group_singular_locus(action: GroupAction) -> SignGroupReport:
+    """Minimal primes over the non-free-locus ideal of a diagonal sign
+    group without reflections, plus the count of candidate torus-fixed
+    intersection points (sign points lying on at least two components
+    that jointly freeze every coordinate).
+
+    Raises LocusTooLarge, before listing any component, when there are
+    more than MAX_SIGN_COMPONENTS of them.
+    """
+    minimal, component_count, component_dimension, points = _sign_locus(action)
+    if component_count > MAX_SIGN_COMPONENTS:
+        raise LocusTooLarge(
+            f"the singular locus has {component_count} components, more "
+            f"than the {MAX_SIGN_COMPONENTS} that can be listed"
+        )
+    primes = tuple(
+        (coords, signs)
+        for coords in minimal
+        for signs in product((1, -1), repeat=len(coords))
+    )
     return SignGroupReport(
-        tuple(primes), component_count, component_dimension, points
+        primes, component_count, component_dimension, points
     )
 
 
@@ -302,6 +326,7 @@ __all__ = [
     "SEMIGROUP_ALGEBRA",
     "NOT_SEMIGROUP_ALGEBRA",
     "UNKNOWN",
+    "MAX_SIGN_COMPONENTS",
     "min_displacement_rank",
     "is_fixed_point_free",
     "class_group",

@@ -53,6 +53,10 @@ class NotSignGroup(MultInvError):
     """The group is not a diagonal group with +-1 entries."""
 
 
+class LocusTooLarge(MultInvError):
+    """The singular locus has too many components to list."""
+
+
 class HasReflections(MultInvError):
     """The sign-group analyzer requires a group without reflections."""
 

@@ -2,6 +2,13 @@
 
 Group elements are the matrices themselves (acting on the right on row
 vectors), so the action is faithful by construction.
+
+`close_group` enumerates a group on row orbits: row i of an element m is
+the lattice point e_i * m, and inside the closure loop an element is the
+tuple of ids of its n row points.  The rows of m * g are the rows of m,
+each moved by g, so a product is n lookups in a per-generator table of
+point images, filled on first use with one `IntMatrix.apply`.  Matrices
+are built once, after the loop.
 """
 
 from __future__ import annotations
@@ -85,6 +92,26 @@ def memoised(compute):
     return fact
 
 
+class _RowImages(dict):
+    """Point id -> id of its image under one generator, each entry filled
+    on first use: the image vector is computed once and interned in the
+    shared `points` / `ids`."""
+
+    __slots__ = ("g", "points", "ids")
+
+    def __init__(self, g: IntMatrix, points: list, ids: dict):
+        super().__init__()
+        self.g, self.points, self.ids = g, points, ids
+
+    def __missing__(self, pid: int) -> int:
+        image = self.g.apply(self.points[pid])
+        qid = self.ids.setdefault(image, len(self.points))
+        if qid == len(self.points):
+            self.points.append(image)
+        self[pid] = qid
+        return qid
+
+
 def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
                 rank: int | None = None) -> GroupAction:
     """Multiplication closure of the given generators.
@@ -93,25 +120,33 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     GroupTooLarge when the closure exceeds `cap` elements (the group is
     then almost certainly infinite).  An empty generator list needs an
     explicit `rank` and yields the trivial group.
+
+    The closure runs on row orbits: an element is the tuple of ids of its
+    rows e_i * m, and m * g is read off one image table per generator,
+    so no matrix product is formed.  The `IntMatrix` elements are built
+    after the loop and sorted by their entries.
     """
     gens = list(generators)
     if gens:
         rank = gens[0].nrows
     elif rank is None:
         raise ValueError("rank is required when no generators are given")
-    identity = IntMatrix.identity(rank)
     for g in gens:
         if g.nrows != rank or g.ncols != rank:
             raise NotUnimodular("generators must be square of equal size")
         if g.det() not in (1, -1):
             raise NotUnimodular(f"generator determinant {g.det()} is not +-1")
+    points = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    ids = {p: i for i, p in enumerate(points)}
+    moves = [_RowImages(g, points, ids).__getitem__ for g in gens]
+    identity = tuple(range(rank))
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in gens:
-                p = m * g
+            for move in moves:
+                p = tuple(map(move, m))
                 if p not in seen:
                     seen.add(p)
                     if len(seen) > cap:
@@ -121,7 +156,10 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
                         )
                     nxt.append(p)
         frontier = nxt
-    elements = sorted(seen, key=lambda g: g.entries)
+    elements = sorted(
+        (IntMatrix([points[i] for i in m], ncols=rank) for m in seen),
+        key=lambda g: g.entries,
+    )
     index = {g: i for i, g in enumerate(elements)}
     gen_indices = []
     for g in gens:

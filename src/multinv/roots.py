@@ -84,14 +84,45 @@ def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
 
 
 @memoised
+def _root_span(action: GroupAction) -> tuple[frozenset, int]:
+    """The roots of the action's reflections, both signs of each, and the
+    rank of their span."""
+    refls = find_reflections(action)
+    roots = frozenset(r.root for r in refls) | frozenset(
+        tuple(-x for x in r.root) for r in refls
+    )
+    if len(roots) != 2 * len(refls):
+        raise AxiomFailure("reflections do not have distinct root lines")
+    return roots, IntMatrix(sorted(roots), ncols=action.rank).rank()
+
+
+@memoised
 def is_reflection_group(action: GroupAction) -> bool:
     """True when the reflections generate the whole group (vacuously true
-    for the trivial group)."""
+    for the trivial group).
+
+    G permutes its reflections by conjugation and maps primitive roots to
+    primitive roots, so the roots form a reduced crystallographic root
+    system of the subgroup W' the reflections generate, and the simple
+    reflections of any base generate W' (Humphreys, Reflection Groups and
+    Coxeter Groups, Thm 1.5).  Only those r reflections are closed.
+    """
     refls = find_reflections(action)
     if not refls:
         return action.order == 1
-    sub = close_group([r.matrix for r in refls], cap=action.order)
+    roots, rank = _root_span(action)
+    simple = _base_reflections(refls, _generic_base(roots, rank))
+    sub = close_group([r.matrix for r in simple], cap=action.order)
     return sub.order == action.order
+
+
+def _base_reflections(refls, base) -> tuple[Reflection, ...]:
+    """The reflection of each base root, in base order."""
+    by_line = {r.root: r for r in refls}
+    return tuple(
+        by_line[alpha if alpha in by_line else tuple(-x for x in alpha)]
+        for alpha in base
+    )
 
 
 def coroot_pairing(v, refl: Reflection, root=None) -> Fraction:
@@ -187,14 +218,10 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             else "the group contains no reflections"
         )
 
-    roots = frozenset(r.root for r in refls) | frozenset(
-        tuple(-x for x in r.root) for r in refls
-    )
-    if len(roots) != 2 * len(refls):
-        raise AxiomFailure("reflections do not have distinct root lines")
+    roots, root_rank = _root_span(action)
     projections = reynolds(action)
     rank = n - fixed_sublattice(action).rank
-    if refls and IntMatrix(sorted(roots), ncols=n).rank() != rank:
+    if root_rank != rank:
         raise AxiomFailure("roots do not span the moving subspace")
 
     if rank == 0:
@@ -221,14 +248,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             raise InvalidBase("base vectors must be integral") from exc
         _check_base(roots, base, rank, strict=True)
 
-    by_line = {}
-    for r in refls:
-        by_line[r.root] = r
-    base_reflections = []
-    for alpha in base:
-        key = alpha if alpha in by_line else tuple(-x for x in alpha)
-        base_reflections.append(by_line[key])
-    base_reflections = tuple(base_reflections)
+    base_reflections = _base_reflections(refls, base)
 
     weights = _solve_weights(action, projections.fixed_projection, base,
                              base_reflections)

@@ -91,6 +91,68 @@ def diag_action(*signs):
     return close_group(gens)
 
 
+def _identity_rows(n):
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def weyl_generators(kind, n):
+    """Generators of a finite reflection group of rank n:
+    "S": S_n permuting the coordinates of Z^n (n >= 2), of order n!;
+    "B": signed permutations of Z^n, of order 2^n * n!;
+    "D": even signed permutations of Z^n (n >= 2), of order 2^(n-1) * n!;
+    "A": the Weyl group of A_n on its root lattice, of order (n+1)!;
+    "G": the Weyl group of G2 on its root lattice (n = 2), of order 12.
+    A and G are generated by the simple reflections, written in the basis
+    of simple roots."""
+    if kind in "AG":
+        cartan = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)]
+                  for i in range(n)]
+        if kind == "G":
+            cartan = [[2, -1], [-3, 2]]
+        return [IntMatrix([[int(r == k) - (cartan[r][i] if k == i else 0)
+                            for k in range(n)] for r in range(n)])
+                for i in range(n)]
+    gens = []
+    for i in range(n - 1):  # adjacent transpositions
+        rows = _identity_rows(n)
+        rows[i][i] = rows[i + 1][i + 1] = 0
+        rows[i][i + 1] = rows[i + 1][i] = 1
+        gens.append(rows)
+    if kind == "B":  # change the sign of the first coordinate
+        rows = _identity_rows(n)
+        rows[0][0] = -1
+        gens.append(rows)
+    elif kind == "D":  # swap the first two coordinates, changing both signs
+        rows = _identity_rows(n)
+        rows[0][0] = rows[1][1] = 0
+        rows[0][1] = rows[1][0] = -1
+        gens.append(rows)
+    return [IntMatrix(rows) for rows in gens]
+
+
+def block_diagonal(blocks):
+    """Block-diagonal matrices: one generator per generator of each block,
+    acting as the identity on the other blocks."""
+    n = sum(block[0].nrows for block in blocks)
+    gens = []
+    offset = 0
+    for block in blocks:
+        k = block[0].nrows
+        for g in block:
+            rows = _identity_rows(n)
+            for r in range(k):
+                rows[offset + r][offset:offset + k] = g.entries[r]
+            gens.append(IntMatrix(rows))
+        offset += k
+    return gens
+
+
+def conjugate(gens, u):
+    """The generators written in the basis given by the rows of u."""
+    uinv = u.inverse_unimodular()
+    return [u * g * uinv for g in gens]
+
+
 GOLDEN_REFLECTION_ACTIONS = {
     "rank2-s3": (s3_action, BASE_RANK2),
     "rank3-s4": (s4_action, BASE_RANK3),

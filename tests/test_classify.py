@@ -7,6 +7,7 @@ import pytest
 from multinv import (
     ElementaryDivisors,
     HasReflections,
+    LocusTooLarge,
     NotReflectionGroup,
     NotSignGroup,
     TrivialGroup,
@@ -20,6 +21,7 @@ from multinv import (
     verdict,
 )
 from multinv.classify import (
+    MAX_SIGN_COMPONENTS,
     NOT_SEMIGROUP_ALGEBRA,
     SEMIGROUP_ALGEBRA,
     UNKNOWN,
@@ -233,6 +235,24 @@ def test_sign_group_rank16_is_fast():
     assert rep.intersection_point_count == 0
     assert rep.component_count == 2 ** 16
     assert time.perf_counter() - start < 0.5
+
+
+def test_sign_group_too_many_components_fails_before_listing():
+    assert MAX_SIGN_COMPONENTS >= 2 ** 16
+    start = time.perf_counter()
+    with pytest.raises(LocusTooLarge, match="1048576 components"):
+        sign_group_singular_locus(minus_identity_action(20))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_verdict_on_sign_group_beyond_the_component_bound():
+    # two halves of Z^34 flipped independently: 2 * 2^17 components, so
+    # the locus cannot be listed, yet its counts decide the verdict
+    half = (-1,) * 17 + (1,) * 17
+    v = verdict(diag_action(half, half[::-1]))
+    assert (v.status, v.rule) == (NOT_SEMIGROUP_ALGEBRA,
+                                  "sign-group-singularities")
+    assert f"{2 * 2 ** 17} components meeting in {2 ** 34} points" in v.detail
 
 
 def test_sign_group_rejections():

@@ -1,4 +1,5 @@
 import json
+import time
 
 from multinv import classify, cli, groups, roots
 from multinv.cli import main
@@ -191,6 +192,19 @@ def test_singular_locus_command(tmp_path, capsys):
     assert report["component_dimension"] == 1
     assert report["intersection_point_count"] == 8
     assert {"coordinates": [1, 2], "signs": [1, 1]} in report["components"]
+
+
+def test_singular_locus_beyond_the_component_bound_exits_2(tmp_path,
+                                                           capsys):
+    n = 20
+    doc = {"rank": n,
+           "generators": [[[-int(i == j) for j in range(n)]
+                           for i in range(n)]]}
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["singular-locus", write_doc(tmp_path, doc)])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert f"{2 ** 20} components" in err
 
 
 def test_singular_locus_rejects_non_sign_group(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multinv import (
     GroupTooLarge,
@@ -15,15 +18,19 @@ from multinv import (
     orbit,
     reynolds,
 )
+from multinv.groups import DEFAULT_CLOSURE_CAP
 from multinv.lattice import rmat_mul, rational_matrix
 from helpers import (
     R2,
     S2,
+    block_diagonal,
+    conjugate,
     mat,
     minus_identity_action,
     s3_action,
     s4_action,
     swap_action,
+    weyl_generators,
 )
 
 
@@ -166,3 +173,122 @@ def test_isotropy_groups_match_on_quotient():
                 fixes_a = m.apply(a) == a
                 fixes_abar = induced_matrix(eq, m).apply(abar) == tuple(abar)
                 assert fixes_a == fixes_abar
+
+
+def matrix_product_closure(gens, rank, cap):
+    """Oracle for close_group: breadth-first closure by IntMatrix
+    products, the canonical sort and the generator positions."""
+    identity = IntMatrix.identity(rank)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = m * g
+                if p not in seen:
+                    seen.add(p)
+                    if len(seen) > cap:
+                        raise GroupTooLarge(
+                            f"closure exceeded {cap} elements; group is "
+                            "probably infinite"
+                        )
+                    nxt.append(p)
+        frontier = nxt
+    elements = tuple(sorted(seen, key=lambda g: g.entries))
+    gen_indices = []
+    for g in gens:
+        i = elements.index(g)
+        if i not in gen_indices:
+            gen_indices.append(i)
+    return elements, tuple(gen_indices)
+
+
+WEYL_ORDER = {
+    "S": factorial,
+    "B": lambda n: 2 ** n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "G": lambda n: 12,
+}
+BLOCKS = ([("S", n) for n in range(2, 7)] + [("B", n) for n in range(1, 5)]
+          + [("D", n) for n in range(2, 5)] + [("A", n) for n in range(1, 5)]
+          + [("G", 2)])
+# direct sums of up to three blocks, rank at most 6, small enough for the
+# oracle's matrix products
+BLOCK_SUMS = [
+    blocks
+    for k in (1, 2, 3)
+    for blocks in combinations_with_replacement(BLOCKS, k)
+    if sum(n for _, n in blocks) <= 6
+    and prod(WEYL_ORDER[kind](n) for kind, n in blocks) <= 800
+]
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def conjugated_block_sums(draw):
+    """Generators of a block sum in a random basis, shuffled, with a few
+    generators repeated."""
+    blocks = draw(st.sampled_from(BLOCK_SUMS))
+    gens = block_diagonal([weyl_generators(*block) for block in blocks])
+    n = gens[0].nrows
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from((-2, -1, 1, 2)))
+    for i, j, c in draw(st.lists(pairs, max_size=8)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    gens = draw(st.permutations(conjugate(gens, IntMatrix(u))))
+    return gens + draw(st.lists(st.sampled_from(gens), max_size=2))
+
+
+@PROPERTY
+@given(conjugated_block_sums())
+def test_close_group_matches_matrix_product_closure(gens):
+    rank = gens[0].nrows
+    group = close_group(gens)
+    assert (group.elements, group.generator_indices) == \
+        matrix_product_closure(gens, rank, DEFAULT_CLOSURE_CAP)
+
+
+def test_close_group_edge_cases_match_matrix_product_closure():
+    b2 = weyl_generators("B", 2)
+    for gens in ([b2[0], b2[0], b2[1], b2[0]], [b2[1], IntMatrix.identity(2)]):
+        group = close_group(gens)
+        assert (group.elements, group.generator_indices) == \
+            matrix_product_closure(gens, 2, DEFAULT_CLOSURE_CAP)
+    trivial = close_group([], rank=0)
+    assert (trivial.elements, trivial.generator_indices) == \
+        matrix_product_closure([], 0, 1) == ((IntMatrix([], ncols=0),), ())
+    shear = [mat([[1, 1], [0, 1]])]
+    with pytest.raises(GroupTooLarge) as oracle:
+        matrix_product_closure(shear, 2, 1000)
+    with pytest.raises(GroupTooLarge) as got:
+        close_group(shear, cap=1000)
+    assert str(got.value) == str(oracle.value)
+
+
+def test_close_group_forms_no_matrix_product(monkeypatch):
+    calls = {"mul": 0, "apply": 0}
+    mul, apply = IntMatrix.__mul__, IntMatrix.apply
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_apply(self, v):
+        calls["apply"] += 1
+        return apply(self, v)
+
+    gens = weyl_generators("B", 4)
+    monkeypatch.setattr(IntMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(IntMatrix, "apply", counted_apply)
+    group = close_group(gens)
+    monkeypatch.undo()
+    assert group.order == 384
+    points = {row for g in group.elements for row in g.entries}
+    assert len(points) == 8  # the signed unit vectors
+    assert calls["mul"] == 0
+    assert calls["apply"] <= len(points) * len(gens)

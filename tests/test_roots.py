@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,18 +15,22 @@ from multinv import (
     induced_matrix,
     is_reflection_group,
     pi_image_weight_coords,
+    roots,
 )
 from helpers import (
     BASE_RANK2,
     BASE_RANK3,
     a1a1_action,
     b2_action,
+    conjugate,
     mat,
     minus_identity_action,
     neg_rank1_action,
+    random_unimodular,
     s3_action,
     s4_action,
     swap_action,
+    weyl_generators,
     z3_action,
 )
 
@@ -82,6 +87,49 @@ def test_is_reflection_group():
     assert is_reflection_group(close_group([], rank=2))
     assert not is_reflection_group(minus_identity_action(2))
     assert not is_reflection_group(z3_action())
+
+
+@pytest.mark.parametrize("kind, n, order, positive_roots", [
+    ("B", 4, 2 ** 4 * 24, 4 * 4),
+    ("D", 5, 2 ** 4 * 120, 5 * 4),
+    ("A", 5, 720, 5 * 6 // 2),
+    ("S", 6, 720, 6 * 5 // 2),
+])
+def test_weyl_groups_of_rank_4_to_6_in_a_random_basis(kind, n, order,
+                                                      positive_roots):
+    u = random_unimodular(random.Random(n * 97 + ord(kind)), n, steps=12)
+    group = close_group(conjugate(weyl_generators(kind, n), u))
+    assert group.order == order
+    assert len(find_reflections(group)) == positive_roots
+    assert is_reflection_group(group)
+
+
+def test_is_reflection_group_closes_only_simple_reflections(monkeypatch):
+    closed = []
+    close = roots.close_group
+
+    def recording_close_group(gens, *args, **kwargs):
+        closed.append(len(gens))
+        return close(gens, *args, **kwargs)
+
+    group = close_group(weyl_generators("B", 4))
+    monkeypatch.setattr(roots, "close_group", recording_close_group)
+    assert is_reflection_group(group)
+    assert len(find_reflections(group)) == 16
+    assert closed == [4]
+
+
+def test_reflections_generating_a_proper_subgroup():
+    # S4 x {+-I} on Z^4: the reflections are the six transpositions, whose
+    # roots span rank 3 and generate S4 only
+    minus = [mat([[-int(i == j) for j in range(4)] for i in range(4)])]
+    group = close_group(weyl_generators("S", 4) + minus)
+    assert group.order == 48
+    assert len(find_reflections(group)) == 6
+    assert not is_reflection_group(group)
+    with pytest.raises(NotReflectionGroup,
+                       match="the reflections generate a proper subgroup"):
+        build_root_system(group)
 
 
 def test_build_root_system_rank2_with_fixed_base():
