@@ -38,25 +38,21 @@ from .errors import (
 from .groups import (
     EffectiveQuotient,
     GroupAction,
-    ProjectionPair,
     close_group,
     displacement_ranks,
     effective_quotient,
     fixed_sublattice,
     induced_matrix,
     orbit,
-    reynolds,
 )
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
     Sublattice,
-    image_sublattice,
     kernel_lattice,
     quotient_invariants,
     smith_normal_form,
     solve_integer,
-    solve_rational,
 )
 from .laurent import (
     FundamentalInvariant,
@@ -72,7 +68,6 @@ from .monoid import (
     WeightMonoid,
     build_weight_monoid,
     enumerate_box,
-    full_monoid,
     hilbert_basis,
     minimal_multipliers,
 )
@@ -83,7 +78,6 @@ from .roots import (
     coroot_pairing,
     find_reflections,
     is_reflection_group,
-    pi_image_weight_coords,
 )
 
 __version__ = "0.1.0"

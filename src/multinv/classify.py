@@ -23,11 +23,11 @@ from .errors import (
     TrivialGroup,
 )
 from .groups import (
-    EffectiveQuotient,
     GroupAction,
     close_group,
     displacement_ranks,
     effective_quotient,
+    fixed_sublattice,
 )
 from .lattice import (
     ElementaryDivisors,
@@ -36,18 +36,12 @@ from .lattice import (
     kernel_lattice,
     quotient_invariants,
 )
-from .monoid import (
-    MonoidDescription,
-    WeightMonoid,
-    build_weight_monoid,
-    full_monoid,
-)
+from .monoid import MonoidDescription, WeightMonoid, build_weight_monoid
 from .roots import (
     RootDatum,
     build_root_system,
     find_reflections,
     is_reflection_group,
-    pi_image_weight_coords,
 )
 
 SEMIGROUP_ALGEBRA = "SemigroupAlgebra"
@@ -123,8 +117,7 @@ def class_group(action: GroupAction) -> ElementaryDivisors:
             "residual action is not generated by reflections"
         )
     rd = build_root_system(image)
-    pi_lattice = pi_image_weight_coords(rd)
-    return quotient_invariants(pi_lattice, Sublattice.full(rd.rank))
+    return quotient_invariants(rd.pi_lattice, Sublattice.full(rd.rank))
 
 
 @dataclass(frozen=True)
@@ -132,20 +125,18 @@ class ReflectionPipeline:
     """Everything the reflection-group branch of the verdict produces."""
 
     root_datum: RootDatum
-    pi_lattice: Sublattice
     weight_monoid: WeightMonoid
-    quotient: EffectiveQuotient
     monoid: MonoidDescription
 
 
 def reflection_monoid(action: GroupAction, base=None) -> ReflectionPipeline:
-    """Run the full reflection pipeline: root system, projected lattice,
-    weight monoid, effective quotient, monoid description."""
+    """Run the full reflection pipeline: root system, weight monoid on
+    the projected lattice, monoid description (units from the fixed
+    sublattice, the dominant weight monoid as positive part)."""
     rd = build_root_system(action, base=base)
-    pi_lattice = pi_image_weight_coords(rd)
-    wm = build_weight_monoid(rd, pi_lattice)
-    eq = effective_quotient(action)
-    return ReflectionPipeline(rd, pi_lattice, wm, eq, full_monoid(eq, wm))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
+    units_rank = fixed_sublattice(action).rank
+    return ReflectionPipeline(rd, wm, MonoidDescription(units_rank, wm))
 
 
 @dataclass(frozen=True)
@@ -203,24 +194,24 @@ def verdict(action: GroupAction, base=None) -> Verdict:
             f"semigroup algebra of {md}",
             md,
         )
-    bar = effective_quotient(action).induced
+    quotient_rank = action.rank - fixed_sublattice(action).rank
     # over Q the lattice is the fixed space plus a G-stable complement,
     # and g is the identity on the fixed space: rank(1 - g) is the same
     # on the quotient, so the ranks known for G decide fixed-point-freeness
-    if bar.rank >= 2 and min_displacement_rank(action) == bar.rank:
+    if quotient_rank >= 2 and min_displacement_rank(action) == quotient_rank:
         if _is_odd_prime(action.order):
             return Verdict(
                 NOT_SEMIGROUP_ALGEBRA,
                 "odd-prime-order",
                 f"a faithful action of a group of odd prime order "
                 f"{action.order} is fixed point free on its effective "
-                f"quotient (rank {bar.rank}), so the invariants are not a "
-                "semigroup algebra",
+                f"quotient (rank {quotient_rank}), so the invariants are not "
+                "a semigroup algebra",
             )
         return Verdict(
             NOT_SEMIGROUP_ALGEBRA,
             "fixed-point-free",
-            f"the action on the effective quotient (rank {bar.rank}) is "
+            f"the action on the effective quotient (rank {quotient_rank}) is "
             "fixed point free, so the invariants are not a semigroup "
             "algebra",
         )

@@ -23,7 +23,7 @@ from .classify import (
     verdict,
 )
 from .errors import InvalidInput, MultInvError
-from .groups import DEFAULT_CLOSURE_CAP, close_group, effective_quotient
+from .groups import DEFAULT_CLOSURE_CAP, close_group, fixed_sublattice
 from .lattice import IntMatrix
 from .laurent import fundamental_invariants_detailed, variable_labels
 from .roots import build_root_system, find_reflections, is_reflection_group
@@ -136,7 +136,8 @@ def _verdict_lines(v):
 
 def cmd_analyze(desc: ActionDescription, cap: int):
     action = _build_group(desc, cap)
-    eq = effective_quotient(action)
+    fixed_rank = fixed_sublattice(action).rank
+    effective_rank = action.rank - fixed_rank
     refls = find_reflections(action)
     height = None if action.order == 1 else min_displacement_rank(action)
     v = verdict(action, base=desc.base_override)
@@ -146,13 +147,13 @@ def cmd_analyze(desc: ActionDescription, cap: int):
         "group_order": action.order,
         "reflection_count": len(refls),
         "is_reflection_group": is_reflection_group(action),
-        "fixed_rank": eq.fixed.rank,
-        "effective_rank": eq.quotient_rank,
+        "fixed_rank": fixed_rank,
+        "effective_rank": effective_rank,
         "ideal_height": height,
         # rank(1 - g) is the same on the effective quotient as on the
         # lattice (see classify.verdict)
         "fixed_point_free_on_quotient": (action.order == 1
-                                         or height == eq.quotient_rank),
+                                         or height == effective_rank),
         "verdict": _verdict_json(v),
     }
     lines = [
@@ -160,8 +161,8 @@ def cmd_analyze(desc: ActionDescription, cap: int):
         f"group order:         {action.order}",
         f"reflections:         {len(refls)}",
         f"reflection group:    {report['is_reflection_group']}",
-        f"fixed rank:          {eq.fixed.rank}",
-        f"effective rank:      {eq.quotient_rank}",
+        f"fixed rank:          {fixed_rank}",
+        f"effective rank:      {effective_rank}",
         f"ideal height:        {'-' if height is None else height}",
         f"fixed point free:    {report['fixed_point_free_on_quotient']}"
         " (on the effective quotient)",

@@ -22,7 +22,6 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     kernel_lattice,
-    rational_matrix,
     smith_normal_form,
 )
 
@@ -195,38 +194,6 @@ def displacement_ranks(action: GroupAction) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ProjectionPair:
-    """The averaging projection onto the fixed subspace and its complement.
-
-    Both matrices are exact rational, act on the right, and satisfy
-    fixed_projection + moving_projection = identity.
-    """
-
-    fixed_projection: tuple[tuple[Fraction, ...], ...]
-    moving_projection: tuple[tuple[Fraction, ...], ...]
-
-
-def reynolds(action: GroupAction) -> ProjectionPair:
-    """Group average rho = |G|^-1 * sum(g) and its complement 1 - rho."""
-    n = action.rank
-    order = action.order
-    rho = rational_matrix(
-        [
-            [
-                Fraction(sum(g.entries[i][j] for g in action.elements), order)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    pi = tuple(
-        tuple(Fraction(int(i == j)) - rho[i][j] for j in range(n))
-        for i in range(n)
-    )
-    return ProjectionPair(rho, pi)
-
-
-@dataclass(frozen=True)
 class EffectiveQuotient:
     """The quotient of the lattice by its fixed sublattice, with the
     induced action and a chosen splitting.
@@ -286,14 +253,12 @@ def induced_matrix(eq: EffectiveQuotient, g: IntMatrix) -> IntMatrix:
 
 __all__ = [
     "GroupAction",
-    "ProjectionPair",
     "EffectiveQuotient",
     "DEFAULT_CLOSURE_CAP",
     "close_group",
     "orbit",
     "fixed_sublattice",
     "displacement_ranks",
-    "reynolds",
     "effective_quotient",
     "induced_matrix",
 ]

@@ -422,11 +422,6 @@ def kernel_lattice(m: IntMatrix) -> Sublattice:
     return Sublattice(m.nrows, rows)
 
 
-def image_sublattice(m: IntMatrix) -> Sublattice:
-    """The integer row span of m inside Z^ncols, in Hermite form."""
-    return Sublattice(m.ncols, m.entries)
-
-
 @dataclass(frozen=True)
 class ElementaryDivisors:
     """Invariants d1 | d2 | ... of a finitely generated abelian group;
@@ -516,14 +511,6 @@ def solve_linear(equations, rhs):
     return tuple(x)
 
 
-def solve_rational(m: IntMatrix, b):
-    """Any rational x with x * m == b, or None if the system is inconsistent."""
-    if len(b) != m.ncols:
-        raise ValueError("right-hand side length mismatch")
-    equations = [[m.entries[i][j] for i in range(m.nrows)] for j in range(m.ncols)]
-    return solve_linear(equations, b)
-
-
 def solve_integer(m: IntMatrix, b):
     """Any integer x with x * m == b, or None if none exists."""
     u, d, v = smith_normal_form(m)
@@ -535,28 +522,6 @@ def solve_integer(m: IntMatrix, b):
         if c:
             return None
     return u.apply(t)
-
-
-def rational_matrix(rows):
-    """Normalize nested iterables into a tuple-of-tuples of Fractions."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def rapply(v, rows):
-    """Row vector v times the rational matrix given as a tuple of rows."""
-    n = len(rows)
-    if len(v) != n:
-        raise ValueError("vector length mismatch")
-    width = len(rows[0]) if n else 0
-    return tuple(sum(v[i] * rows[i][j] for i in range(n)) for j in range(width))
-
-
-def rmat_mul(a, b):
-    """Product of two rational matrices (tuples of row tuples)."""
-    bt = tuple(zip(*b)) if b else ()
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
 
 
 def common_denominator(v) -> int:
@@ -571,14 +536,9 @@ __all__ = [
     "smith_normal_form",
     "hermite_basis",
     "kernel_lattice",
-    "image_sublattice",
     "quotient_invariants",
     "solve_linear",
-    "solve_rational",
     "solve_integer",
-    "rational_matrix",
-    "rapply",
-    "rmat_mul",
     "common_denominator",
     "xgcd",
 ]

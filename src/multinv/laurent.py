@@ -16,7 +16,7 @@ from .errors import AxiomFailure, NotInvariant, SupportEscape
 from .groups import GroupAction, orbit
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
-from .roots import RootDatum, pi_image_weight_coords_rows
+from .roots import RootDatum
 
 
 class LaurentPolynomial:
@@ -284,8 +284,6 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     """
     n = action.rank
     orbit_sums = [orbit_sum(action, w) for w in rd.fundamental_weights]
-    coord_rows = pi_image_weight_coords_rows(n, rd.base, rd.base_reflections)
-    coord_matrix = IntMatrix(coord_rows, ncols=rd.rank) if rd.rank else None
     out = []
     for row in wm.hilbert_basis:
         poly = LaurentPolynomial.constant(n, 1)
@@ -299,7 +297,7 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
         )
         prefix = (Fraction(0),) * n
         if any(x.denominator != 1 for x in target):
-            preimage = solve_integer(coord_matrix, row)
+            preimage = solve_integer(rd.coroots, row)
             if preimage is None:
                 raise SupportEscape(
                     f"basis element {row} has no lattice preimage"

@@ -13,7 +13,6 @@ from itertools import product
 from math import lcm
 
 from .errors import AxiomFailure, GenerationFailure
-from .groups import EffectiveQuotient
 from .lattice import Sublattice
 from .roots import RootDatum
 
@@ -147,12 +146,6 @@ class MonoidDescription:
         return f"{unit} x {pos}" if unit else pos
 
 
-def full_monoid(eq: EffectiveQuotient, wm: WeightMonoid) -> MonoidDescription:
-    """Units come from the fixed sublattice; the positive part is the
-    dominant weight monoid."""
-    return MonoidDescription(eq.fixed.rank, wm)
-
-
 __all__ = [
     "WeightMonoid",
     "MonoidDescription",
@@ -160,5 +153,4 @@ __all__ = [
     "enumerate_box",
     "hilbert_basis",
     "build_weight_monoid",
-    "full_monoid",
 ]

@@ -1,12 +1,21 @@
 """Reflections, crystallographic root systems, and fundamental weights.
 
-A reflection here is a group element g with rank(1 - g) = 1 over the
-rationals; on a unimodular lattice this forces g^2 = 1.  The negated
-eigenvector lines of the reflections form a reduced crystallographic root
-system inside the moving subspace (the image of 1 - averaging projection),
-and the group restricted to that subspace is the Weyl group.  From a base
-of simple roots we compute the fundamental dominant weights, the root and
-weight lattices, and their quotient.
+An element g of a finite group is a reflection when g^2 = 1 and
+trace(g) = n - 2: it negates exactly one line and fixes a hyperplane.
+Then 1 - g factors over the integers as a column times a row,
+1 - g = coroot (x) root, so v - v*g = (v . coroot) * root, with the root
+primitive and root . coroot = 2.  The roots form a reduced
+crystallographic root system spanning the moving subspace (the subspace
+the invariant functionals annihilate), and the group restricted to that
+subspace is the Weyl group.
+
+A base of simple roots fixes the rest through the coroots of its
+reflections, the columns of the n x r coroot matrix.  A vector v has
+weight coordinates v . coroots, so the rows of the coroot matrix span the
+projected lattice in weight coordinates; the Cartan matrix is
+base . coroots; and the fundamental weights, the basis of the moving
+subspace dual to the simple coroots, are Cartan^-1 . base.  The root and
+weight lattices and their quotient follow.
 
 Everything is verified at runtime: the construction raises AxiomFailure
 if any root-system axiom fails, which would indicate a bug rather than
@@ -19,42 +28,45 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import gcd
 
 from .errors import AxiomFailure, InvalidBase, NotMultiple, NotReflectionGroup
-from .groups import (
-    GroupAction,
-    close_group,
-    displacement_ranks,
-    fixed_sublattice,
-    memoised,
-    reynolds,
-)
+from .groups import GroupAction, close_group, fixed_sublattice, memoised
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
     Sublattice,
     kernel_lattice,
     quotient_invariants,
-    rapply,
     solve_linear,
 )
 
 
 @dataclass(frozen=True)
 class Reflection:
-    """A group element of order 2 whose moved subspace has rank 1.
+    """A group element g of order 2 that negates exactly one line.
 
-    `root` generates the rank-1 sublattice negated by the element, with
-    the sign normalized so the first nonzero coordinate is positive.
-    `diagonalizable` records whether the lattice splits as fixed part
-    plus root line, i.e. whether the element equals diag(-1, 1, ..., 1)
-    in a suitable lattice basis.
+    1 - g is the column `coroot` times the row `root`, so
+    v - v*g = (v . coroot) * root.  `root` is primitive, with its first
+    nonzero coordinate positive.  `diagonalizable` records whether the
+    lattice splits as fixed part plus root line, i.e. whether the element
+    equals diag(-1, 1, ..., 1) in a suitable lattice basis; that holds
+    exactly when the coroot is even.
     """
 
     element_index: int
     matrix: IntMatrix
     root: tuple[int, ...]
+    coroot: tuple[int, ...]
     diagonalizable: bool
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _negated(v) -> tuple:
+    return tuple(-x for x in v)
 
 
 @memoised
@@ -63,24 +75,29 @@ def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
     n = action.rank
     identity = IntMatrix.identity(n)
     out = []
-    for idx, moved_rank in enumerate(displacement_ranks(action)):
-        if moved_rank != 1:
+    for idx, g in enumerate(action.elements):
+        trace = sum(g.entries[i][i] for i in range(n))
+        if trace != n - 2 or g * g != identity:
             continue
-        g = action.elements[idx]
-        if g * g != identity:
-            raise AxiomFailure("rank-1 moved space but g^2 != 1")
-        negated = kernel_lattice(g + identity)
-        if negated.rank != 1:
-            raise AxiomFailure("negated line of a reflection must be rank 1")
-        root = negated.basis[0]
-        lead = next(x for x in root if x)
-        if lead < 0:
-            root = tuple(-x for x in root)
-        fixed = kernel_lattice(g - identity)
-        split = IntMatrix(list(fixed.basis) + [root], ncols=n)
-        diagonalizable = abs(split.det()) == 1
-        out.append(Reflection(idx, g, tuple(root), diagonalizable))
+        root, coroot = _root_and_coroot(g)
+        out.append(Reflection(idx, g, root, coroot,
+                              all(c % 2 == 0 for c in coroot)))
     return tuple(out)
+
+
+def _root_and_coroot(g: IntMatrix):
+    """The primitive root (first nonzero coordinate positive) and the
+    coroot with 1 - g == coroot (x) root, read off the rows of 1 - g."""
+    moved = [[int(i == j) - x for j, x in enumerate(row)]
+             for i, row in enumerate(g.entries)]
+    row = next(r for r in moved if any(r))
+    k = next(j for j, x in enumerate(row) if x)
+    scale = gcd(*row) if row[k] > 0 else -gcd(*row)
+    root = tuple(x // scale for x in row)
+    coroot = tuple(r[k] // root[k] for r in moved)
+    if any(r != [c * x for x in root] for r, c in zip(moved, coroot)):
+        raise AxiomFailure("1 - g of a reflection is not coroot times root")
+    return root, coroot
 
 
 @memoised
@@ -89,7 +106,7 @@ def _root_span(action: GroupAction) -> tuple[frozenset, int]:
     rank of their span."""
     refls = find_reflections(action)
     roots = frozenset(r.root for r in refls) | frozenset(
-        tuple(-x for x in r.root) for r in refls
+        _negated(r.root) for r in refls
     )
     if len(roots) != 2 * len(refls):
         raise AxiomFailure("reflections do not have distinct root lines")
@@ -120,7 +137,7 @@ def _base_reflections(refls, base) -> tuple[Reflection, ...]:
     """The reflection of each base root, in base order."""
     by_line = {r.root: r for r in refls}
     return tuple(
-        by_line[alpha if alpha in by_line else tuple(-x for x in alpha)]
+        by_line[alpha if alpha in by_line else _negated(alpha)]
         for alpha in base
     )
 
@@ -130,26 +147,26 @@ def coroot_pairing(v, refl: Reflection, root=None) -> Fraction:
 
     `root` defaults to the reflection's normalized root; pass the negated
     root to pair against the other generator of the root line.  Raises
-    NotMultiple if the difference is not proportional to the root.
+    NotMultiple for any other root.
     """
-    if root is None:
-        root = refl.root
-    moved = refl.matrix.apply(v)
-    diff = tuple(a - b for a, b in zip(v, moved))
-    k = next(i for i, x in enumerate(root) if x)
-    c = Fraction(diff[k], root[k]) if isinstance(diff[k], int) else diff[k] / root[k]
-    if any(d != c * r for d, r in zip(diff, root)):
-        raise NotMultiple("difference is not a multiple of the root")
-    return c
+    if root is None or tuple(root) == refl.root:
+        return Fraction(_dot(v, refl.coroot))
+    if tuple(root) == _negated(refl.root):
+        return -Fraction(_dot(v, refl.coroot))
+    raise NotMultiple("difference is not a multiple of the root")
 
 
 @dataclass(frozen=True)
 class RootDatum:
     """Root system data for a reflection group action.
 
-    Roots live in the ambient lattice; fundamental weights are rational
-    row vectors spanning the weight lattice.  `fundamental_group` holds
-    the elementary divisors of weight lattice / root lattice.
+    Roots live in the ambient lattice.  Column j of the n x r integer
+    matrix `coroots` is the coroot of base root j, so v . coroots are the
+    weight coordinates of v, and `pi_lattice`, the span of its rows, is
+    the projected lattice in weight coordinates (a full-rank sublattice
+    of Z^rank).  Fundamental weights are rational row vectors spanning
+    the weight lattice, with weights . coroots = I.  `fundamental_group`
+    holds the elementary divisors of weight lattice / root lattice.
     """
 
     rank: int
@@ -157,8 +174,10 @@ class RootDatum:
     roots: frozenset
     base: tuple[tuple[int, ...], ...]
     base_reflections: tuple[Reflection, ...]
+    coroots: IntMatrix
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
     root_lattice: Sublattice
+    pi_lattice: Sublattice
     fundamental_group: ElementaryDivisors
 
 
@@ -168,7 +187,7 @@ def _generic_base(roots: frozenset, rank: int) -> tuple[tuple[int, ...], ...]:
     n = len(next(iter(roots)))
     for t in count(1):
         functional = tuple(t**k for k in range(n))
-        values = {r: sum(f * x for f, x in zip(functional, r)) for r in roots}
+        values = {r: _dot(functional, r) for r in roots}
         if any(v == 0 for v in values.values()):
             continue
         positive = {r for r, v in values.items() if v > 0}
@@ -204,7 +223,8 @@ def _check_base(roots: frozenset, base, rank: int, strict: bool) -> None:
 
 def build_root_system(action: GroupAction, base=None) -> RootDatum:
     """Assemble the root system of a reflection group, select (or accept)
-    a base, and solve for the fundamental dominant weights.
+    a base, and derive the coroots, the fundamental dominant weights and
+    the projected lattice from it.
 
     Raises NotReflectionGroup when the reflections generate a proper
     subgroup, InvalidBase for a bad user-supplied base, and AxiomFailure
@@ -219,7 +239,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         )
 
     roots, root_rank = _root_span(action)
-    projections = reynolds(action)
     rank = n - fixed_sublattice(action).rank
     if root_rank != rank:
         raise AxiomFailure("roots do not span the moving subspace")
@@ -231,8 +250,10 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             roots=frozenset(),
             base=(),
             base_reflections=(),
+            coroots=IntMatrix([()] * n, ncols=0),
             fundamental_weights=(),
             root_lattice=Sublattice(n),
+            pi_lattice=Sublattice(0),
             fundamental_group=ElementaryDivisors(()),
         )
 
@@ -249,21 +270,27 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         _check_base(roots, base, rank, strict=True)
 
     base_reflections = _base_reflections(refls, base)
+    coroots = IntMatrix(zip(*(
+        refl.coroot if alpha == refl.root else _negated(refl.coroot)
+        for alpha, refl in zip(base, base_reflections)
+    )), ncols=rank)
+    base_matrix = IntMatrix(base, ncols=n)
+    cartan = base_matrix * coroots
+    # Cartan^-1 . base: row i of Cartan^-1 solves x * cartan == e_i, with
+    # one equation per column of the Cartan matrix
+    columns = cartan.transpose().entries
+    weights = []
+    for i in range(rank):
+        x = solve_linear(columns, [int(i == j) for j in range(rank)])
+        if x is None:
+            raise AxiomFailure("the Cartan matrix is singular")
+        weights.append(base_matrix.apply(x))
+    weights = tuple(weights)
+    pi_lattice = Sublattice(rank, coroots.entries)
+    _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice)
 
-    weights = _solve_weights(action, projections.fixed_projection, base,
-                             base_reflections)
-    _verify_axioms(action, refls, roots, base, base_reflections, weights,
-                   projections.fixed_projection)
-
-    cartan_rows = [
-        [
-            int(coroot_pairing(alpha, refl, root=beta))
-            for beta, refl in zip(base, base_reflections)
-        ]
-        for alpha in base
-    ]
     fundamental_group = quotient_invariants(
-        Sublattice(rank, cartan_rows), Sublattice.full(rank)
+        Sublattice(rank, cartan.entries), Sublattice.full(rank)
     )
     return RootDatum(
         rank=rank,
@@ -271,44 +298,21 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         roots=roots,
         base=base,
         base_reflections=base_reflections,
+        coroots=coroots,
         fundamental_weights=weights,
         root_lattice=Sublattice(n, sorted(roots)),
+        pi_lattice=pi_lattice,
         fundamental_group=fundamental_group,
     )
 
 
-def _solve_weights(action, rho, base, base_reflections):
-    """Fundamental weights: the unique vectors in the moving subspace
-    pairing to the Kronecker delta against the base coroots."""
-    n = action.rank
-    r = len(base)
-    identity = IntMatrix.identity(n)
-    equations = []
-    for j in range(n):  # membership in the moving subspace: v * rho = 0
-        equations.append([rho[i][j] for i in range(n)])
-    anchors = []
-    for alpha, refl in zip(base, base_reflections):
-        k = next(i for i, x in enumerate(alpha) if x)
-        moved = identity - refl.matrix
-        equations.append([moved.entries[i][k] for i in range(n)])
-        anchors.append(alpha[k])
-    weights = []
-    for i in range(r):
-        rhs = [0] * n + [anchors[j] if j == i else 0 for j in range(r)]
-        sol = solve_linear(equations, rhs)
-        if sol is None:
-            raise AxiomFailure("fundamental weight system is inconsistent")
-        weights.append(tuple(sol))
-    return tuple(weights)
-
-
-def _verify_axioms(action, refls, roots, base, base_reflections, weights, rho):
+def _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice):
     # reduced: the only roots proportional to a root are itself and its
     # negative
     root_list = sorted(roots)
     for i, a in enumerate(root_list):
         for b in root_list[i + 1 :]:
-            if b == tuple(-x for x in a):
+            if b == _negated(a):
                 continue
             k = next(j for j, x in enumerate(a) if x)
             if b[k] == 0:
@@ -316,63 +320,31 @@ def _verify_axioms(action, refls, roots, base, base_reflections, weights, rho):
             q = Fraction(b[k], a[k])
             if all(Fraction(x) == q * y for x, y in zip(b, a)):
                 raise AxiomFailure(f"roots {a} and {b} are proportional")
-    # each reflection permutes the root set, and pairings are integers
+    # each reflection permutes the root set
     for refl in refls:
         for beta in roots:
-            if refl.matrix.apply(beta) not in roots:
+            c = _dot(beta, refl.coroot)
+            if tuple(b - c * a for a, b in zip(refl.root, beta)) not in roots:
                 raise AxiomFailure("a reflection does not permute the roots")
-            if coroot_pairing(beta, refl).denominator != 1:
-                raise AxiomFailure("non-integral coroot pairing between roots")
-    # defining property of the weights, as an exact vector identity
+    # defining property of the weights, as exact identities: they pair to
+    # the Kronecker delta against the base coroots, and they lie in the
+    # moving subspace, which every invariant functional f (g f = f for
+    # all g) annihilates
     for i, w in enumerate(weights):
-        if any(x != 0 for x in rapply(w, rho)):
+        if coroots.apply(w) != tuple(int(i == j) for j in range(len(base))):
+            raise AxiomFailure("weight pairing identity failed")
+    identity = IntMatrix.identity(action.rank)
+    invariant = kernel_lattice(
+        IntMatrix.hstack([g.transpose() - identity for g in action.generators])
+    )
+    for w in weights:
+        if any(_dot(w, f) for f in invariant.basis):
             raise AxiomFailure("fundamental weight has a fixed component")
-        for j, (alpha, refl) in enumerate(zip(base, base_reflections)):
-            moved = refl.matrix.apply(w)
-            diff = tuple(a - b for a, b in zip(w, moved))
-            expect = tuple(Fraction(x) if i == j else Fraction(0) for x in alpha)
-            if diff != expect:
-                raise AxiomFailure("weight pairing identity failed")
     # lattice sandwich: root lattice inside the projected lattice inside
     # the weight lattice
-    pi_coords = pi_image_weight_coords_rows(action.rank, base, base_reflections)
-    pi_lattice = Sublattice(len(base), pi_coords)
     for alpha in base:
-        coords = [
-            coroot_pairing(alpha, refl, root=beta)
-            for beta, refl in zip(base, base_reflections)
-        ]
-        if not pi_lattice.contains([int(c) for c in coords]):
+        if not pi_lattice.contains(coroots.apply(alpha)):
             raise AxiomFailure("root lattice escapes the projected lattice")
-
-
-def pi_image_weight_coords_rows(ambient_rank, base, base_reflections):
-    """Rows: the weight-basis coordinates of the projections of the
-    standard basis vectors.  Integrality is the statement that the
-    lattice sits inside the preimage of the weight lattice."""
-    rows = []
-    for k in range(ambient_rank):
-        e = tuple(int(i == k) for i in range(ambient_rank))
-        row = []
-        for alpha, refl in zip(base, base_reflections):
-            c = coroot_pairing(e, refl, root=alpha)
-            if c.denominator != 1:
-                raise AxiomFailure("lattice point with non-integral weight "
-                                   "coordinates")
-            row.append(int(c))
-        rows.append(row)
-    return rows
-
-
-def pi_image_weight_coords(rd: RootDatum) -> Sublattice:
-    """The projected lattice, written in coordinates over the fundamental
-    weights; a full-rank sublattice of Z^rank."""
-    rows = pi_image_weight_coords_rows(rd.ambient_rank, rd.base,
-                                       rd.base_reflections)
-    lat = Sublattice(rd.rank, rows)
-    if lat.rank != rd.rank:
-        raise AxiomFailure("projected lattice does not span the weight space")
-    return lat
 
 
 __all__ = [
@@ -382,5 +354,4 @@ __all__ = [
     "is_reflection_group",
     "coroot_pairing",
     "build_root_system",
-    "pi_image_weight_coords",
 ]

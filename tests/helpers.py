@@ -2,8 +2,10 @@
 oracles used across the test suite."""
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, combinations_with_replacement
+from math import factorial, gcd, prod
+
+from hypothesis import strategies as st
 
 from multinv import GroupAction, GroupTooLarge, IntMatrix, close_group
 from multinv.laurent import LaurentPolynomial
@@ -151,6 +153,44 @@ def conjugate(gens, u):
     """The generators written in the basis given by the rows of u."""
     uinv = u.inverse_unimodular()
     return [u * g * uinv for g in gens]
+
+
+WEYL_ORDER = {
+    "S": factorial,
+    "B": lambda n: 2 ** n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "G": lambda n: 12,
+}
+BLOCKS = ([("S", n) for n in range(2, 7)] + [("B", n) for n in range(1, 5)]
+          + [("D", n) for n in range(2, 5)] + [("A", n) for n in range(1, 5)]
+          + [("G", 2)])
+# direct sums of up to three blocks, rank at most 6, small enough for the
+# oracles' matrix products and group averages
+BLOCK_SUMS = [
+    blocks
+    for k in (1, 2, 3)
+    for blocks in combinations_with_replacement(BLOCKS, k)
+    if sum(n for _, n in blocks) <= 6
+    and prod(WEYL_ORDER[kind](n) for kind, n in blocks) <= 800
+]
+
+
+@st.composite
+def conjugated_block_sums(draw):
+    """Generators of a block sum in a random basis, shuffled, with a few
+    generators repeated."""
+    blocks = draw(st.sampled_from(BLOCK_SUMS))
+    gens = block_diagonal([weyl_generators(*block) for block in blocks])
+    n = gens[0].nrows
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from((-2, -1, 1, 2)))
+    for i, j, c in draw(st.lists(pairs, max_size=8)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    gens = draw(st.permutations(conjugate(gens, IntMatrix(u))))
+    return gens + draw(st.lists(st.sampled_from(gens), max_size=2))
 
 
 GOLDEN_REFLECTION_ACTIONS = {

@@ -17,7 +17,6 @@ from multinv import (
     induced_matrix,
     is_invariant,
     min_displacement_rank,
-    pi_image_weight_coords,
     sign_group_singular_locus,
     smith_normal_form,
     verdict,
@@ -69,7 +68,7 @@ def test_criterion_1_rank2_golden_run():
         (Fraction(-2, 3), Fraction(1, 3)),
         (Fraction(-1, 3), Fraction(2, 3)),
     )
-    lat = pi_image_weight_coords(rd)
+    lat = rd.pi_lattice
     wm = build_weight_monoid(rd, lat)
     ok = ok and wm.multipliers == (3, 3)
     ok = ok and wm.hilbert_basis == ((3, 0), (0, 3), (1, 1))
@@ -102,7 +101,7 @@ def test_criterion_2_rank3_golden_run():
         (Fraction(1, 4), Fraction(-3, 4), Fraction(1, 4)),
         (Fraction(-1, 4), Fraction(-1, 4), Fraction(-1, 4)),
     )
-    lat = pi_image_weight_coords(rd)
+    lat = rd.pi_lattice
     wm = build_weight_monoid(rd, lat)
     ok = ok and wm.multipliers == (2, 4, 4)
     ok = ok and set(wm.hilbert_basis) == {
@@ -212,7 +211,7 @@ def test_criterion_5d_hilbert_basis_completeness():
                          (s4_action(), BASE_RANK3),
                          (neg_rank1_action(), None)]:
         rd = build_root_system(action, base=base)
-        wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+        wm = build_weight_monoid(rd, rd.pi_lattice)
         pts = set(wm.box_points)
         reachable = {(0,) * rd.rank}
         for p in sorted(pts, key=lambda q: (sum(q), q)):
@@ -252,7 +251,7 @@ def test_criterion_5e_invariance_and_support():
                          (a1a1_action(), None),
                          (b2_action(), None)]:
         rd = build_root_system(action, base=base)
-        wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+        wm = build_weight_monoid(rd, rd.pi_lattice)
         for inv in fundamental_invariants_detailed(action, rd, wm):
             ok = ok and is_invariant(action, inv.polynomial)
             ok = ok and inv.polynomial.has_integer_support

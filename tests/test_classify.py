@@ -269,7 +269,6 @@ def test_pipeline_is_stable_under_lattice_change_of_basis():
         build_root_system,
         build_weight_monoid,
         fundamental_invariants_detailed,
-        pi_image_weight_coords,
     )
     from multinv.laurent import is_invariant
     from helpers import random_unimodular
@@ -290,7 +289,7 @@ def test_pipeline_is_stable_under_lattice_change_of_basis():
             assert verdict(conj).status == SEMIGROUP_ALGEBRA
             assert class_group(conj).torsion == torsion
             rd = build_root_system(conj)
-            wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+            wm = build_weight_monoid(rd, rd.pi_lattice)
             assert len(wm.hilbert_basis) == basis_size
             for inv in fundamental_invariants_detailed(conj, rd, wm):
                 assert inv.polynomial.has_integer_support
@@ -301,15 +300,14 @@ def test_b2_and_a1a1_monoids():
     from multinv import (
         build_root_system,
         build_weight_monoid,
-        pi_image_weight_coords,
     )
 
     rd = build_root_system(b2_action())
-    wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
     assert wm.multipliers == (1, 2)
     assert wm.hilbert_basis == ((1, 0), (0, 2))
     rd = build_root_system(a1a1_action())
-    wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
     assert wm.multipliers == (2, 2)
     assert wm.hilbert_basis == ((2, 0), (0, 2))
 

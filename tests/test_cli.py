@@ -311,8 +311,9 @@ def test_analyze_computes_each_group_fact_once(tmp_path, capsys,
     assert code == 0
     report = json.loads(out)
     assert (report["group_order"], report["fixed_rank"]) == (6, 1)
-    # the input group, the induced quotient group, the reflection subgroup
-    assert calls["close_group"] == 3
+    # the input group and the reflection subgroup; analyze reads only the
+    # fixed rank, so the induced quotient group is never built
+    assert calls["close_group"] == 2
     # rank(1 - g) once per nonidentity element of G (the induced group
     # needs none), plus the root-span and base checks of the root system
     assert calls["rank"] <= (6 - 1) + 2

@@ -1,10 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from multinv import (
     GroupTooLarge,
@@ -16,15 +14,12 @@ from multinv import (
     fixed_sublattice,
     induced_matrix,
     orbit,
-    reynolds,
 )
 from multinv.groups import DEFAULT_CLOSURE_CAP
-from multinv.lattice import rmat_mul, rational_matrix
 from helpers import (
     R2,
     S2,
-    block_diagonal,
-    conjugate,
+    conjugated_block_sums,
     mat,
     minus_identity_action,
     s3_action,
@@ -103,32 +98,6 @@ def test_fixed_sublattice():
     assert fixed_sublattice(swap_action()).basis == ((1, 1),)
 
 
-def test_reynolds_trivial_group():
-    pp = reynolds(close_group([], rank=2))
-    assert pp.fixed_projection == rational_matrix([[1, 0], [0, 1]])
-    assert all(x == 0 for row in pp.moving_projection for x in row)
-
-
-def test_reynolds_effective_action_averages_to_zero():
-    pp = reynolds(s3_action())
-    assert all(x == 0 for row in pp.fixed_projection for x in row)
-
-
-def test_reynolds_sign_action_rank1():
-    pp = reynolds(close_group([mat([[-1]])]))
-    assert pp.fixed_projection == ((Fraction(0),),)
-
-
-def test_reynolds_is_idempotent_and_absorbs_the_group():
-    g = s3_action()
-    rho = reynolds(g).fixed_projection
-    assert rmat_mul(rho, rho) == rho
-    for m in g.elements:
-        gm = rational_matrix(m.entries)
-        assert rmat_mul(rho, gm) == rho
-        assert rmat_mul(gm, rho) == rho
-
-
 def test_effective_quotient_of_effective_action():
     g = s3_action()
     eq = effective_quotient(g)
@@ -204,44 +173,8 @@ def matrix_product_closure(gens, rank, cap):
     return elements, tuple(gen_indices)
 
 
-WEYL_ORDER = {
-    "S": factorial,
-    "B": lambda n: 2 ** n * factorial(n),
-    "D": lambda n: 2 ** (n - 1) * factorial(n),
-    "A": lambda n: factorial(n + 1),
-    "G": lambda n: 12,
-}
-BLOCKS = ([("S", n) for n in range(2, 7)] + [("B", n) for n in range(1, 5)]
-          + [("D", n) for n in range(2, 5)] + [("A", n) for n in range(1, 5)]
-          + [("G", 2)])
-# direct sums of up to three blocks, rank at most 6, small enough for the
-# oracle's matrix products
-BLOCK_SUMS = [
-    blocks
-    for k in (1, 2, 3)
-    for blocks in combinations_with_replacement(BLOCKS, k)
-    if sum(n for _, n in blocks) <= 6
-    and prod(WEYL_ORDER[kind](n) for kind, n in blocks) <= 800
-]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
-
-
-@st.composite
-def conjugated_block_sums(draw):
-    """Generators of a block sum in a random basis, shuffled, with a few
-    generators repeated."""
-    blocks = draw(st.sampled_from(BLOCK_SUMS))
-    gens = block_diagonal([weyl_generators(*block) for block in blocks])
-    n = gens[0].nrows
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                      st.sampled_from((-2, -1, 1, 2)))
-    for i, j, c in draw(st.lists(pairs, max_size=8)):
-        if i != j:
-            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-    gens = draw(st.permutations(conjugate(gens, IntMatrix(u))))
-    return gens + draw(st.lists(st.sampled_from(gens), max_size=2))
 
 
 @PROPERTY

@@ -10,12 +10,10 @@ from multinv import (
     IntMatrix,
     NotContained,
     Sublattice,
-    image_sublattice,
     kernel_lattice,
     quotient_invariants,
     smith_normal_form,
     solve_integer,
-    solve_rational,
 )
 from multinv.lattice import common_denominator, solve_linear
 from helpers import mat, random_unimodular, snf_diagonal_by_minors
@@ -130,13 +128,13 @@ def test_kernel_matches_selected_root():
 
 
 def test_image_identity_and_zero():
-    assert image_sublattice(IntMatrix.identity(3)) == Sublattice.full(3)
-    assert image_sublattice(IntMatrix.zero(2, 2)).rank == 0
+    assert Sublattice(3, IntMatrix.identity(3).entries) == Sublattice.full(3)
+    assert Sublattice(2, IntMatrix.zero(2, 2).entries).rank == 0
 
 
 def test_image_doubling():
     m = IntMatrix.identity(2) - mat([[-1, 0], [0, -1]])
-    im = image_sublattice(m)
+    im = Sublattice(2, m.entries)
     assert im.basis == ((2, 0), (0, 2))
     assert quotient_invariants(im, Sublattice.full(2)).order() == 4
 
@@ -212,23 +210,21 @@ def test_elementary_divisors_validation():
 
 def test_solve_rational_identity():
     b = (Fraction(3), Fraction(-1, 2))
-    assert solve_rational(IntMatrix.identity(2), b) == b
+    assert solve_linear(IntMatrix.identity(2).entries, b) == b
 
 
 def test_solve_rational_scaling():
-    m = mat([[2, 0], [0, 2]])
-    assert solve_rational(m, (1, 1)) == (Fraction(1, 2), Fraction(1, 2))
+    assert solve_linear([[2, 0], [0, 2]], (1, 1)) == (Fraction(1, 2),
+                                                     Fraction(1, 2))
 
 
 def test_solve_rational_inconsistent():
-    m = mat([[1, 1], [1, 1]])
-    assert solve_rational(m, (0, 1)) is None
+    assert solve_linear([[1, 1], [1, 1]], (0, 1)) is None
 
 
 def test_solve_rational_sets_free_variables_to_zero():
     # x1 + 2*x2 = 4 with x3 unconstrained: x1 is the pivot, x2 and x3 free
-    m = mat([[1], [2], [0]])
-    assert solve_rational(m, (4,)) == (4, 0, 0)
+    assert solve_linear([[1, 2, 0]], (4,)) == (4, 0, 0)
 
 
 def test_inverse_unimodular_rejects_singular_and_non_unimodular():

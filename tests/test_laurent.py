@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from multinv import (
+    IntMatrix,
     LaurentPolynomial,
     NotInvariant,
     build_root_system,
@@ -12,9 +13,9 @@ from multinv import (
     fundamental_invariants,
     fundamental_invariants_detailed,
     is_invariant,
+    kernel_lattice,
     orbit_sum,
     orbit_sum_decomposition,
-    pi_image_weight_coords,
 )
 from helpers import (
     BASE_RANK2,
@@ -169,7 +170,7 @@ def test_reassembling_decomposition_reproduces_polynomial():
 def rank2_invariants():
     g = s3_action()
     rd = build_root_system(g, base=BASE_RANK2)
-    wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
     return g, rd, wm
 
 
@@ -203,7 +204,7 @@ def test_fundamental_invariant_of_swap_action():
     # sum of a lattice point
     g = swap_action()
     rd = build_root_system(g)
-    wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
     (inv,) = fundamental_invariants_detailed(g, rd, wm)
     assert inv.has_unit_prefix
     assert inv.polynomial.has_integer_support
@@ -215,7 +216,7 @@ def test_fundamental_invariant_of_swap_action():
 def test_rank1_squared_orbit_sum():
     g = neg_rank1_action()
     rd = build_root_system(g)
-    wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
     (mu,) = fundamental_invariants(g, rd, wm)
     assert mu == poly(1, {(1,): 1, (0,): 2, (-1,): 1})
     assert mu.render() == "a + 2 + a^-1"
@@ -229,15 +230,18 @@ def test_leading_exponents_of_the_free_block_are_distinct():
 
 
 def test_fixed_component_is_constant_on_support():
-    from multinv import reynolds
-    from multinv.lattice import rapply
-
+    # the invariant functionals f (g f = f for every g) read the fixed
+    # component of an exponent; an invariant's support must agree on them
     for action, base in [(s3_action(), BASE_RANK2), (swap_action(), None)]:
         rd = build_root_system(action, base=base)
-        wm = build_weight_monoid(rd, pi_image_weight_coords(rd))
-        rho = reynolds(action).fixed_projection
+        wm = build_weight_monoid(rd, rd.pi_lattice)
+        identity = IntMatrix.identity(action.rank)
+        functionals = kernel_lattice(IntMatrix.hstack(
+            [g.transpose() - identity for g in action.generators])).basis
         for inv in fundamental_invariants_detailed(action, rd, wm):
-            images = {rapply(pt, rho) for pt in inv.polynomial.support()}
+            images = {tuple(sum(a * b for a, b in zip(pt, f))
+                            for f in functionals)
+                      for pt in inv.polynomial.support()}
             assert len(images) == 1
 
 

@@ -5,15 +5,14 @@ import pytest
 
 from multinv import (
     GenerationFailure,
+    MonoidDescription,
     build_root_system,
     build_weight_monoid,
     close_group,
-    effective_quotient,
     enumerate_box,
-    full_monoid,
     hilbert_basis,
     minimal_multipliers,
-    pi_image_weight_coords,
+    reflection_monoid,
 )
 from multinv.monoid import _check_generation
 from helpers import (
@@ -28,8 +27,7 @@ from helpers import (
 
 def pipeline(action, base=None):
     rd = build_root_system(action, base=base)
-    lat = pi_image_weight_coords(rd)
-    return rd, lat
+    return rd, rd.pi_lattice
 
 
 def test_multipliers_rank2():
@@ -150,21 +148,18 @@ def test_normality_spot_check():
 
 
 def test_full_monoid_descriptions():
-    g = s3_action()
-    rd, lat = pipeline(g, BASE_RANK2)
-    wm = build_weight_monoid(rd, lat)
-    md = full_monoid(effective_quotient(g), wm)
-    assert md.units_rank == 0 and md.generator_count == 3
-
-    sw = swap_action()
-    rd, lat = pipeline(sw)
-    wm = build_weight_monoid(rd, lat)
-    md = full_monoid(effective_quotient(sw), wm)
-    assert md.units_rank == 1
-    assert wm.hilbert_basis == ((1,),)
-
-    triv = close_group([], rank=2)
-    rd, lat = pipeline(triv)
-    wm = build_weight_monoid(rd, lat)
-    md = full_monoid(effective_quotient(triv), wm)
-    assert md.units_rank == 2 and md.is_group
+    # units from the fixed sublattice, the dominant weight monoid as the
+    # positive part
+    descriptions = []
+    for action, base, units_rank in [(s3_action(), BASE_RANK2, 0),
+                                     (swap_action(), None, 1),
+                                     (close_group([], rank=2), None, 2)]:
+        rd, lat = pipeline(action, base)
+        md = reflection_monoid(action, base=base).monoid
+        assert md == MonoidDescription(units_rank,
+                                       build_weight_monoid(rd, lat))
+        descriptions.append(md)
+    s3, swap, trivial = descriptions
+    assert s3.generator_count == 3
+    assert swap.positive.hilbert_basis == ((1,),)
+    assert trivial.is_group

@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from multinv import (
+    AxiomFailure,
     ElementaryDivisors,
+    IntMatrix,
     InvalidBase,
+    NotMultiple,
     NotReflectionGroup,
+    Sublattice,
     build_root_system,
     close_group,
     coroot_pairing,
@@ -14,15 +19,18 @@ from multinv import (
     find_reflections,
     induced_matrix,
     is_reflection_group,
-    pi_image_weight_coords,
+    kernel_lattice,
     roots,
+    verdict,
 )
+from multinv.lattice import solve_linear
 from helpers import (
     BASE_RANK2,
     BASE_RANK3,
     a1a1_action,
     b2_action,
     conjugate,
+    conjugated_block_sums,
     mat,
     minus_identity_action,
     neg_rank1_action,
@@ -66,6 +74,21 @@ def test_coroot_pairing_on_own_root():
     refl = find_reflections(swap_action())[0]
     assert coroot_pairing(refl.root, refl) == 2
     assert coroot_pairing((1, 1), refl) == 0
+    assert coroot_pairing((1, 0), refl, root=(-1, 1)) == -1
+    for other in ((1, 0), (2, -2)):
+        with pytest.raises(NotMultiple):
+            coroot_pairing((1, 0), refl, root=other)
+
+
+def test_trace_n_minus_2_without_order_2_is_no_reflection():
+    # a quarter turn has trace 0 = n - 2 on Z^2 (and on Z^2 + Z) but g^2
+    # = -1 on the turned plane, and 1 - g has rank 2
+    quarter = mat([[0, 1], [-1, 0]])
+    assert find_reflections(close_group([quarter])) == ()
+    turn3 = mat([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
+    assert find_reflections(close_group([turn3])) == ()
+    with pytest.raises(AxiomFailure):
+        roots._root_and_coroot(quarter)
 
 
 def test_coroot_pairing_weights_against_chosen_base():
@@ -89,19 +112,28 @@ def test_is_reflection_group():
     assert not is_reflection_group(z3_action())
 
 
-@pytest.mark.parametrize("kind, n, order, positive_roots", [
-    ("B", 4, 2 ** 4 * 24, 4 * 4),
-    ("D", 5, 2 ** 4 * 120, 5 * 4),
-    ("A", 5, 720, 5 * 6 // 2),
-    ("S", 6, 720, 6 * 5 // 2),
-])
+WEYL_CASES = [
+    ("B", 4, 2 ** 4 * 24, 4 * 4, "Z/2"),
+    ("D", 5, 2 ** 4 * 120, 5 * 4, "Z/4"),
+    ("A", 5, 720, 5 * 6 // 2, "Z/6"),
+    ("S", 6, 720, 6 * 5 // 2, "Z/6"),
+    ("D", 4, 2 ** 3 * 24, 4 * 3, "Z/2 x Z/2"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, order, positive_roots, fundamental_group", WEYL_CASES,
+    ids=["-".join(map(str, case[:4])) for case in WEYL_CASES])
 def test_weyl_groups_of_rank_4_to_6_in_a_random_basis(kind, n, order,
-                                                      positive_roots):
+                                                      positive_roots,
+                                                      fundamental_group):
     u = random_unimodular(random.Random(n * 97 + ord(kind)), n, steps=12)
     group = close_group(conjugate(weyl_generators(kind, n), u))
     assert group.order == order
     assert len(find_reflections(group)) == positive_roots
     assert is_reflection_group(group)
+    assert str(build_root_system(group).fundamental_group) == \
+        fundamental_group
 
 
 def test_is_reflection_group_closes_only_simple_reflections(monkeypatch):
@@ -117,6 +149,22 @@ def test_is_reflection_group_closes_only_simple_reflections(monkeypatch):
     assert is_reflection_group(group)
     assert len(find_reflections(group)) == 16
     assert closed == [4]
+
+
+def test_verdict_on_b4_computes_no_displacement_rank(monkeypatch):
+    calls = []
+    rank = IntMatrix.rank
+
+    def counted_rank(self):
+        calls.append(self.nrows)
+        return rank(self)
+
+    group = close_group(weyl_generators("B", 4))
+    monkeypatch.setattr(IntMatrix, "rank", counted_rank)
+    assert verdict(group).rule == "reflection-invariants"
+    # the rank of the root span and the independence of the base; the
+    # 16 reflections among the 384 elements are found by trace and g^2
+    assert len(calls) <= 2
 
 
 def test_reflections_generating_a_proper_subgroup():
@@ -221,7 +269,7 @@ def test_root_system_axioms_hold_for_golden_groups():
                 )
                 assert diff == expect
         # lattice sandwich: roots sit inside the projected lattice
-        pi_lat = pi_image_weight_coords(rd)
+        pi_lat = rd.pi_lattice
         for alpha in rd.base:
             coords = [
                 int(coroot_pairing(alpha, refl, root=beta))
@@ -251,3 +299,81 @@ def test_reflections_descend_to_effective_quotient():
                         for i in range(eq.quotient_rank)])
             on_quotient = (ibar - gbar).rank() == 1
             assert on_lattice == on_quotient
+
+
+# The derivations the coroot construction replaced, kept as its oracle:
+# reflections as the elements with rank(1 - g) = 1, the root as the
+# generator of the negated line kernel(g + 1), diagonalizability as
+# Z^n = fixed + Z*root (a determinant), pairings by dividing v - v*g by
+# the root, and the weights solved in the kernel of the group average.
+
+def oracle_reflections(action):
+    n = action.rank
+    identity = IntMatrix.identity(n)
+    out = []
+    for idx, g in enumerate(action.elements):
+        if (identity - g).rank() != 1:
+            continue
+        root = kernel_lattice(g + identity).basis[0]
+        if next(x for x in root if x) < 0:
+            root = tuple(-x for x in root)
+        fixed = kernel_lattice(g - identity)
+        split = IntMatrix(list(fixed.basis) + [root], ncols=n)
+        out.append((idx, g, root, abs(split.det()) == 1))
+    return out
+
+
+def oracle_pairing(v, g, root):
+    diff = [a - b for a, b in zip(v, g.apply(v))]
+    k = next(i for i, x in enumerate(root) if x)
+    c = Fraction(diff[k], root[k])
+    assert diff == [c * x for x in root] and c.denominator == 1
+    return int(c)
+
+
+def oracle_weights(action, base, base_matrices):
+    """Vectors w with w * rho = 0 for the average rho of the group and
+    (w - w*s_j)[k] = delta_ij * alpha_j[k] at the first nonzero k of each
+    base root alpha_j."""
+    n, r = action.rank, len(base)
+    rho = [[Fraction(sum(g.entries[i][j] for g in action.elements),
+                     action.order) for j in range(n)] for i in range(n)]
+    equations = [[rho[i][j] for i in range(n)] for j in range(n)]
+    anchors = []
+    for alpha, s in zip(base, base_matrices):
+        k = next(i for i, x in enumerate(alpha) if x)
+        equations.append([int(i == k) - s.entries[i][k] for i in range(n)])
+        anchors.append(alpha[k])
+    return tuple(
+        solve_linear(equations,
+                     [0] * n + [anchors[j] * (i == j) for j in range(r)])
+        for i in range(r)
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(conjugated_block_sums())
+def test_root_datum_matches_the_average_and_kernel_oracles(gens):
+    group = close_group(gens)
+    n = group.rank
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    refls = find_reflections(group)
+    assert [(r.element_index, r.matrix, r.root, r.diagonalizable)
+            for r in refls] == oracle_reflections(group)
+    for r in refls:
+        assert r.coroot == tuple(oracle_pairing(e, r.matrix, r.root)
+                                 for e in units)
+
+    rd = build_root_system(group)
+    coroot_rows = [
+        tuple(oracle_pairing(e, s.matrix, alpha)
+              for alpha, s in zip(rd.base, rd.base_reflections))
+        for e in units
+    ]
+    assert rd.coroots.entries == tuple(coroot_rows)
+    assert rd.pi_lattice == Sublattice(rd.rank, coroot_rows)
+    assert rd.fundamental_weights == oracle_weights(
+        group, rd.base, [s.matrix for s in rd.base_reflections])
+    for i, w in enumerate(rd.fundamental_weights):
+        assert rd.coroots.apply(w) == tuple(int(i == j)
+                                            for j in range(rd.rank))
