@@ -78,6 +78,7 @@ from .roots import (
     coroot_pairing,
     find_reflections,
     is_reflection_group,
+    weight_orbit,
 )
 
 __version__ = "0.1.0"

@@ -315,6 +315,11 @@ def render_json(report) -> str:
     return json.dumps(report, sort_keys=True, indent=2)
 
 
+# Besides JSONDecodeError, the parser raises ValueError for an integer
+# beyond the interpreter's digit limit and RecursionError for deep nesting.
+JSON_ERRORS = (ValueError, RecursionError)
+
+
 def _read_document(path: str):
     try:
         if path == "-":
@@ -322,11 +327,11 @@ def _read_document(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except JSON_ERRORS as exc:
         raise InvalidInput(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -336,10 +341,12 @@ def _parse_base_override(value):
         return json.loads(value)
     except json.JSONDecodeError:
         pass
+    except JSON_ERRORS as exc:
+        raise InvalidInput(f"cannot parse base override: {exc}") from exc
     try:
         with open(value, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, *JSON_ERRORS) as exc:
         raise InvalidInput(f"cannot parse base override: {exc}") from exc
 
 

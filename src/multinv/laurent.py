@@ -4,6 +4,11 @@ and explicit fundamental invariants for reflection actions.
 Exponent vectors are stored as integer tuples measured in 1/N units of
 the lattice, with N canonicalized to the smallest denominator carrying
 the support; coefficients are exact rationals.
+
+The fundamental invariants are expanded in integer weight coordinates,
+on Weyl orbits walked by simple reflections, and each is mapped to the
+lattice once; `orbit_sum` and `orbit_sum_decomposition` apply every group
+element and serve any finite group.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from .errors import AxiomFailure, NotInvariant, SupportEscape
 from .groups import GroupAction, orbit
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
-from .roots import RootDatum
+from .roots import RootDatum, weight_orbit
 
 
 class LaurentPolynomial:
@@ -277,33 +282,45 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     """Products of powers of the weight orbit sums, one per Hilbert basis
     element, each verified invariant with support inside the lattice.
 
+    The expansion runs in integer weight coordinates: each fundamental
+    weight's orbit comes from `weight_orbit`, and the products are taken
+    on {weight: coefficient} dicts.  Each product is mapped to the
+    lattice once, at the end, by mu -> mu . (N * fundamental weights) in
+    1/N units, N the common denominator of the weights.
+
     For non-effective actions the bare product lives in a refinement of
     the lattice; multiplying by the fixed-lattice monomial of a lattice
     preimage of the basis element moves the support into the lattice
     without breaking invariance.
     """
-    n = action.rank
-    orbit_sums = [orbit_sum(action, w) for w in rd.fundamental_weights]
+    n, r = action.rank, rd.rank
+    den = lcm(*(common_denominator(w) for w in rd.fundamental_weights))
+    # column k of N * fundamental weights: mu . column is the k-th
+    # ambient exponent of the weight mu, in 1/N units
+    columns = tuple(zip(*(tuple(int(x * den) for x in w)
+                          for w in rd.fundamental_weights)))
+    orbits = [weight_orbit(rd, [int(i == j) for i in range(r)])
+              for j in range(r)]
     out = []
     for row in wm.hilbert_basis:
-        poly = LaurentPolynomial.constant(n, 1)
-        for j, power in enumerate(row):
-            if power:
-                poly = poly * orbit_sums[j] ** power
-        target = tuple(
-            sum((Fraction(row[j]) * rd.fundamental_weights[j][k]
-                 for j in range(rd.rank)), Fraction(0))
-            for k in range(n)
-        )
-        prefix = (Fraction(0),) * n
-        if any(x.denominator != 1 for x in target):
+        terms = {(0,) * r: 1}
+        for orb, power in zip(orbits, row):
+            for _ in range(power):
+                terms = _times_orbit(terms, orb)
+        target = tuple(_dot(row, col) for col in columns)
+        shift = (0,) * n  # the unit prefix, in 1/N units
+        if any(t % den for t in target):
             preimage = solve_integer(rd.coroots, row)
             if preimage is None:
                 raise SupportEscape(
                     f"basis element {row} has no lattice preimage"
                 )
-            prefix = tuple(Fraction(a) - t for a, t in zip(preimage, target))
-            poly = LaurentPolynomial.monomial(prefix) * poly
+            shift = tuple(a * den - t for a, t in zip(preimage, target))
+        prefix = tuple(Fraction(s, den) for s in shift)
+        poly = LaurentPolynomial(n, den, {
+            tuple(s + _dot(mu, col) for s, col in zip(shift, columns)): c
+            for mu, c in terms.items()
+        })
         if not poly.has_integer_support:
             raise SupportEscape(
                 f"invariant for {row} has support outside the lattice"
@@ -311,6 +328,20 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
         if not is_invariant(action, poly):
             raise AxiomFailure("fundamental invariant is not invariant")
         out.append(FundamentalInvariant(tuple(row), prefix, poly))
+    return out
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _times_orbit(terms: dict, orb) -> dict:
+    """{weight: coefficient} times the sum of the weights in `orb`."""
+    out: dict = {}
+    for mu, c in terms.items():
+        for nu in orb:
+            key = tuple(a + b for a, b in zip(mu, nu))
+            out[key] = out.get(key, 0) + c
     return out
 
 

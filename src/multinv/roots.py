@@ -15,7 +15,9 @@ weight coordinates v . coroots, so the rows of the coroot matrix span the
 projected lattice in weight coordinates; the Cartan matrix is
 base . coroots; and the fundamental weights, the basis of the moving
 subspace dual to the simple coroots, are Cartan^-1 . base.  The root and
-weight lattices and their quotient follow.
+weight lattices and their quotient follow.  In weight coordinates the
+simple reflection s_i subtracts mu_i times row i of the Cartan matrix, so
+`weight_orbit` walks a Weyl orbit in integers.
 
 Everything is verified at runtime: the construction raises AxiomFailure
 if any root-system axiom fails, which would indicate a bug rather than
@@ -164,9 +166,11 @@ class RootDatum:
     matrix `coroots` is the coroot of base root j, so v . coroots are the
     weight coordinates of v, and `pi_lattice`, the span of its rows, is
     the projected lattice in weight coordinates (a full-rank sublattice
-    of Z^rank).  Fundamental weights are rational row vectors spanning
-    the weight lattice, with weights . coroots = I.  `fundamental_group`
-    holds the elementary divisors of weight lattice / root lattice.
+    of Z^rank).  `cartan` is base . coroots: row i holds the weight
+    coordinates of base root i.  Fundamental weights are rational row
+    vectors spanning the weight lattice, with weights . coroots = I.
+    `fundamental_group` holds the elementary divisors of weight lattice /
+    root lattice.
     """
 
     rank: int
@@ -175,6 +179,7 @@ class RootDatum:
     base: tuple[tuple[int, ...], ...]
     base_reflections: tuple[Reflection, ...]
     coroots: IntMatrix
+    cartan: IntMatrix
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
     root_lattice: Sublattice
     pi_lattice: Sublattice
@@ -251,6 +256,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             base=(),
             base_reflections=(),
             coroots=IntMatrix([()] * n, ncols=0),
+            cartan=IntMatrix([], ncols=0),
             fundamental_weights=(),
             root_lattice=Sublattice(n),
             pi_lattice=Sublattice(0),
@@ -299,11 +305,35 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         base=base,
         base_reflections=base_reflections,
         coroots=coroots,
+        cartan=cartan,
         fundamental_weights=weights,
         root_lattice=Sublattice(n, sorted(roots)),
         pi_lattice=pi_lattice,
         fundamental_group=fundamental_group,
     )
+
+
+def weight_orbit(rd: RootDatum, weight) -> tuple[tuple[int, ...], ...]:
+    """The Weyl group orbit of an integral weight, in weight coordinates,
+    in breadth-first order from `weight`.
+
+    The simple reflection s_i maps mu to mu - mu_i * (row i of the Cartan
+    matrix) and fixes mu when mu_i == 0; the simple reflections generate
+    the Weyl group, so a search over them reaches the whole orbit (Snow,
+    "Weyl group orbits", ACM TOMS 16, 1990).
+    """
+    cartan = rd.cartan.entries
+    start = tuple(weight)
+    seen = {start}
+    found = [start]
+    for mu in found:  # `found` grows while it is walked: a queue
+        for c, row in zip(mu, cartan):
+            if c:
+                nu = tuple(m - c * a for m, a in zip(mu, row))
+                if nu not in seen:
+                    seen.add(nu)
+                    found.append(nu)
+    return tuple(found)
 
 
 def _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice):
@@ -354,4 +384,5 @@ __all__ = [
     "is_reflection_group",
     "coroot_pairing",
     "build_root_system",
+    "weight_orbit",
 ]

@@ -7,7 +7,15 @@ from math import factorial, gcd, prod
 
 from hypothesis import strategies as st
 
-from multinv import GroupAction, GroupTooLarge, IntMatrix, close_group
+from multinv import (
+    FundamentalInvariant,
+    GroupAction,
+    GroupTooLarge,
+    IntMatrix,
+    close_group,
+    orbit_sum,
+    solve_integer,
+)
 from multinv.laurent import LaurentPolynomial
 
 
@@ -177,11 +185,15 @@ BLOCK_SUMS = [
 
 
 @st.composite
-def conjugated_block_sums(draw):
-    """Generators of a block sum in a random basis, shuffled, with a few
-    generators repeated."""
+def conjugated_block_sums(draw, max_trivial=0):
+    """Generators of a block sum, plus up to `max_trivial` coordinates
+    the group fixes, in a random basis, shuffled, with a few generators
+    repeated."""
     blocks = draw(st.sampled_from(BLOCK_SUMS))
     gens = block_diagonal([weyl_generators(*block) for block in blocks])
+    trivial = draw(st.integers(0, max_trivial)) if max_trivial else 0
+    if trivial:  # drop the trivial block's generator, the identity
+        gens = block_diagonal([gens, [IntMatrix.identity(trivial)]])[:-1]
     n = gens[0].nrows
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -233,6 +245,30 @@ def poly(rank, int_terms, prefix=None):
     if prefix is not None:
         p = LaurentPolynomial.monomial(prefix) * p
     return p
+
+
+def oracle_fundamental_invariants(action, rd, wm):
+    """The fundamental invariants built in the ambient lattice: products
+    of powers of the whole-group orbit sums of the fundamental weights,
+    times the fixed-lattice monomial of a lattice preimage when the bare
+    product leaves the lattice."""
+    n = action.rank
+    sums = [orbit_sum(action, w) for w in rd.fundamental_weights]
+    out = []
+    for row in wm.hilbert_basis:
+        p = LaurentPolynomial.constant(n, 1)
+        for s, power in zip(sums, row):
+            p = p * s ** power
+        target = [sum((c * w[k] for c, w in zip(row, rd.fundamental_weights)),
+                      Fraction(0))
+                  for k in range(n)]
+        prefix = (Fraction(0),) * n
+        if any(x.denominator != 1 for x in target):
+            preimage = solve_integer(rd.coroots, row)
+            prefix = tuple(Fraction(a) - t for a, t in zip(preimage, target))
+            p = LaurentPolynomial.monomial(prefix) * p
+        out.append(FundamentalInvariant(tuple(row), prefix, p))
+    return out
 
 
 # factored building blocks of the rank-3 fundamental invariants

@@ -1,10 +1,11 @@
 import json
 import time
 
-from multinv import classify, cli, groups, roots
+from multinv import classify, cli, groups, laurent, roots
 from multinv.cli import main
 from multinv.lattice import IntMatrix
-from helpers import BASE_RANK2
+from multinv.laurent import LaurentPolynomial
+from helpers import BASE_RANK2, weyl_generators
 
 RANK2_DOC = {
     "rank": 2,
@@ -248,6 +249,38 @@ def test_invalid_input_exits_2(tmp_path, capsys):
     assert missing[0] == 2
 
 
+def test_oversized_integer_exits_2(tmp_path, capsys):
+    # json.loads raises ValueError, not JSONDecodeError, for an integer
+    # past the interpreter's 4,300-digit conversion limit
+    huge = "1" + "0" * 5000
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"rank":1,"generators":[[[' + huge)
+    code, out, err = run(capsys, ["analyze", str(doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+    path = write_doc(tmp_path, RANK2_DOC)
+    base_file = tmp_path / "base.json"
+    base_file.write_text(f"[[{huge}, 0]]")
+    for base in (f"[[{huge}, 0]]", str(base_file)):
+        code, out, err = run(capsys, ["invariants", path,
+                                      "--base-override", base])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse base override")
+        assert err.count("\n") == 1
+
+
+def test_deep_nesting_and_undecodable_bytes_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, _, err = run(capsys, ["analyze", str(deep)])
+    assert code == 2 and err.startswith("error: invalid JSON")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, ["analyze", str(binary)])
+    assert code == 2 and err.startswith("error: cannot read")
+
+
 def test_group_cap_flag(tmp_path, capsys):
     path = write_doc(tmp_path, RANK2_DOC)
     code, _, err = run(capsys, ["analyze", path, "--group-cap", "3"])
@@ -317,3 +350,32 @@ def test_analyze_computes_each_group_fact_once(tmp_path, capsys,
     # rank(1 - g) once per nonidentity element of G (the induced group
     # needs none), plus the root-span and base checks of the root system
     assert calls["rank"] <= (6 - 1) + 2
+
+
+def test_invariants_expand_without_group_orbits_or_polynomial_products(
+        tmp_path, capsys, monkeypatch):
+    # A4 on its root lattice: order 120 and 14 Hilbert-basis elements; the
+    # orbits are walked in weight coordinates and multiplied as dicts
+    gens = weyl_generators("A", 4)
+    doc = {"rank": 4, "generators": [[list(r) for r in g.entries]
+                                     for g in gens]}
+    calls = {"orbit": 0, "mul": 0}
+    orbit = groups.orbit
+    mul = LaurentPolynomial.__mul__
+
+    def counted_orbit(*args, **kwargs):
+        calls["orbit"] += 1
+        return orbit(*args, **kwargs)
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    for module in (groups, laurent):
+        monkeypatch.setattr(module, "orbit", counted_orbit)
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted_mul)
+    code, out, _ = run(capsys, ["invariants", write_doc(tmp_path, doc),
+                                "--json"])
+    assert code == 0
+    assert len(json.loads(out)["invariants"]) == 14
+    assert calls == {"orbit": 0, "mul": 0}

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
 
 from multinv import (
     IntMatrix,
@@ -14,16 +16,22 @@ from multinv import (
     fundamental_invariants_detailed,
     is_invariant,
     kernel_lattice,
+    orbit,
     orbit_sum,
     orbit_sum_decomposition,
+    reflection_monoid,
+    weight_orbit,
 )
 from helpers import (
     BASE_RANK2,
+    conjugated_block_sums,
     neg_rank1_action,
+    oracle_fundamental_invariants,
     poly,
     s3_action,
     s4_action,
     swap_action,
+    weyl_generators,
 )
 
 # hand-expanded rank-2 fundamental invariants
@@ -243,6 +251,52 @@ def test_fixed_component_is_constant_on_support():
                             for f in functionals)
                       for pt in inv.polynomial.support()}
             assert len(images) == 1
+
+
+def ambient_orbit(rd, j):
+    """The weight-coordinate orbit of the j-th fundamental weight, mapped
+    to the ambient lattice through the fundamental weights."""
+    unit = [int(i == j) for i in range(rd.rank)]
+    return [
+        tuple(sum((m * w[k] for m, w in zip(mu, rd.fundamental_weights)),
+                  Fraction(0))
+              for k in range(rd.ambient_rank))
+        for mu in weight_orbit(rd, unit)
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(conjugated_block_sums(max_trivial=2))
+def test_weight_coordinate_expansion_matches_the_orbit_sum_oracle(gens):
+    group = close_group(gens)
+    pipe = reflection_monoid(group)
+    rd, wm = pipe.root_datum, pipe.weight_monoid
+    for j, w in enumerate(rd.fundamental_weights):
+        points = ambient_orbit(rd, j)
+        assert len(set(points)) == len(points)
+        assert frozenset(points) == orbit(group, w)
+    assert (fundamental_invariants_detailed(group, rd, wm)
+            == oracle_fundamental_invariants(group, rd, wm))
+
+
+@pytest.mark.parametrize("kind, n", [("A", 2), ("A", 3), ("A", 4),
+                                     ("B", 3), ("D", 4), ("S", 4)])
+def test_orbit_sum_decomposition_rebuilds_every_invariant(kind, n):
+    group = close_group(weyl_generators(kind, n))
+    pipe = reflection_monoid(group)
+    rd = pipe.root_datum
+    sizes = [len(orbit(group, w)) for w in rd.fundamental_weights]
+    for inv in fundamental_invariants_detailed(group, rd, pipe.weight_monoid):
+        p = inv.polynomial
+        rebuilt = LaurentPolynomial.zero(n)
+        total = 0
+        for rep, c in orbit_sum_decomposition(group, p).items():
+            s = orbit_sum(group, rep)
+            rebuilt = rebuilt + LaurentPolynomial(
+                n, s.denominator, {e: c for e in s.terms})
+            total += c * len(s.terms)
+        assert rebuilt == p
+        assert total == prod(k ** e for k, e in zip(sizes, inv.powers))
 
 
 def test_render_formats():

@@ -22,6 +22,7 @@ from multinv import (
     kernel_lattice,
     roots,
     verdict,
+    weight_orbit,
 )
 from multinv.lattice import solve_linear
 from helpers import (
@@ -225,6 +226,29 @@ def test_build_root_system_trivial_group():
     rd = build_root_system(close_group([], rank=2))
     assert rd.rank == 0
     assert rd.base == ()
+
+
+def test_weight_orbit_of_the_rank2_golden_group():
+    rd = build_root_system(s3_action(), base=BASE_RANK2)
+    assert rd.cartan.entries == ((2, -1), (-1, 2))
+    assert weight_orbit(rd, (1, 0)) == ((1, 0), (-1, 1), (0, -1))
+    assert weight_orbit(rd, (0, 0)) == ((0, 0),)
+    assert weight_orbit(rd, (1, 1)) == (
+        (1, 1), (-1, 2), (2, -1), (1, -2), (-2, 1), (-1, -1))
+
+
+@pytest.mark.parametrize("kind, n, sizes", [
+    ("A", 4, [5, 5, 10, 10]),
+    ("B", 3, [6, 8, 12]),
+    ("D", 4, [8, 8, 8, 24]),
+    ("G", 2, [6, 6]),
+])
+def test_weight_orbit_sizes_of_the_fundamental_weights(kind, n, sizes):
+    # |W . w_j| = |W| / |W_j|, W_j the parabolic subgroup of the other
+    # simple reflections
+    rd = build_root_system(close_group(weyl_generators(kind, n)))
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    assert sorted(len(weight_orbit(rd, u)) for u in units) == sizes
 
 
 def test_build_root_system_rejects_non_reflection_group():
