@@ -7,8 +7,10 @@ vectors), so the action is faithful by construction.
 the lattice point e_i * m, and inside the closure loop an element is the
 tuple of ids of its n row points.  The rows of m * g are the rows of m,
 each moved by g, so a product is n lookups in a per-generator table of
-point images, filled on first use with one `IntMatrix.apply`.  Matrices
-are built once, after the loop.
+point images, filled on first use with one `IntMatrix.apply`.  Each point
+is checked to be integral once, when it is interned, so the matrices,
+built once after the loop, are assembled from checked rows without
+checking every entry again.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ class GroupAction:
 
     __slots__ = ("rank", "elements", "generator_indices", "_index", "_memo")
 
-    def __init__(self, rank, elements, generator_indices):
+    def __init__(self, rank, elements, generator_indices, index=None):
         self.rank = rank
         self.elements = tuple(elements)
         self.generator_indices = tuple(generator_indices)
-        self._index = {g: i for i, g in enumerate(self.elements)}
+        # `index`, when given, must be {element: position in `elements`}
+        self._index = index if index is not None else {
+            g: i for i, g in enumerate(self.elements)}
         self._memo = {}
 
     @property
@@ -94,7 +98,8 @@ def memoised(compute):
 class _RowImages(dict):
     """Point id -> id of its image under one generator, each entry filled
     on first use: the image vector is computed once and interned in the
-    shared `points` / `ids`."""
+    shared `points` / `ids`, after a check that its entries are integers
+    (the one check the rows of the closed elements get)."""
 
     __slots__ = ("g", "points", "ids")
 
@@ -106,6 +111,8 @@ class _RowImages(dict):
         image = self.g.apply(self.points[pid])
         qid = self.ids.setdefault(image, len(self.points))
         if qid == len(self.points):
+            if not all(isinstance(x, int) for x in image):
+                raise TypeError(f"integer row expected, got {image!r}")
             self.points.append(image)
         self[pid] = qid
         return qid
@@ -122,8 +129,10 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
 
     The closure runs on row orbits: an element is the tuple of ids of its
     rows e_i * m, and m * g is read off one image table per generator,
-    so no matrix product is formed.  The `IntMatrix` elements are built
-    after the loop and sorted by their entries.
+    so no matrix product is formed.  Every row point is checked to be
+    integral once, as it is interned; after the loop the elements' row
+    tuples are sorted and each `IntMatrix` is built from them without a
+    second check of its entries.
     """
     gens = list(generators)
     if gens:
@@ -155,17 +164,17 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
                         )
                     nxt.append(p)
         frontier = nxt
-    elements = sorted(
-        (IntMatrix([points[i] for i in m], ncols=rank) for m in seen),
-        key=lambda g: g.entries,
-    )
+    checked = IntMatrix._from_checked_rows
+    elements = [checked(rows, rank)
+                for rows in sorted(tuple(map(points.__getitem__, m))
+                                   for m in seen)]
     index = {g: i for i, g in enumerate(elements)}
     gen_indices = []
     for g in gens:
         i = index[g]
         if i not in gen_indices:
             gen_indices.append(i)
-    return GroupAction(rank, elements, gen_indices)
+    return GroupAction(rank, elements, gen_indices, index)
 
 
 def orbit(action: GroupAction, point) -> frozenset:
@@ -188,9 +197,14 @@ def fixed_sublattice(action: GroupAction) -> Sublattice:
 def displacement_ranks(action: GroupAction) -> tuple[int, ...]:
     """rank(1 - g) for every element, in element order; only the
     identity has rank 0."""
-    identity = IntMatrix.identity(action.rank)
-    return tuple(0 if g == identity else (identity - g).rank()
-                 for g in action.elements)
+    n = action.rank
+    identity = IntMatrix.identity(n)
+    checked = IntMatrix._from_checked_rows
+    return tuple(
+        0 if g == identity else checked(tuple(
+            tuple(int(i == j) - x for j, x in enumerate(row))
+            for i, row in enumerate(g.entries)), n).rank()
+        for g in action.elements)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,17 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
+    def _from_checked_rows(cls, rows: tuple, ncols: int) -> "IntMatrix":
+        """The matrix on `rows`, a tuple of tuples of `ncols` ints each,
+        without checking them again: for callers whose rows were checked
+        once when they were made."""
+        m = object.__new__(cls)
+        _set_entries(m, rows)
+        _set_nrows(m, len(rows))
+        _set_ncols(m, ncols)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)
 
@@ -168,6 +179,12 @@ class IntMatrix:
             raise ValueError("matrix is not unimodular")
         return IntMatrix([[scale * x for x in row[n:]] for row in rows],
                          ncols=n)
+
+
+# the slot setters, which `IntMatrix.__setattr__` blocks
+_set_entries = IntMatrix.entries.__set__
+_set_nrows = IntMatrix.nrows.__set__
+_set_ncols = IntMatrix.ncols.__set__
 
 
 def _echelon(rows, ncols: int):

@@ -9,6 +9,17 @@ crystallographic root system spanning the moving subspace (the subspace
 the invariant functionals annihilate), and the group restricted to that
 subspace is the Weyl group.
 
+Whether the reflections generate the group is decided without listing
+the subgroup W' they generate.  W' acts simply transitively on its
+positive systems (Humphreys, Reflection Groups and Coxeter Groups,
+Sections 1.6-1.8), so an element h lies in W' exactly when a descent
+ends at the identity: replace h by s_i * h while h sends some simple
+root alpha_i to a negative root.  Each step sends one positive root
+fewer to a negative root, so the descent takes at most |positive roots|
+steps.  The positive roots are those with nonnegative coordinates over
+the base, and the coordinates of all roots come from one fraction-free
+elimination.
+
 A base of simple roots fixes the rest through the coroots of its
 reflections, the columns of the n x r coroot matrix.  A vector v has
 weight coordinates v . coroots, so the rows of the coroot matrix span the
@@ -33,11 +44,12 @@ from itertools import count
 from math import gcd
 
 from .errors import AxiomFailure, InvalidBase, NotMultiple, NotReflectionGroup
-from .groups import GroupAction, close_group, fixed_sublattice, memoised
+from .groups import GroupAction, fixed_sublattice, memoised
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
     Sublattice,
+    _echelon,
     kernel_lattice,
     quotient_invariants,
     solve_linear,
@@ -116,23 +128,73 @@ def _root_span(action: GroupAction) -> tuple[frozenset, int]:
 
 
 @memoised
+def _positive_system(action: GroupAction) -> tuple[tuple, frozenset]:
+    """The base `_generic_base` picks from the roots, checked by
+    `_check_base`, and the positive roots over it: those whose base
+    coordinates are all nonnegative."""
+    roots, rank = _root_span(action)
+    base = _generic_base(roots, rank)
+    coordinates = _check_base(roots, base, rank, strict=False)
+    return base, frozenset(r for r, c in coordinates.items() if min(c) >= 0)
+
+
+@memoised
 def is_reflection_group(action: GroupAction) -> bool:
     """True when the reflections generate the whole group (vacuously true
     for the trivial group).
 
     G permutes its reflections by conjugation and maps primitive roots to
     primitive roots, so the roots form a reduced crystallographic root
-    system of the subgroup W' the reflections generate, and the simple
-    reflections of any base generate W' (Humphreys, Reflection Groups and
-    Coxeter Groups, Thm 1.5).  Only those r reflections are closed.
+    system of the subgroup W' the reflections generate, and W' acts
+    simply transitively on its positive systems (Humphreys, Reflection
+    Groups and Coxeter Groups, Sections 1.6-1.8).  Each generator is
+    tested for membership in W' by descent (see `_descend`): it lies in
+    W' exactly when the descent ends at the identity, and G = W' exactly
+    when every generator does.  No group is closed.
     """
     refls = find_reflections(action)
     if not refls:
         return action.order == 1
-    roots, rank = _root_span(action)
-    simple = _base_reflections(refls, _generic_base(roots, rank))
-    sub = close_group([r.matrix for r in simple], cap=action.order)
-    return sub.order == action.order
+    base, positive = _positive_system(action)
+    simple = tuple(zip(base, _base_coroots(
+        base, _base_reflections(refls, base))))
+    identity = IntMatrix.identity(action.rank).entries
+    return all(_descend(g.entries, simple, positive) == identity
+               for g in action.generators)
+
+
+def _descend(h, simple, positive):
+    """Descend the group element with rows `h` by steps h -> s_i * h to
+    an element that keeps the positive system, and return its rows.
+
+    A step is taken while some simple root alpha_i has alpha_i * h
+    outside `positive`; with 1 - s_i = coroot_i (x) alpha_i the step is
+    h - coroot_i (x) (alpha_i * h).  When h sends alpha_i to a negative
+    root, s_i * h sends one positive root fewer to a negative root than
+    h does (s_i permutes the other positive roots), so at most
+    |positive| steps are taken; more raise AxiomFailure.  An element of
+    the reflection subgroup W' that keeps the positive system is the
+    identity, so the result is the identity exactly when h lies in W'.
+    """
+    for _ in range(len(positive) + 1):
+        for alpha, coroot in simple:
+            image = tuple(_dot(alpha, column) for column in zip(*h))
+            if image not in positive:
+                break
+        else:
+            return h
+        h = tuple(tuple(x - c * y for x, y in zip(row, image)) if c else row
+                  for c, row in zip(coroot, h))
+    raise AxiomFailure("descent to the positive system did not end")
+
+
+def _base_coroots(base, base_reflections) -> tuple[tuple[int, ...], ...]:
+    """The coroot of each base root: the coroot of its reflection,
+    negated when the base root is the negated root."""
+    return tuple(
+        refl.coroot if alpha == refl.root else _negated(refl.coroot)
+        for alpha, refl in zip(base, base_reflections)
+    )
 
 
 def _base_reflections(refls, base) -> tuple[Reflection, ...]:
@@ -208,22 +270,37 @@ def _generic_base(roots: frozenset, rank: int) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(base))
 
 
-def _check_base(roots: frozenset, base, rank: int, strict: bool) -> None:
+def _check_base(roots: frozenset, base, rank: int, strict: bool) -> dict:
+    """Check that `base` is a base of the roots: `rank` independent roots
+    over which every root has integer coordinates of one sign.  Returns
+    {root: its coordinates over the base}.
+
+    The coordinates of all roots come from one fraction-free elimination
+    of [base^T | roots^T] on the base columns: divided by the last pivot,
+    the first `rank` rows hold them.
+    """
     exc = InvalidBase if strict else AxiomFailure
     if len(base) != rank:
         raise exc(f"base must have {rank} roots, got {len(base)}")
     for b in base:
         if b not in roots:
             raise exc(f"base vector {b} is not a root")
-    if IntMatrix(base, ncols=len(base[0])).rank() != rank:
+    order = list(roots)
+    columns = [*base, *order]
+    rows, pivots, scale, _ = _echelon(
+        [[v[k] for v in columns] for k in range(len(base[0]))], rank)
+    if len(pivots) != rank:
         raise exc("base vectors are linearly dependent")
-    equations = [[b[j] for b in base] for j in range(len(base[0]))]
-    for r in roots:
-        coeffs = solve_linear(equations, r)
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    coordinates = {}
+    for j, r in enumerate(order, rank):
+        split = [divmod(row[j], scale) for row in rows[:rank]]
+        if any(row[j] for row in rows[rank:]) or any(m for _, m in split):
             raise exc(f"root {r} is not an integer combination of the base")
-        if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
+        coeffs = tuple(q for q, _ in split)
+        if max(coeffs) > 0 and min(coeffs) < 0:
             raise exc(f"root {r} has mixed signs over the base")
+        coordinates[r] = coeffs
+    return coordinates
 
 
 def build_root_system(action: GroupAction, base=None) -> RootDatum:
@@ -264,8 +341,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         )
 
     if base is None:
-        base = _generic_base(roots, rank)
-        _check_base(roots, base, rank, strict=False)
+        base, _ = _positive_system(action)
     else:
         try:
             base = tuple(
@@ -276,10 +352,8 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         _check_base(roots, base, rank, strict=True)
 
     base_reflections = _base_reflections(refls, base)
-    coroots = IntMatrix(zip(*(
-        refl.coroot if alpha == refl.root else _negated(refl.coroot)
-        for alpha, refl in zip(base, base_reflections)
-    )), ncols=rank)
+    coroots = IntMatrix(zip(*_base_coroots(base, base_reflections)),
+                        ncols=rank)
     base_matrix = IntMatrix(base, ncols=n)
     cartan = base_matrix * coroots
     # Cartan^-1 . base: row i of Cartan^-1 solves x * cartan == e_i, with
@@ -338,18 +412,12 @@ def weight_orbit(rd: RootDatum, weight) -> tuple[tuple[int, ...], ...]:
 
 def _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice):
     # reduced: the only roots proportional to a root are itself and its
-    # negative
-    root_list = sorted(roots)
-    for i, a in enumerate(root_list):
-        for b in root_list[i + 1 :]:
-            if b == _negated(a):
-                continue
-            k = next(j for j, x in enumerate(a) if x)
-            if b[k] == 0:
-                continue
-            q = Fraction(b[k], a[k])
-            if all(Fraction(x) == q * y for x, y in zip(b, a)):
-                raise AxiomFailure(f"roots {a} and {b} are proportional")
+    # negative.  `_root_span` found one root line per reflection, and two
+    # proportional primitive integer vectors are equal or opposite, so
+    # this is the same as every root being primitive
+    for a in roots:
+        if gcd(*a) != 1:
+            raise AxiomFailure(f"root {a} is not primitive")
     # each reflection permutes the root set
     for refl in refls:
         for beta in roots:

@@ -13,6 +13,7 @@ from multinv import (
     GroupTooLarge,
     IntMatrix,
     close_group,
+    find_reflections,
     orbit_sum,
     solve_integer,
 )
@@ -213,6 +214,16 @@ GOLDEN_REFLECTION_ACTIONS = {
     "b2": (b2_action, None),
     "swap": (swap_action, None),
 }
+
+
+def oracle_is_reflection_group(action):
+    """Whether the reflections generate the group, decided by closing all
+    of them and comparing orders: the enumeration the descent replaced."""
+    refls = find_reflections(action)
+    if not refls:
+        return action.order == 1
+    sub = close_group([r.matrix for r in refls], cap=action.order)
+    return sub.order == action.order
 
 
 def snf_diagonal_by_minors(m: IntMatrix):

@@ -10,6 +10,7 @@ from multinv import (
     NotUnimodular,
     Sublattice,
     close_group,
+    displacement_ranks,
     effective_quotient,
     fixed_sublattice,
     induced_matrix,
@@ -225,3 +226,22 @@ def test_close_group_forms_no_matrix_product(monkeypatch):
     assert len(points) == 8  # the signed unit vectors
     assert calls["mul"] == 0
     assert calls["apply"] <= len(points) * len(gens)
+
+
+@PROPERTY
+@given(conjugated_block_sums(max_trivial=1))
+def test_closed_elements_are_the_validated_matrices(gens):
+    # the elements are built from rows checked once, as they were
+    # interned; they equal the matrices the validating constructor
+    # builds, the action's index is their position, and rank(1 - g) is
+    # read off the rows of 1 - g
+    group = close_group(gens)
+    identity = IntMatrix.identity(group.rank)
+    for i, g in enumerate(group.elements):
+        rebuilt = IntMatrix(g.entries, ncols=group.rank)
+        assert (g.nrows, g.ncols, g.entries) == \
+            (rebuilt.nrows, rebuilt.ncols, rebuilt.entries)
+        assert g == rebuilt and hash(g) == hash(rebuilt)
+        assert group.index_of(rebuilt) == i
+    assert displacement_ranks(group) == tuple(
+        (identity - g).rank() for g in group.elements)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinv import (
     AxiomFailure,
@@ -17,6 +18,7 @@ from multinv import (
     coroot_pairing,
     effective_quotient,
     find_reflections,
+    groups,
     induced_matrix,
     is_reflection_group,
     kernel_lattice,
@@ -28,13 +30,16 @@ from multinv.lattice import solve_linear
 from helpers import (
     BASE_RANK2,
     BASE_RANK3,
+    R2,
     a1a1_action,
     b2_action,
+    block_diagonal,
     conjugate,
     conjugated_block_sums,
     mat,
     minus_identity_action,
     neg_rank1_action,
+    oracle_is_reflection_group,
     random_unimodular,
     s3_action,
     s4_action,
@@ -137,19 +142,20 @@ def test_weyl_groups_of_rank_4_to_6_in_a_random_basis(kind, n, order,
         fundamental_group
 
 
-def test_is_reflection_group_closes_only_simple_reflections(monkeypatch):
+def test_is_reflection_group_closes_no_group(monkeypatch):
     closed = []
-    close = roots.close_group
 
     def recording_close_group(gens, *args, **kwargs):
         closed.append(len(gens))
-        return close(gens, *args, **kwargs)
+        return close_group(gens, *args, **kwargs)
 
     group = close_group(weyl_generators("B", 4))
-    monkeypatch.setattr(roots, "close_group", recording_close_group)
+    for module in (groups, roots):
+        monkeypatch.setattr(module, "close_group", recording_close_group,
+                            raising=False)
     assert is_reflection_group(group)
     assert len(find_reflections(group)) == 16
-    assert closed == [4]
+    assert closed == []
 
 
 def test_verdict_on_b4_computes_no_displacement_rank(monkeypatch):
@@ -163,9 +169,57 @@ def test_verdict_on_b4_computes_no_displacement_rank(monkeypatch):
     group = close_group(weyl_generators("B", 4))
     monkeypatch.setattr(IntMatrix, "rank", counted_rank)
     assert verdict(group).rule == "reflection-invariants"
-    # the rank of the root span and the independence of the base; the
-    # 16 reflections among the 384 elements are found by trace and g^2
-    assert len(calls) <= 2
+    # the rank of the root span (the independence of the base comes out
+    # of the elimination for the base coordinates); the 16 reflections
+    # among the 384 elements are found by trace and g^2
+    assert len(calls) <= 1
+
+
+def minus_identity(n):
+    return mat([[-int(i == j) for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=48, deadline=None, derandomize=True, database=None)
+@given(conjugated_block_sums(max_trivial=2), st.booleans(), st.booleans())
+def test_descent_agrees_with_the_closure_oracle(gens, with_product,
+                                                with_minus):
+    # a product of two generators is rarely a reflection; -I lies in the
+    # Weyl group of B_n, D_2k, A_1 and G2 but not of S_n or A_n (n >= 2),
+    # and times -1 on a trivial coordinate it can make a new reflection
+    if with_product:
+        gens = gens + [gens[0] * gens[-1]]
+    if with_minus:
+        gens = gens + [minus_identity(gens[0].nrows)]
+    group = close_group(gens)
+    assert is_reflection_group(group) == oracle_is_reflection_group(group)
+
+
+ROT90_XM1 = mat([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
+DESCENT_CASES = {
+    # reflections generate a proper subgroup
+    "S4x+-I": (weyl_generators("S", 4) + [minus_identity(4)], False),
+    "A4x+-1": (weyl_generators("A", 4) + [minus_identity(4)], False),
+    "S3x+-I": (weyl_generators("S", 3) + [minus_identity(3)], False),
+    "A2+rot90": (block_diagonal([weyl_generators("A", 2),
+                                 [mat([[0, 1], [-1, 0]])]]), False),
+    # no reflections at all
+    "rot90x-1": ([ROT90_XM1], False),
+    "rot90x-1+A2": (block_diagonal([[ROT90_XM1],
+                                    weyl_generators("A", 2)]), False),
+    # generated by reflections, though not every generator is one
+    "B2-by-rot90": ([mat([[0, 1], [-1, 0]]), mat([[1, 0], [0, -1]])], True),
+    "A2-by-coxeter": ([mat([[0, 1], [-1, -1]]), R2], True),
+    "B3-by-minus": (weyl_generators("B", 3)[1:] + [
+        minus_identity(3), weyl_generators("B", 3)[0]], True),
+}
+
+
+@pytest.mark.parametrize("gens, expected", DESCENT_CASES.values(),
+                         ids=DESCENT_CASES.keys())
+def test_descent_on_groups_beyond_the_weyl_blocks(gens, expected):
+    group = close_group(gens)
+    assert oracle_is_reflection_group(group) == expected
+    assert is_reflection_group(group) == expected
 
 
 def test_reflections_generating_a_proper_subgroup():
@@ -262,6 +316,41 @@ def test_build_root_system_rejects_bad_base():
     with pytest.raises(InvalidBase):
         # two positive roots that are not simple for any ordering
         build_root_system(s3_action(), base=[(1, 0), (0, 1)])
+
+
+BAD_BASES = [
+    (s3_action, [(1, 0), (0, 1)],
+     "root (-1, 1) has mixed signs over the base"),
+    (s4_action, [(1, 0, 0), (0, 1, 0), (1, 0, -1)],
+     "root (0, -1, 1) has mixed signs over the base"),
+    (b2_action, [(1, 1), (1, -1)],
+     "root (0, 1) is not an integer combination of the base"),
+    (s3_action, [(1, 0), (-1, 0)], "base vectors are linearly dependent"),
+    (s4_action, [(1, 0, 0), (0, 1, 0), (1, -1, 0)],
+     "base vectors are linearly dependent"),
+]
+
+
+@pytest.mark.parametrize("action, base, message", BAD_BASES)
+def test_bad_user_base_messages(action, base, message):
+    with pytest.raises(InvalidBase) as exc:
+        build_root_system(action(), base=base)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(conjugated_block_sums(max_trivial=1))
+def test_base_coordinates_match_per_root_solves(gens):
+    group = close_group(gens)
+    rd = build_root_system(group)
+    coordinates = roots._check_base(rd.roots, rd.base, rd.rank, strict=True)
+    assert set(coordinates) == rd.roots
+    equations = [[b[k] for b in rd.base] for k in range(group.rank)]
+    for r, c in coordinates.items():
+        assert solve_linear(equations, r) == c
+    base, positive = roots._positive_system(group)
+    assert base == rd.base
+    assert {tuple(-x for x in r) for r in positive} == rd.roots - positive
 
 
 def test_root_system_axioms_hold_for_golden_groups():
