@@ -7,10 +7,10 @@ vectors), so the action is faithful by construction.
 the lattice point e_i * m, and inside the closure loop an element is the
 tuple of ids of its n row points.  The rows of m * g are the rows of m,
 each moved by g, so a product is n lookups in a per-generator table of
-point images, filled on first use with one `IntMatrix.apply`.  Each point
-is checked to be integral once, when it is interned, so the matrices,
-built once after the loop, are assembled from checked rows without
-checking every entry again.
+point images, filled on first use with one `IntMatrix.apply`.  Every
+point is an integer vector, the image of a unit row under validated
+`IntMatrix` generators, so the matrices, built once after the loop, are
+assembled from their rows without checking every entry again.
 """
 
 from __future__ import annotations
@@ -46,13 +46,16 @@ class GroupAction:
 
     __slots__ = ("rank", "elements", "generator_indices", "_index", "_memo")
 
-    def __init__(self, rank, elements, generator_indices, index=None):
+    def __init__(self, rank, elements, generators):
         self.rank = rank
         self.elements = tuple(elements)
-        self.generator_indices = tuple(generator_indices)
-        # `index`, when given, must be {element: position in `elements`}
-        self._index = index if index is not None else {
-            g: i for i, g in enumerate(self.elements)}
+        self._index = {g: i for i, g in enumerate(self.elements)}
+        gen_indices = []
+        for g in generators:
+            i = self._index[g]
+            if i not in gen_indices:
+                gen_indices.append(i)
+        self.generator_indices = tuple(gen_indices)
         self._memo = {}
 
     @property
@@ -98,8 +101,7 @@ def memoised(compute):
 class _RowImages(dict):
     """Point id -> id of its image under one generator, each entry filled
     on first use: the image vector is computed once and interned in the
-    shared `points` / `ids`, after a check that its entries are integers
-    (the one check the rows of the closed elements get)."""
+    shared `points` / `ids`."""
 
     __slots__ = ("g", "points", "ids")
 
@@ -111,8 +113,6 @@ class _RowImages(dict):
         image = self.g.apply(self.points[pid])
         qid = self.ids.setdefault(image, len(self.points))
         if qid == len(self.points):
-            if not all(isinstance(x, int) for x in image):
-                raise TypeError(f"integer row expected, got {image!r}")
             self.points.append(image)
         self[pid] = qid
         return qid
@@ -129,10 +129,11 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
 
     The closure runs on row orbits: an element is the tuple of ids of its
     rows e_i * m, and m * g is read off one image table per generator,
-    so no matrix product is formed.  Every row point is checked to be
-    integral once, as it is interned; after the loop the elements' row
-    tuples are sorted and each `IntMatrix` is built from them without a
-    second check of its entries.
+    so no matrix product is formed.  The row points are integral because
+    they are images of the unit rows under the generators, whose entries
+    `IntMatrix` checked when they were made; so after the loop the
+    elements' row tuples are sorted and each `IntMatrix` is built from
+    them without checking its entries again.
     """
     gens = list(generators)
     if gens:
@@ -168,13 +169,7 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     elements = [checked(rows, rank)
                 for rows in sorted(tuple(map(points.__getitem__, m))
                                    for m in seen)]
-    index = {g: i for i, g in enumerate(elements)}
-    gen_indices = []
-    for g in gens:
-        i = index[g]
-        if i not in gen_indices:
-            gen_indices.append(i)
-    return GroupAction(rank, elements, gen_indices, index)
+    return GroupAction(rank, elements, gens)
 
 
 def orbit(action: GroupAction, point) -> frozenset:
@@ -201,10 +196,14 @@ def displacement_ranks(action: GroupAction) -> tuple[int, ...]:
     identity = IntMatrix.identity(n)
     checked = IntMatrix._from_checked_rows
     return tuple(
-        0 if g == identity else checked(tuple(
-            tuple(int(i == j) - x for j, x in enumerate(row))
-            for i, row in enumerate(g.entries)), n).rank()
+        0 if g == identity else checked(_one_minus_rows(g), n).rank()
         for g in action.elements)
+
+
+def _one_minus_rows(g: IntMatrix) -> tuple:
+    """The rows of 1 - g, as a tuple of int tuples."""
+    return tuple(tuple(int(i == j) - x for j, x in enumerate(row))
+                 for i, row in enumerate(g.entries))
 
 
 @dataclass(frozen=True)

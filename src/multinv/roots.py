@@ -44,7 +44,7 @@ from itertools import count
 from math import gcd
 
 from .errors import AxiomFailure, InvalidBase, NotMultiple, NotReflectionGroup
-from .groups import GroupAction, fixed_sublattice, memoised
+from .groups import GroupAction, _one_minus_rows, fixed_sublattice, memoised
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
@@ -102,14 +102,13 @@ def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
 def _root_and_coroot(g: IntMatrix):
     """The primitive root (first nonzero coordinate positive) and the
     coroot with 1 - g == coroot (x) root, read off the rows of 1 - g."""
-    moved = [[int(i == j) - x for j, x in enumerate(row)]
-             for i, row in enumerate(g.entries)]
+    moved = _one_minus_rows(g)
     row = next(r for r in moved if any(r))
     k = next(j for j, x in enumerate(row) if x)
     scale = gcd(*row) if row[k] > 0 else -gcd(*row)
     root = tuple(x // scale for x in row)
     coroot = tuple(r[k] // root[k] for r in moved)
-    if any(r != [c * x for x in root] for r, c in zip(moved, coroot)):
+    if any(r != tuple(c * x for x in root) for r, c in zip(moved, coroot)):
         raise AxiomFailure("1 - g of a reflection is not coroot times root")
     return root, coroot
 
