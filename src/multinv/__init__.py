@@ -17,7 +17,6 @@ from .classify import (
     verdict,
 )
 from .errors import (
-    AmbiguousFormula,
     AxiomFailure,
     GenerationFailure,
     GroupTooLarge,
@@ -36,13 +35,10 @@ from .errors import (
     TrivialGroup,
 )
 from .groups import (
-    EffectiveQuotient,
     GroupAction,
     close_group,
     displacement_ranks,
-    effective_quotient,
     fixed_sublattice,
-    induced_matrix,
     orbit,
 )
 from .lattice import (

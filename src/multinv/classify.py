@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
-    AmbiguousFormula,
     HasReflections,
     LocusTooLarge,
     NotReflectionGroup,
@@ -24,9 +23,7 @@ from .errors import (
 )
 from .groups import (
     GroupAction,
-    close_group,
     displacement_ranks,
-    effective_quotient,
     fixed_sublattice,
 )
 from .lattice import (
@@ -34,7 +31,7 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     kernel_lattice,
-    quotient_invariants,
+    smith_normal_form,
 )
 from .monoid import MonoidDescription, WeightMonoid, build_weight_monoid
 from .roots import (
@@ -68,56 +65,37 @@ def is_fixed_point_free(action: GroupAction) -> bool:
     return min_displacement_rank(action) == action.rank
 
 
-def _restrict_to_sublattice(action: GroupAction, sub: Sublattice) -> GroupAction:
-    """The image of the action on a saturated invariant sublattice,
-    written in the coordinates of its basis."""
-    images = []
-    for g in action.generators:
-        rows = []
-        for vec in sub.basis:
-            moved = g.apply(vec)
-            coeffs = sub.coefficients(moved)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise AmbiguousFormula("sublattice is not invariant")
-            rows.append([int(c) for c in coeffs])
-        images.append(IntMatrix(rows, ncols=sub.rank))
-    return close_group(images, cap=action.order, rank=sub.rank)
-
-
 def class_group(action: GroupAction) -> ElementaryDivisors:
     """Divisor class group of the invariant algebra of a reflection group.
 
-    Computed as a weight-lattice quotient on the part of the effective
-    quotient fixed by the diagonalizable reflections.  Raises
-    NotReflectionGroup when the hypothesis fails and AmbiguousFormula if
-    the residual action is not generated by reflections (a degenerate
-    case the formula does not cover).
+    Lorenz's formula (*Multiplicative Invariant Theory*, Springer 2005,
+    class-group chapter) gives Cl(k[L]^G) = H^1(G/D, L^D), where D is
+    generated by the diagonalizable reflections.  By inflation-restriction
+    this is H^1(G, L^D), as Hom(D, L^D) = 0.  With B the basis rows of
+    L^D, the coboundaries are the row space of hstack(B (h - 1)) over the
+    generators h, and the cocycles are its saturation, so H^1 is the
+    torsion of one Smith form: its nonzero diagonal, leading 1s included,
+    is returned.  Raises NotReflectionGroup when the group is not
+    generated by reflections.
     """
     if not is_reflection_group(action):
         raise NotReflectionGroup("class group formula needs a reflection group")
-    bar = effective_quotient(action).induced
-    if bar.order == 1:
+    if action.order == 1:
         return ElementaryDivisors(())
+    n = action.rank
+    identity = IntMatrix.identity(n)
     diagonalizable = [
-        r.matrix for r in find_reflections(bar) if r.diagonalizable
+        r.matrix - identity for r in find_reflections(action) if r.diagonalizable
     ]
-    if diagonalizable:
-        identity = IntMatrix.identity(bar.rank)
-        stacked = IntMatrix.hstack([g - identity for g in diagonalizable])
-        residual = kernel_lattice(stacked)
-    else:
-        residual = Sublattice.full(bar.rank)
+    residual = (kernel_lattice(IntMatrix.hstack(diagonalizable))
+                if diagonalizable else Sublattice.full(n))
     if residual.rank == 0:
         return ElementaryDivisors(())
-    image = _restrict_to_sublattice(bar, residual)
-    if image.order == 1:
-        return ElementaryDivisors(())
-    if not is_reflection_group(image):
-        raise AmbiguousFormula(
-            "residual action is not generated by reflections"
-        )
-    rd = build_root_system(image)
-    return quotient_invariants(rd.pi_lattice, Sublattice.full(rd.rank))
+    basis = IntMatrix(residual.basis, ncols=n)
+    _, d, _ = smith_normal_form(IntMatrix.hstack(
+        [basis * (h - identity) for h in action.generators]))
+    diagonal = (d.entries[i][i] for i in range(residual.rank))
+    return ElementaryDivisors(tuple(x for x in diagonal if x))
 
 
 @dataclass(frozen=True)

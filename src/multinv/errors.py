@@ -61,9 +61,5 @@ class HasReflections(MultInvError):
     """The sign-group analyzer requires a group without reflections."""
 
 
-class AmbiguousFormula(MultInvError):
-    """The class-group formula does not determine an answer for this input."""
-
-
 class InvalidInput(MultInvError):
     """A user-supplied action description failed validation."""

@@ -15,17 +15,11 @@ assembled from their rows without checking every entry again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 
 from .errors import GroupTooLarge, NotUnimodular
-from .lattice import (
-    IntMatrix,
-    Sublattice,
-    kernel_lattice,
-    smith_normal_form,
-)
+from .lattice import IntMatrix, Sublattice, kernel_lattice
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -37,11 +31,11 @@ class GroupAction:
     included); `generator_indices` point at the elements that were given
     as generators.
 
-    Facts derived from the group (fixed sublattice, effective quotient,
-    displacement ranks, reflections, whether the reflections generate)
-    are memoised on the action (see `memoised`): each is computed on
-    first use and read back after that.  They are deterministic, so sharing an action
-    between threads can at worst compute a fact twice.
+    Facts derived from the group (fixed sublattice, displacement ranks,
+    reflections, whether the reflections generate) are memoised on the
+    action (see `memoised`): each is computed on first use and read back
+    after that.  They are deterministic, so sharing an action between
+    threads can at worst compute a fact twice.
     """
 
     __slots__ = ("rank", "elements", "generator_indices", "_index", "_memo")
@@ -65,10 +59,6 @@ class GroupAction:
     @property
     def generators(self) -> tuple[IntMatrix, ...]:
         return tuple(self.elements[i] for i in self.generator_indices)
-
-    @property
-    def identity_index(self) -> int:
-        return self._index[IntMatrix.identity(self.rank)]
 
     def index_of(self, g: IntMatrix) -> int:
         return self._index[g]
@@ -206,72 +196,11 @@ def _one_minus_rows(g: IntMatrix) -> tuple:
                  for i, row in enumerate(g.entries))
 
 
-@dataclass(frozen=True)
-class EffectiveQuotient:
-    """The quotient of the lattice by its fixed sublattice, with the
-    induced action and a chosen splitting.
-
-    `projection` maps ambient row vectors onto quotient coordinates;
-    `section` maps quotient coordinates back into the ambient lattice
-    along the chosen complement, so section * projection is the identity
-    on the quotient.
-    """
-
-    fixed: Sublattice
-    quotient_rank: int
-    projection: IntMatrix
-    section: IntMatrix
-    induced: GroupAction
-
-
-@memoised
-def effective_quotient(action: GroupAction) -> EffectiveQuotient:
-    """Split the lattice as fixed part plus complement and restrict the
-    action to the (effective) quotient."""
-    n = action.rank
-    fixed = fixed_sublattice(action)
-    f = fixed.rank
-    if f == 0:
-        eye = IntMatrix.identity(n)
-        return EffectiveQuotient(fixed, n, eye, eye, action)
-    if f == n:
-        trivial = close_group([], rank=0)
-        return EffectiveQuotient(
-            fixed,
-            0,
-            IntMatrix([()] * n, ncols=0),
-            IntMatrix([], ncols=n),
-            trivial,
-        )
-    basis_matrix = IntMatrix(fixed.basis, ncols=n)
-    u, d, v = smith_normal_form(basis_matrix)
-    if any(d.entries[i][i] != 1 for i in range(f)):
-        raise AssertionError("fixed sublattice must be saturated")
-    w = v.inverse_unimodular()
-    # first f rows of w span the fixed sublattice; the rest are a complement
-    q = n - f
-    section = IntMatrix(w.entries[f:], ncols=n)
-    projection = IntMatrix([row[f:] for row in v.entries], ncols=q)
-    images = [section * g * projection for g in action.generators]
-    induced = close_group(images, cap=action.order, rank=q)
-    if fixed_sublattice(induced).rank != 0:
-        raise AssertionError("induced quotient action must be effective")
-    return EffectiveQuotient(fixed, q, projection, section, induced)
-
-
-def induced_matrix(eq: EffectiveQuotient, g: IntMatrix) -> IntMatrix:
-    """The matrix of g on the quotient coordinates."""
-    return eq.section * g * eq.projection
-
-
 __all__ = [
     "GroupAction",
-    "EffectiveQuotient",
     "DEFAULT_CLOSURE_CAP",
     "close_group",
     "orbit",
     "fixed_sublattice",
     "displacement_ranks",
-    "effective_quotient",
-    "induced_matrix",
 ]

@@ -1,6 +1,8 @@
 """Shared group factories, frozen reference data, and independent
 oracles used across the test suite."""
 
+import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, prod
@@ -8,13 +10,21 @@ from math import factorial, gcd, prod
 from hypothesis import strategies as st
 
 from multinv import (
+    ElementaryDivisors,
     FundamentalInvariant,
     GroupAction,
     GroupTooLarge,
     IntMatrix,
+    Sublattice,
+    build_root_system,
     close_group,
     find_reflections,
+    fixed_sublattice,
+    is_reflection_group,
+    kernel_lattice,
     orbit_sum,
+    quotient_invariants,
+    smith_normal_form,
     solve_integer,
 )
 from multinv.laurent import LaurentPolynomial
@@ -206,6 +216,25 @@ def conjugated_block_sums(draw, max_trivial=0):
     return gens + draw(st.lists(st.sampled_from(gens), max_size=2))
 
 
+@st.composite
+def orbit_sublattice_actions(draw):
+    """A block sum in a random basis restricted to the G-stable sublattice
+    spanned by the orbits of random vectors, written in its Hermite basis:
+    generators of an action that need not split as a sum of blocks."""
+    gens = draw(conjugated_block_sums())
+    n = gens[0].nrows
+    elements = close_group(gens).elements
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    vectors = []
+    while Sublattice(n, vectors).rank < n:
+        v = tuple(rng.randint(-2, 2) for _ in range(n))
+        vectors.extend(g.apply(v) for g in elements)
+    sub = Sublattice(n, vectors)
+    return [IntMatrix([[int(c) for c in sub.coefficients(g.apply(b))]
+                       for b in sub.basis])
+            for g in gens]
+
+
 GOLDEN_REFLECTION_ACTIONS = {
     "rank2-s3": (s3_action, BASE_RANK2),
     "rank3-s4": (s4_action, BASE_RANK3),
@@ -224,6 +253,85 @@ def oracle_is_reflection_group(action):
         return action.order == 1
     sub = close_group([r.matrix for r in refls], cap=action.order)
     return sub.order == action.order
+
+
+# The class-group construction the single Smith form replaced, kept as
+# its oracle: split off the fixed sublattice, close the induced action on
+# the effective quotient, restrict it to the part fixed by the
+# diagonalizable reflections there, close that image, and read the class
+# group off the weight lattice of its root system.
+OracleQuotient = namedtuple(
+    "OracleQuotient", "fixed quotient_rank projection section induced")
+
+
+def oracle_effective_quotient(action):
+    """The lattice split as fixed part plus a complement, with the action
+    induced on the quotient: `projection` maps ambient rows to quotient
+    coordinates, `section` maps them back along the complement."""
+    n = action.rank
+    fixed = fixed_sublattice(action)
+    f = fixed.rank
+    if f == 0:
+        eye = IntMatrix.identity(n)
+        return OracleQuotient(fixed, n, eye, eye, action)
+    if f == n:
+        return OracleQuotient(fixed, 0, IntMatrix([()] * n, ncols=0),
+                              IntMatrix([], ncols=n), close_group([], rank=0))
+    u, d, v = smith_normal_form(IntMatrix(fixed.basis, ncols=n))
+    assert all(d.entries[i][i] == 1 for i in range(f)), "fixed is saturated"
+    w = v.inverse_unimodular()
+    # first f rows of w span the fixed sublattice; the rest are a complement
+    q = n - f
+    section = IntMatrix(w.entries[f:], ncols=n)
+    projection = IntMatrix([row[f:] for row in v.entries], ncols=q)
+    induced = close_group([section * g * projection
+                           for g in action.generators],
+                          cap=action.order, rank=q)
+    assert fixed_sublattice(induced).rank == 0, "quotient action is effective"
+    return OracleQuotient(fixed, q, projection, section, induced)
+
+
+def oracle_induced_matrix(eq, g):
+    """The matrix of g on the quotient coordinates."""
+    return eq.section * g * eq.projection
+
+
+def _oracle_restrict(action, sub):
+    """The image of the action on a saturated invariant sublattice, in the
+    coordinates of its basis."""
+    images = []
+    for g in action.generators:
+        rows = []
+        for vec in sub.basis:
+            coeffs = sub.coefficients(g.apply(vec))
+            assert coeffs is not None and all(c.denominator == 1
+                                              for c in coeffs)
+            rows.append([int(c) for c in coeffs])
+        images.append(IntMatrix(rows, ncols=sub.rank))
+    return close_group(images, cap=action.order, rank=sub.rank)
+
+
+def oracle_class_group(action):
+    """The class group as the weight-lattice quotient of the root system
+    of the action on the part of the effective quotient fixed by its
+    diagonalizable reflections."""
+    assert is_reflection_group(action)
+    bar = oracle_effective_quotient(action).induced
+    if bar.order == 1:
+        return ElementaryDivisors(())
+    identity = IntMatrix.identity(bar.rank)
+    diagonalizable = [r.matrix - identity for r in find_reflections(bar)
+                      if r.diagonalizable]
+    residual = (kernel_lattice(IntMatrix.hstack(diagonalizable))
+                if diagonalizable else Sublattice.full(bar.rank))
+    if residual.rank == 0:
+        return ElementaryDivisors(())
+    image = _oracle_restrict(bar, residual)
+    if image.order == 1:
+        return ElementaryDivisors(())
+    assert is_reflection_group(image), "residual action is a reflection group"
+    rd = build_root_system(image)
+    return quotient_invariants(rd.pi_lattice, Sublattice.full(rd.rank))
 
 
 def snf_diagonal_by_minors(m: IntMatrix):

@@ -3,18 +3,20 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from multinv import (
     ElementaryDivisors,
     HasReflections,
+    IntMatrix,
     LocusTooLarge,
     NotReflectionGroup,
     NotSignGroup,
     TrivialGroup,
     class_group,
     close_group,
-    effective_quotient,
     find_reflections,
+    fixed_sublattice,
     is_fixed_point_free,
     min_displacement_rank,
     sign_group_singular_locus,
@@ -29,17 +31,28 @@ from multinv.classify import (
 from helpers import (
     a1a1_action,
     b2_action,
+    block_diagonal,
+    conjugate,
+    conjugated_block_sums,
     cyclotomic_action,
     diag_action,
     minus_identity_action,
     neg_rank1_action,
+    oracle_class_group,
+    oracle_effective_quotient,
+    orbit_sublattice_actions,
     random_finite_action,
+    random_unimodular,
     s3_action,
     s4_action,
     sign_sl_action,
     swap_action,
+    weyl_generators,
     z3_action,
 )
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 def test_min_displacement_rank():
@@ -77,6 +90,63 @@ def test_class_group_is_group_order_torsion():
         assert cl.annihilated_by(action.order)
 
 
+def assert_class_group_matches_oracle(gens):
+    action = close_group(gens)
+    cl = class_group(action)
+    assert cl.free_rank == 0
+    assert cl.torsion == oracle_class_group(action).torsion
+
+
+@PROPERTY
+@given(conjugated_block_sums(max_trivial=2))
+def test_class_group_matches_the_quotient_oracle(gens):
+    assert_class_group_matches_oracle(gens)
+
+
+@PROPERTY
+@given(orbit_sublattice_actions())
+def test_class_group_matches_the_quotient_oracle_off_block_sums(gens):
+    assert_class_group_matches_oracle(gens)
+
+
+# (kind, rank, class group, sorted multipliers, Hilbert-basis size, units
+# rank): the class groups are the theory values (P/Q for A_n on its root
+# lattice, Z/2 for D_n on Z^n, trivial for B_n and S_n on Z^n); the
+# monoid data are the values in the standard basis
+RANK_4_TO_6 = [
+    ("A", 4, (5,), [5, 5, 5, 5], 14, 0),
+    ("A", 5, (6,), [2, 3, 3, 6, 6], 19, 0),
+    ("A", 6, (7,), [7] * 6, 47, 0),
+    ("D", 4, (2,), [1, 1, 2, 2], 5, 0),
+    ("D", 5, (2,), [1, 1, 1, 2, 2], 6, 0),
+    ("B", 4, (), [1, 1, 1, 2], 4, 0),
+    ("S", 5, (), [1, 1, 1, 1], 4, 1),
+    ("S", 6, (), [1] * 5, 5, 1),
+]
+
+
+def test_class_group_and_verdict_are_conjugation_invariant_at_rank_4_to_8():
+    rng = random.Random(4242)
+    for kind, n, torsion, multipliers, basis_size, units in RANK_4_TO_6:
+        for trivial in (0, 2):
+            gens = weyl_generators(kind, n)
+            if trivial:  # drop the trivial block's generator, the identity
+                gens = block_diagonal(
+                    [gens, [IntMatrix.identity(trivial)]])[:-1]
+            u = random_unimodular(rng, n + trivial, steps=12)
+            action = close_group(conjugate(gens, u))
+            cl = class_group(action)
+            assert (cl.free_rank, cl.torsion) == (0, torsion)
+            if (kind, n, trivial) == ("A", 6, 0):
+                continue  # A6's box scan takes seconds: checked at rank 8
+            v = verdict(action)
+            assert (v.status, v.rule) == (SEMIGROUP_ALGEBRA,
+                                          "reflection-invariants")
+            assert v.monoid.units_rank == units + trivial
+            assert sorted(v.monoid.positive.multipliers) == multipliers
+            assert v.monoid.generator_count == basis_size
+
+
 def test_verdict_trivial_action_is_group_algebra():
     v = verdict(close_group([], rank=3))
     assert v.status == SEMIGROUP_ALGEBRA
@@ -97,7 +167,7 @@ def test_verdict_units_rank_matches_fixed_rank():
     for action in (s3_action(), swap_action(), a1a1_action()):
         v = verdict(action)
         assert v.status == SEMIGROUP_ALGEBRA
-        assert v.monoid.units_rank == effective_quotient(action).fixed.rank
+        assert v.monoid.units_rank == fixed_sublattice(action).rank
 
 
 def test_verdict_odd_prime_rotation():
@@ -140,7 +210,7 @@ def test_verdict_unknown_for_uncovered_group():
 
 def test_reflection_group_is_never_fixed_point_free_in_rank_two_plus():
     for action in (s3_action(), s4_action(), a1a1_action(), b2_action()):
-        bar = effective_quotient(action).induced
+        bar = oracle_effective_quotient(action).induced
         if bar.rank >= 2:
             assert not is_fixed_point_free(bar)
 

@@ -357,6 +357,44 @@ def test_analyze_computes_each_group_fact_once(tmp_path, capsys,
     assert calls["rank"] <= (6 - 1) + 1
 
 
+def test_classgroup_computes_each_group_fact_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # S5 permuting the coordinates of Z^5: the class group is one Smith
+    # form over the generators, so only the input group is closed and only
+    # the fundamental group needs a root system
+    gens = weyl_generators("S", 5)
+    doc = {"rank": 5, "generators": [[list(r) for r in g.entries]
+                                     for g in gens]}
+    calls = {"close_group": 0, "build_root_system": 0,
+             "smith_normal_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    close_group = counted("close_group", groups.close_group)
+    build_root_system = counted("build_root_system", roots.build_root_system)
+    for module in (groups, roots, classify, cli):
+        monkeypatch.setattr(module, "close_group", close_group,
+                            raising=False)
+        monkeypatch.setattr(module, "build_root_system", build_root_system,
+                            raising=False)
+    # the Smith forms class_group takes itself; S5 on Z^5 has no
+    # diagonalizable reflection, so no kernel lattice is needed either
+    monkeypatch.setattr(classify, "smith_normal_form", counted(
+        "smith_normal_form", classify.smith_normal_form))
+    code, out, _ = run(capsys, ["classgroup", write_doc(tmp_path, doc),
+                                "--json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["class_group"]["description"] == "trivial"
+    assert report["fundamental_group"]["description"] == "Z/5"
+    assert calls == {"close_group": 1, "build_root_system": 1,
+                     "smith_normal_form": 1}
+
+
 def test_invariants_expand_without_group_orbits_or_polynomial_products(
         tmp_path, capsys, monkeypatch):
     # A4 on its root lattice: order 120 and 14 Hilbert-basis elements; the

@@ -342,7 +342,7 @@ def test_contains_agrees_with_integral_coefficients(m, data):
         lat.contains([0] * (n + 1))
 
 
-# (u, d, v) of the Smith form, pinned: effective_quotient reads v and
+# (u, d, v) of the Smith form, pinned: kernel_lattice reads u and
 # solve_integer reads u and v, so the transforms must not drift
 PINNED_SMITH_FORMS = [
     (
