@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import wraps
 
 from .errors import GroupTooLarge, NotUnimodular
-from .lattice import IntMatrix, Sublattice, kernel_lattice
+from .lattice import IntMatrix, Sublattice, common_denominator, kernel_lattice
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -164,8 +164,10 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
 
 def orbit(action: GroupAction, point) -> frozenset:
     """The set of images of `point` under every group element."""
-    start = tuple(Fraction(x) for x in point)
-    return frozenset(g.apply(start) for g in action.elements)
+    den = common_denominator(point)
+    scaled = tuple(int(Fraction(x) * den) for x in point)
+    images = {g.apply(scaled) for g in action.elements}
+    return frozenset(tuple(Fraction(x, den) for x in p) for p in images)
 
 
 @memoised

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import AxiomFailure, NotInvariant, SupportEscape
-from .groups import GroupAction, orbit
+from .groups import GroupAction
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
 from .roots import RootDatum, weight_orbit
@@ -217,20 +217,20 @@ def variable_labels(rank: int):
 
 
 def orbit_sum(action: GroupAction, point) -> LaurentPolynomial:
-    """Sum of the distinct group images of a lattice point, all with
-    coefficient one."""
-    pts = orbit(action, point)
-    den = 1
-    for p in pts:
-        den = lcm(den, common_denominator(p))
-    terms = {tuple(int(x * den) for x in p): Fraction(1) for p in pts}
-    return LaurentPolynomial(action.rank, den, terms)
+    """Sum of the distinct group images of a lattice point, each with
+    coefficient one; g^-1 is integral, so they share its denominator."""
+    den = common_denominator(point)
+    scaled = tuple(int(Fraction(x) * den) for x in point)
+    return LaurentPolynomial(action.rank, den,
+                             {g.apply(scaled): 1 for g in action.elements})
 
 
 def is_invariant(action: GroupAction, p: LaurentPolynomial) -> bool:
-    """True when every generator fixes p; the action is a right action,
-    p.(gh) = (p.g).h, so the generators suffice."""
-    return all(p.transform(g) == p for g in action.generators)
+    """True when every generator g fixes p, that is, as e -> e.g is
+    injective, maps each term onto a term with the same coefficient; the
+    action is a right action, p.(gh) = (p.g).h, so generators suffice."""
+    return all(p.terms.get(g.apply(e)) == c
+               for g in action.generators for e, c in p.terms.items())
 
 
 def orbit_sum_decomposition(action: GroupAction, p: LaurentPolynomial) -> dict:
@@ -247,8 +247,7 @@ def orbit_sum_decomposition(action: GroupAction, p: LaurentPolynomial) -> dict:
         e = max(remaining)
         c = remaining[e]
         rep = tuple(Fraction(x, den) for x in e)
-        for q in orbit(action, rep):
-            key = tuple(int(x * den) for x in q)
+        for key in {g.apply(e) for g in action.elements}:
             if remaining.pop(key, None) != c:
                 raise NotInvariant(
                     "coefficients are not constant on the orbit of "

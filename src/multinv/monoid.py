@@ -2,14 +2,13 @@
 
 All enumeration happens in weight coordinates, where the dominant cone is
 the nonnegative orthant and the bounding zonotope is literally the integer
-box prod([0, z_i]); membership of a box point in the monoid is an exact
-lattice test against the projected lattice.
+box prod([0, z_i]); the box points of the monoid are listed by a walk down
+the triangular Hermite basis of the projected lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 
 from .errors import AxiomFailure, GenerationFailure
@@ -20,7 +19,7 @@ from .roots import RootDatum
 def minimal_multipliers(rd: RootDatum, pi_lattice: Sublattice) -> tuple[int, ...]:
     """For each fundamental weight, the least positive integer multiple
     that lands in the projected lattice."""
-    if pi_lattice.rank != rd.rank:
+    if (pi_lattice.rank, pi_lattice.ambient_rank) != (rd.rank, rd.rank):
         raise AxiomFailure("projected lattice must have full weight rank")
     out = []
     for i in range(rd.rank):
@@ -36,38 +35,42 @@ def minimal_multipliers(rd: RootDatum, pi_lattice: Sublattice) -> tuple[int, ...
 def enumerate_box(rd: RootDatum, pi_lattice: Sublattice,
                   multipliers) -> tuple[tuple[int, ...], ...]:
     """All monoid points inside the box prod([0, z_i]), in weight
-    coordinates, listed lexicographically (the origin included)."""
-    return tuple(
-        c
-        for c in product(*(range(z + 1) for z in multipliers))
-        if pi_lattice.contains(c)
-    )
+    coordinates, listed lexicographically (the origin included).  The
+    Hermite basis is lower triangular with positive diagonal p_k, so a
+    point is fixed from its last coordinate down: coordinate k runs over
+    s[k] + p_k Z in [0, z_k], s the chosen multiples of rows k+1.. summed.
+    Each lattice point of the box comes out once; no other is visited.
+    """
+    if (pi_lattice.rank, pi_lattice.ambient_rank) != (rd.rank, rd.rank):
+        raise AxiomFailure("projected lattice must have full weight rank")
+    points = [(0,) * rd.rank]
+    for k in reversed(range(rd.rank)):
+        row = pi_lattice.basis[k]
+        points = [tuple(a + (x - s[k]) // row[k] * b for a, b in zip(s, row))
+                  for s in points
+                  for x in range(s[k] % row[k], multipliers[k] + 1, row[k])]
+    return tuple(sorted(points))
 
 
 def hilbert_basis(points) -> tuple[tuple[int, ...], ...]:
-    """The indecomposable elements among the box points: the unique
-    minimal generating set of the monoid.
-
-    Ordered with the single-axis generators first (one per coordinate),
-    then the rest lexicographically.  Raises GenerationFailure if the
-    selected elements fail to generate every box point, which would
-    indicate a bug.
+    """The indecomposable elements among `points`, the box points of a
+    lattice cut by the orthant (as `enumerate_box` lists them): the
+    minimal nonzero points, since m - n lies in the monoid when n <= m
+    do.  n <= m, n != m puts n first lexicographically, so one sorted
+    pass keeps each nonzero point with no kept point below it.  Ordered
+    with the single-axis generators first (one per coordinate), then the
+    rest lexicographically.  Raises GenerationFailure if they do not
+    generate every box point, which only input breaking the contract
+    can cause.
     """
-    point_set = set(points)
-    nonzero = [p for p in points if any(p)]
     basis = []
-    for m in nonzero:
-        decomposable = any(
-            n != m
-            and all(a <= b for a, b in zip(n, m))
-            and tuple(b - a for a, b in zip(n, m)) in point_set
-            for n in nonzero
-        )
-        if not decomposable:
+    for m in sorted(points):
+        if any(m) and not any(all(a <= b for a, b in zip(n, m))
+                              for n in basis):
             basis.append(m)
     axis = [m for m in basis if sum(1 for x in m if x) == 1]
     axis.sort(key=lambda m: next(i for i, x in enumerate(m) if x))
-    rest = sorted(m for m in basis if sum(1 for x in m if x) != 1)
+    rest = [m for m in basis if sum(1 for x in m if x) != 1]
     ordered = axis + rest
     _check_generation(points, ordered)
     return tuple(ordered)
@@ -76,10 +79,7 @@ def hilbert_basis(points) -> tuple[tuple[int, ...], ...]:
 def _check_generation(points, basis) -> None:
     reachable = set()
     for p in sorted(points, key=lambda q: (sum(q), q)):
-        if not any(p):
-            reachable.add(p)
-            continue
-        if not any(
+        if any(p) and not any(
             all(h <= x for h, x in zip(b, p))
             and tuple(x - h for h, x in zip(b, p)) in reachable
             for b in basis

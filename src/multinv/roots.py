@@ -242,7 +242,6 @@ class RootDatum:
     coroots: IntMatrix
     cartan: IntMatrix
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
-    root_lattice: Sublattice
     pi_lattice: Sublattice
     fundamental_group: ElementaryDivisors
 
@@ -334,7 +333,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             coroots=IntMatrix([()] * n, ncols=0),
             cartan=IntMatrix([], ncols=0),
             fundamental_weights=(),
-            root_lattice=Sublattice(n),
             pi_lattice=Sublattice(0),
             fundamental_group=ElementaryDivisors(()),
         )
@@ -380,7 +378,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         coroots=coroots,
         cartan=cartan,
         fundamental_weights=weights,
-        root_lattice=Sublattice(n, sorted(roots)),
         pi_lattice=pi_lattice,
         fundamental_group=fundamental_group,
     )

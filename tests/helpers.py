@@ -4,7 +4,7 @@ oracles used across the test suite."""
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, gcd, prod
 
 from hypothesis import strategies as st
@@ -354,6 +354,37 @@ def snf_diagonal_by_minors(m: IntMatrix):
         out.append(g // prev)
         prev = g
     return out
+
+
+def oracle_orbit(action, point):
+    """The images of the point under all |G| elements, in Fractions."""
+    start = tuple(Fraction(x) for x in point)
+    return frozenset(g.apply(start) for g in action.elements)
+
+
+def oracle_enumerate_box(pi_lattice, multipliers):
+    """Every point of the box prod([0, z_i]), kept when the lattice
+    contains it, in lexicographic order."""
+    return tuple(c for c in product(*(range(z + 1) for z in multipliers))
+                 if pi_lattice.contains(c))
+
+
+def oracle_hilbert_basis(points):
+    """The nonzero box points that are no sum of two nonzero box points,
+    found by trying every pair, ordered single-axis points first (by
+    axis), then the rest lexicographically."""
+    point_set = set(points)
+    nonzero = [p for p in points if any(p)]
+    basis = [
+        m for m in nonzero
+        if not any(n != m and all(a <= b for a, b in zip(n, m))
+                   and tuple(b - a for a, b in zip(n, m)) in point_set
+                   for n in nonzero)
+    ]
+    axis = sorted((m for m in basis if sum(1 for x in m if x) == 1),
+                  key=lambda m: next(i for i, x in enumerate(m) if x))
+    return tuple(axis + sorted(m for m in basis
+                               if sum(1 for x in m if x) != 1))
 
 
 def poly(rank, int_terms, prefix=None):

@@ -402,23 +402,27 @@ def test_invariants_expand_without_group_orbits_or_polynomial_products(
     gens = weyl_generators("A", 4)
     doc = {"rank": 4, "generators": [[list(r) for r in g.entries]
                                      for g in gens]}
-    calls = {"orbit": 0, "mul": 0}
-    orbit = groups.orbit
+    calls = {"orbit": 0, "orbit_sum": 0, "orbit_sum_decomposition": 0,
+             "mul": 0}
     mul = LaurentPolynomial.__mul__
 
-    def counted_orbit(*args, **kwargs):
-        calls["orbit"] += 1
-        return orbit(*args, **kwargs)
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
 
-    def counted_mul(self, other):
-        calls["mul"] += 1
-        return mul(self, other)
-
+    # raising=False: laurent applies the elements itself, without orbit
     for module in (groups, laurent):
-        monkeypatch.setattr(module, "orbit", counted_orbit)
-    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted_mul)
+        monkeypatch.setattr(module, "orbit", counted("orbit", groups.orbit),
+                            raising=False)
+    for name in ("orbit_sum", "orbit_sum_decomposition"):
+        monkeypatch.setattr(laurent, name,
+                            counted(name, getattr(laurent, name)))
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", counted("mul", mul))
     code, out, _ = run(capsys, ["invariants", write_doc(tmp_path, doc),
                                 "--json"])
     assert code == 0
     assert len(json.loads(out)["invariants"]) == 14
-    assert calls == {"orbit": 0, "mul": 0}
+    assert calls == {"orbit": 0, "orbit_sum": 0, "orbit_sum_decomposition": 0,
+                     "mul": 0}

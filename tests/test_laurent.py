@@ -24,10 +24,13 @@ from multinv import (
 )
 from helpers import (
     BASE_RANK2,
+    a1a1_action,
     conjugated_block_sums,
     neg_rank1_action,
     oracle_fundamental_invariants,
+    oracle_orbit,
     poly,
+    random_finite_action,
     s3_action,
     s4_action,
     swap_action,
@@ -116,6 +119,37 @@ def test_orbit_sums_are_invariant_and_monomials_are_not():
     assert is_invariant(g, orbit_sum(g, (1, 0)))
     assert is_invariant(g, orbit_sum(g, (Fraction(-2, 3), Fraction(1, 3))))
     assert not is_invariant(g, poly(2, {(1, 0): 1}))
+
+
+def test_invariance_needs_equal_coefficients_on_the_orbit():
+    # same support as the invariant a + b, but the swap moves a to b
+    assert not is_invariant(swap_action(), poly(2, {(1, 0): 1, (0, 1): 2}))
+    assert is_invariant(swap_action(), poly(2, {(1, 0): 2, (0, 1): 2}))
+
+
+def test_invariance_checks_every_generator():
+    # b is fixed by the first generator, diag(-1, 1), and moved by the
+    # second, diag(1, -1)
+    g = a1a1_action()
+    first, second = g.generators
+    b = poly(2, {(0, 1): 1})
+    assert b.transform(first) == b and b.transform(second) != b
+    assert not is_invariant(g, b)
+
+
+def test_integer_orbits_match_the_fraction_oracle():
+    rng = random.Random(424242)
+    for n in (2, 3):
+        for _ in range(40):
+            action = random_finite_action(rng, n)
+            # negative, zero and non-reduced fractions (such as 2/4 or
+            # 6/6), over one or several denominators
+            point = tuple(Fraction(rng.randint(-6, 6),
+                                   rng.choice((1, 2, 4, 6)))
+                          for _ in range(n))
+            expect = oracle_orbit(action, point)
+            assert orbit(action, point) == expect
+            assert orbit_sum(action, point).support() == expect
 
 
 def test_orbit_sum_well_defined_on_orbit():

@@ -2,10 +2,13 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
 
 from multinv import (
+    AxiomFailure,
     GenerationFailure,
     MonoidDescription,
+    Sublattice,
     build_root_system,
     build_weight_monoid,
     close_group,
@@ -18,10 +21,14 @@ from multinv.monoid import _check_generation
 from helpers import (
     BASE_RANK2,
     BASE_RANK3,
+    conjugated_block_sums,
     neg_rank1_action,
+    oracle_enumerate_box,
+    oracle_hilbert_basis,
     s3_action,
     s4_action,
     swap_action,
+    weyl_generators,
 )
 
 
@@ -119,6 +126,44 @@ def test_hilbert_basis_generates_and_is_minimal():
             rest = [b for i, b in enumerate(wm.hilbert_basis) if i != drop]
             with pytest.raises(GenerationFailure):
                 _check_generation(wm.box_points, rest)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(conjugated_block_sums(max_trivial=2))
+@example(weyl_generators("A", 5))
+def test_box_points_and_hilbert_basis_match_the_scan_oracles(gens):
+    rd = build_root_system(close_group(gens))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
+    assert wm.box_points == oracle_enumerate_box(rd.pi_lattice,
+                                                 wm.multipliers)
+    assert wm.hilbert_basis == oracle_hilbert_basis(wm.box_points)
+
+
+def test_weight_monoid_makes_no_lattice_membership_tests(monkeypatch):
+    rd, lat = pipeline(close_group(weyl_generators("A", 4)))
+    calls = []
+    contains = Sublattice.contains
+
+    def counted(self, v):
+        calls.append(v)
+        return contains(self, v)
+
+    monkeypatch.setattr(Sublattice, "contains", counted)
+    assert len(build_weight_monoid(rd, lat).box_points) > 1
+    assert calls == []
+
+
+def test_hilbert_basis_rejects_points_outside_a_lattice_monoid():
+    # not the box points of a lattice monoid: (2,) is the only minimal
+    # nonzero point, and no multiple of it is (3,)
+    with pytest.raises(GenerationFailure):
+        hilbert_basis(((0,), (2,), (3,), (5,)))
+
+
+def test_enumerate_box_rejects_a_rank_deficient_lattice():
+    rd, _ = pipeline(s3_action(), BASE_RANK2)
+    with pytest.raises(AxiomFailure):
+        enumerate_box(rd, Sublattice(2, [(1, 1)]), (3, 3))
 
 
 def test_positivity_zero_is_the_only_unit():
