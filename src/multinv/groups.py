@@ -3,13 +3,16 @@
 Group elements are the matrices themselves (acting on the right on row
 vectors), so the action is faithful by construction.
 
+Every orbit, the group itself as the orbit of the identity included, is
+found by one breadth-first search over the generators, `_search`.
+
 `close_group` enumerates a group on row orbits: row i of an element m is
-the lattice point e_i * m, and inside the closure loop an element is the
+the lattice point e_i * m, and inside the search an element is the
 tuple of ids of its n row points.  The rows of m * g are the rows of m,
 each moved by g, so a product is n lookups in a per-generator table of
 point images, filled on first use with one `IntMatrix.apply`.  Every
 point is an integer vector, the image of a unit row under validated
-`IntMatrix` generators, so the matrices, built once after the loop, are
+`IntMatrix` generators, so the matrices, built once after the search, are
 assembled from their rows without checking every entry again.
 """
 
@@ -28,8 +31,8 @@ class GroupAction:
     """A fully enumerated finite subgroup of GL_n(Z).
 
     `elements` is the complete, canonically sorted element list (identity
-    included); `generator_indices` point at the elements that were given
-    as generators.
+    included); `generators` are the given ones without repeats, which
+    orbits are searched over.
 
     Facts derived from the group (fixed sublattice, displacement ranks,
     reflections, whether the reflections generate) are memoised on the
@@ -38,30 +41,17 @@ class GroupAction:
     threads can at worst compute a fact twice.
     """
 
-    __slots__ = ("rank", "elements", "generator_indices", "_index", "_memo")
+    __slots__ = ("rank", "elements", "generators", "_memo")
 
     def __init__(self, rank, elements, generators):
         self.rank = rank
         self.elements = tuple(elements)
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        gen_indices = []
-        for g in generators:
-            i = self._index[g]
-            if i not in gen_indices:
-                gen_indices.append(i)
-        self.generator_indices = tuple(gen_indices)
+        self.generators = tuple(dict.fromkeys(generators))
         self._memo = {}
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def generators(self) -> tuple[IntMatrix, ...]:
-        return tuple(self.elements[i] for i in self.generator_indices)
-
-    def index_of(self, g: IntMatrix) -> int:
-        return self._index[g]
 
     def __eq__(self, other):
         if not isinstance(other, GroupAction):
@@ -112,7 +102,8 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
                 rank: int | None = None) -> GroupAction:
     """Multiplication closure of the given generators.
 
-    Raises NotUnimodular for a generator with det outside {1, -1} and
+    Raises NotUnimodular for a generator that is not `rank` x `rank` (by
+    default the first generator's size) or has det outside {1, -1}, and
     GroupTooLarge when the closure exceeds `cap` elements (the group is
     then almost certainly infinite).  An empty generator list needs an
     explicit `rank` and yields the trivial group.
@@ -121,15 +112,15 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     rows e_i * m, and m * g is read off one image table per generator,
     so no matrix product is formed.  The row points are integral because
     they are images of the unit rows under the generators, whose entries
-    `IntMatrix` checked when they were made; so after the loop the
+    `IntMatrix` checked when they were made; so after the search the
     elements' row tuples are sorted and each `IntMatrix` is built from
     them without checking its entries again.
     """
     gens = list(generators)
-    if gens:
+    if rank is None:
+        if not gens:
+            raise ValueError("rank is required when no generators are given")
         rank = gens[0].nrows
-    elif rank is None:
-        raise ValueError("rank is required when no generators are given")
     for g in gens:
         if g.nrows != rank or g.ncols != rank:
             raise NotUnimodular("generators must be square of equal size")
@@ -137,36 +128,41 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
             raise NotUnimodular(f"generator determinant {g.det()} is not +-1")
     points = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     ids = {p: i for i, p in enumerate(points)}
-    moves = [_RowImages(g, points, ids).__getitem__ for g in gens]
-    identity = tuple(range(rank))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for move in moves:
-                p = tuple(map(move, m))
-                if p not in seen:
-                    seen.add(p)
-                    if len(seen) > cap:
-                        raise GroupTooLarge(
-                            f"closure exceeded {cap} elements; group is "
-                            "probably infinite"
-                        )
-                    nxt.append(p)
-        frontier = nxt
+    moves = [lambda m, image=_RowImages(g, points, ids).__getitem__:
+             tuple(map(image, m)) for g in gens]
+    found = _search(tuple(range(rank)), moves, cap)
     checked = IntMatrix._from_checked_rows
     elements = [checked(rows, rank)
                 for rows in sorted(tuple(map(points.__getitem__, m))
-                                   for m in seen)]
+                                   for m in found)]
     return GroupAction(rank, elements, gens)
 
 
+def _search(start, moves, cap=None) -> list:
+    """The orbit of `start` under the group the `moves` generate, in
+    breadth-first order, at one move per orbit item and move; raises
+    GroupTooLarge once more than `cap` items are found."""
+    seen = {start}
+    found = [start]
+    for x in found:  # `found` grows while it is walked: a queue
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+                if cap is not None and len(found) > cap:
+                    raise GroupTooLarge(
+                        f"closure exceeded {cap} elements; group is "
+                        "probably infinite"
+                    )
+    return found
+
+
 def orbit(action: GroupAction, point) -> frozenset:
-    """The set of images of `point` under every group element."""
+    """The set of images of `point` under the group."""
     den = common_denominator(point)
     scaled = tuple(int(Fraction(x) * den) for x in point)
-    images = {g.apply(scaled) for g in action.elements}
+    images = _search(scaled, [g.apply for g in action.generators])
     return frozenset(tuple(Fraction(x, den) for x in p) for p in images)
 
 

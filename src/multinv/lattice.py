@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 from .errors import NotContained
 
@@ -103,12 +104,9 @@ class IntMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ot = tuple(zip(*other.entries)) if other.entries else ()
-        rows = [
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        ]
-        return IntMatrix(rows, ncols=other.ncols)
+        columns = other.transpose().entries
+        return IntMatrix([tuple(sum(map(mul, row, col)) for col in columns)
+                          for row in self.entries], ncols=other.ncols)
 
     def __add__(self, other):
         if not isinstance(other, IntMatrix):
@@ -139,17 +137,16 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else (),
-                         ncols=self.nrows)
+        return IntMatrix(zip(*self.entries) if self.entries
+                         else [()] * self.ncols, ncols=self.nrows)
 
     def apply(self, v):
         """Row vector v times this matrix; entries of v may be Fractions."""
         if len(v) != self.nrows:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum(v[i] * self.entries[i][j] for i in range(self.nrows))
-            for j in range(self.ncols)
-        )
+        if not self.entries:
+            return (0,) * self.ncols
+        return tuple(sum(map(mul, v, col)) for col in zip(*self.entries))
 
     def is_identity(self) -> bool:
         return self.nrows == self.ncols and self == IntMatrix.identity(self.nrows)

@@ -7,8 +7,8 @@ the support; coefficients are exact rationals.
 
 The fundamental invariants are expanded in integer weight coordinates,
 on Weyl orbits walked by simple reflections, and each is mapped to the
-lattice once; `orbit_sum` and `orbit_sum_decomposition` apply every group
-element and serve any finite group.
+lattice once; `orbit_sum` and `orbit_sum_decomposition` search each orbit
+over the group's generators and serve any finite group.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import AxiomFailure, NotInvariant, SupportEscape
-from .groups import GroupAction
+from .groups import GroupAction, _search
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
 from .roots import RootDatum, weight_orbit
@@ -221,8 +221,8 @@ def orbit_sum(action: GroupAction, point) -> LaurentPolynomial:
     coefficient one; g^-1 is integral, so they share its denominator."""
     den = common_denominator(point)
     scaled = tuple(int(Fraction(x) * den) for x in point)
-    return LaurentPolynomial(action.rank, den,
-                             {g.apply(scaled): 1 for g in action.elements})
+    orb = _search(scaled, [g.apply for g in action.generators])
+    return LaurentPolynomial(action.rank, den, dict.fromkeys(orb, 1))
 
 
 def is_invariant(action: GroupAction, p: LaurentPolynomial) -> bool:
@@ -242,12 +242,13 @@ def orbit_sum_decomposition(action: GroupAction, p: LaurentPolynomial) -> dict:
     """
     remaining = dict(p.terms)
     den = p.denominator
+    moves = [g.apply for g in action.generators]
     out = {}
     while remaining:
         e = max(remaining)
         c = remaining[e]
         rep = tuple(Fraction(x, den) for x in e)
-        for key in {g.apply(e) for g in action.elements}:
+        for key in _search(e, moves):
             if remaining.pop(key, None) != c:
                 raise NotInvariant(
                     "coefficients are not constant on the orbit of "

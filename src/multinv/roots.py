@@ -25,10 +25,11 @@ reflections, the columns of the n x r coroot matrix.  A vector v has
 weight coordinates v . coroots, so the rows of the coroot matrix span the
 projected lattice in weight coordinates; the Cartan matrix is
 base . coroots; and the fundamental weights, the basis of the moving
-subspace dual to the simple coroots, are Cartan^-1 . base.  The root and
-weight lattices and their quotient follow.  In weight coordinates the
-simple reflection s_i subtracts mu_i times row i of the Cartan matrix, so
-`weight_orbit` walks a Weyl orbit in integers.
+subspace dual to the simple coroots, are Cartan^-1 . base, from one
+elimination of [Cartan | base].  The root and weight lattices follow, and
+the Smith form of the Cartan matrix gives their quotient.  In weight
+coordinates the simple reflection s_i subtracts mu_i times row i of the
+Cartan matrix, so `weight_orbit` walks a Weyl orbit in integers.
 
 Everything is verified at runtime: the construction raises AxiomFailure
 if any root-system axiom fails, which would indicate a bug rather than
@@ -44,15 +45,15 @@ from itertools import count
 from math import gcd
 
 from .errors import AxiomFailure, InvalidBase, NotMultiple, NotReflectionGroup
-from .groups import GroupAction, _one_minus_rows, fixed_sublattice, memoised
+from .groups import (GroupAction, _one_minus_rows, _search,
+                     fixed_sublattice, memoised)
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
     Sublattice,
     _echelon,
     kernel_lattice,
-    quotient_invariants,
-    solve_linear,
+    smith_normal_form,
 )
 
 
@@ -68,7 +69,6 @@ class Reflection:
     exactly when the coroot is even.
     """
 
-    element_index: int
     matrix: IntMatrix
     root: tuple[int, ...]
     coroot: tuple[int, ...]
@@ -89,12 +89,12 @@ def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
     n = action.rank
     identity = IntMatrix.identity(n)
     out = []
-    for idx, g in enumerate(action.elements):
+    for g in action.elements:
         trace = sum(g.entries[i][i] for i in range(n))
         if trace != n - 2 or g * g != identity:
             continue
         root, coroot = _root_and_coroot(g)
-        out.append(Reflection(idx, g, root, coroot,
+        out.append(Reflection(g, root, coroot,
                               all(c % 2 == 0 for c in coroot)))
     return tuple(out)
 
@@ -351,24 +351,22 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     base_reflections = _base_reflections(refls, base)
     coroots = IntMatrix(zip(*_base_coroots(base, base_reflections)),
                         ncols=rank)
-    base_matrix = IntMatrix(base, ncols=n)
-    cartan = base_matrix * coroots
-    # Cartan^-1 . base: row i of Cartan^-1 solves x * cartan == e_i, with
-    # one equation per column of the Cartan matrix
-    columns = cartan.transpose().entries
-    weights = []
-    for i in range(rank):
-        x = solve_linear(columns, [int(i == j) for j in range(rank)])
-        if x is None:
-            raise AxiomFailure("the Cartan matrix is singular")
-        weights.append(base_matrix.apply(x))
-    weights = tuple(weights)
+    cartan = IntMatrix(base, ncols=n) * coroots
+    # Cartan^-1 . base: Gauss-Jordan on the rows [Cartan | base] leaves
+    # scale * [1 | Cartan^-1 . base]
+    rows, pivots, scale, _ = _echelon(
+        [c + b for c, b in zip(cartan.entries, base)], rank)
+    if len(pivots) < rank:
+        raise AxiomFailure("the Cartan matrix is singular")
+    weights = tuple(tuple(Fraction(x, scale) for x in row[rank:])
+                    for row in rows)
     pi_lattice = Sublattice(rank, coroots.entries)
     _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice)
 
-    fundamental_group = quotient_invariants(
-        Sublattice(rank, cartan.entries), Sublattice.full(rank)
-    )
+    # weight lattice / root lattice is Z^r / (rows of the Cartan matrix)
+    _, d, _ = smith_normal_form(cartan)
+    fundamental_group = ElementaryDivisors(
+        tuple(d.entries[i][i] for i in range(rank)))
     return RootDatum(
         rank=rank,
         ambient_rank=n,
@@ -389,21 +387,13 @@ def weight_orbit(rd: RootDatum, weight) -> tuple[tuple[int, ...], ...]:
 
     The simple reflection s_i maps mu to mu - mu_i * (row i of the Cartan
     matrix) and fixes mu when mu_i == 0; the simple reflections generate
-    the Weyl group, so a search over them reaches the whole orbit (Snow,
-    "Weyl group orbits", ACM TOMS 16, 1990).
+    the Weyl group, so `groups._search` over them reaches the whole orbit
+    (Snow, "Weyl group orbits", ACM TOMS 16, 1990).
     """
-    cartan = rd.cartan.entries
-    start = tuple(weight)
-    seen = {start}
-    found = [start]
-    for mu in found:  # `found` grows while it is walked: a queue
-        for c, row in zip(mu, cartan):
-            if c:
-                nu = tuple(m - c * a for m, a in zip(mu, row))
-                if nu not in seen:
-                    seen.add(nu)
-                    found.append(nu)
-    return tuple(found)
+    moves = [lambda mu, i=i, row=row:
+             tuple(m - mu[i] * a for m, a in zip(mu, row)) if mu[i] else mu
+             for i, row in enumerate(rd.cartan.entries)]
+    return tuple(_search(tuple(weight), moves))
 
 
 def _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice):

@@ -13,6 +13,8 @@ from multinv import (
     displacement_ranks,
     fixed_sublattice,
     orbit,
+    orbit_sum,
+    orbit_sum_decomposition,
 )
 from multinv.groups import DEFAULT_CLOSURE_CAP
 from helpers import (
@@ -23,6 +25,7 @@ from helpers import (
     minus_identity_action,
     oracle_effective_quotient,
     oracle_induced_matrix,
+    oracle_orbit,
     s3_action,
     s4_action,
     swap_action,
@@ -64,6 +67,13 @@ def test_trivial_group_needs_rank():
     assert g.order == 1 and g.rank == 3
     with pytest.raises(ValueError):
         close_group([])
+
+
+def test_close_group_uses_the_given_rank():
+    swap = mat([[0, 1], [1, 0]])
+    assert close_group([swap], rank=2).rank == 2
+    with pytest.raises(NotUnimodular):
+        close_group([swap], rank=3)
 
 
 def test_orbit_of_zero():
@@ -185,19 +195,23 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 def test_close_group_matches_matrix_product_closure(gens):
     rank = gens[0].nrows
     group = close_group(gens)
-    assert (group.elements, group.generator_indices) == \
-        matrix_product_closure(gens, rank, DEFAULT_CLOSURE_CAP)
+    elements, indices = matrix_product_closure(gens, rank,
+                                               DEFAULT_CLOSURE_CAP)
+    assert group.elements == elements
+    assert group.generators == tuple(elements[i] for i in indices)
 
 
 def test_close_group_edge_cases_match_matrix_product_closure():
     b2 = weyl_generators("B", 2)
     for gens in ([b2[0], b2[0], b2[1], b2[0]], [b2[1], IntMatrix.identity(2)]):
         group = close_group(gens)
-        assert (group.elements, group.generator_indices) == \
-            matrix_product_closure(gens, 2, DEFAULT_CLOSURE_CAP)
+        elements, indices = matrix_product_closure(gens, 2,
+                                                   DEFAULT_CLOSURE_CAP)
+        assert group.elements == elements
+        assert group.generators == tuple(elements[i] for i in indices)
     trivial = close_group([], rank=0)
-    assert (trivial.elements, trivial.generator_indices) == \
-        matrix_product_closure([], 0, 1) == ((IntMatrix([], ncols=0),), ())
+    assert (trivial.elements, trivial.generators) == \
+        ((IntMatrix([], ncols=0),), ()) == matrix_product_closure([], 0, 1)
     shear = [mat([[1, 1], [0, 1]])]
     with pytest.raises(GroupTooLarge) as oracle:
         matrix_product_closure(shear, 2, 1000)
@@ -230,13 +244,31 @@ def test_close_group_forms_no_matrix_product(monkeypatch):
     assert calls["apply"] <= len(points) * len(gens)
 
 
+def test_orbits_are_searched_over_the_generators(monkeypatch):
+    # B4 has 384 elements and 4 generators; an orbit search applies each
+    # generator once to each orbit point, |orbit| * 4 applications
+    group = close_group(weyl_generators("B", 4))
+    e1, e12 = (1, 0, 0, 0), (1, 1, 0, 0)
+    assert orbit(group, e1) == oracle_orbit(group, e1)
+    p = orbit_sum(group, e12)
+    assert p.support() == oracle_orbit(group, e12)
+    assert orbit_sum_decomposition(group, p) == {tuple(map(Fraction, e12)): 1}
+    apply, calls = IntMatrix.apply, []
+    monkeypatch.setattr(IntMatrix, "apply",
+                        lambda g, v: calls.append(v) or apply(g, v))
+    for fn, arg, size in ((orbit, e1, 8), (orbit_sum, e12, 24),
+                          (orbit_sum_decomposition, p, 24)):
+        calls.clear()
+        fn(group, arg)
+        assert (fn.__name__, len(calls)) == (fn.__name__, size * 4)
+
+
 @PROPERTY
 @given(conjugated_block_sums(max_trivial=1))
 def test_closed_elements_are_the_validated_matrices(gens):
     # the elements are built from rows checked once, as they were
     # interned; they equal the matrices the validating constructor
-    # builds, the action's index is their position, and rank(1 - g) is
-    # read off the rows of 1 - g
+    # builds, and rank(1 - g) is read off the rows of 1 - g
     group = close_group(gens)
     identity = IntMatrix.identity(group.rank)
     for i, g in enumerate(group.elements):
@@ -244,6 +276,6 @@ def test_closed_elements_are_the_validated_matrices(gens):
         assert (g.nrows, g.ncols, g.entries) == \
             (rebuilt.nrows, rebuilt.ncols, rebuilt.entries)
         assert g == rebuilt and hash(g) == hash(rebuilt)
-        assert group.index_of(rebuilt) == i
+        assert group.elements[i] == rebuilt
     assert displacement_ranks(group) == tuple(
         (identity - g).rank() for g in group.elements)

@@ -257,6 +257,18 @@ def test_matrix_basics():
         IntMatrix([[1.5]])
 
 
+def test_matrices_without_rows_or_columns():
+    empty = IntMatrix([], ncols=3)
+    assert (empty.transpose().nrows, empty.transpose().ncols) == (3, 0)
+    assert empty.transpose().transpose() == empty
+    assert empty.apply(()) == (0, 0, 0)
+    thin = IntMatrix([(), ()], ncols=0)
+    assert (thin.transpose().nrows, thin.transpose().ncols) == (0, 2)
+    assert thin.apply((1, 2)) == ()
+    assert thin * empty == IntMatrix.zero(2, 3)
+    assert empty * IntMatrix.zero(3, 2) == IntMatrix([], ncols=2)
+
+
 @PROPERTY
 @given(square_pairs())
 def test_det_is_multiplicative(pair):
