@@ -10,7 +10,6 @@ from .classify import (
     SignGroupReport,
     Verdict,
     class_group,
-    is_fixed_point_free,
     min_displacement_rank,
     reflection_monoid,
     sign_group_singular_locus,
@@ -27,7 +26,6 @@ from .errors import (
     MultInvError,
     NotContained,
     NotInvariant,
-    NotMultiple,
     NotReflectionGroup,
     NotSignGroup,
     NotUnimodular,
@@ -53,7 +51,6 @@ from .lattice import (
 from .laurent import (
     FundamentalInvariant,
     LaurentPolynomial,
-    fundamental_invariants,
     fundamental_invariants_detailed,
     is_invariant,
     orbit_sum,
@@ -71,7 +68,6 @@ from .roots import (
     Reflection,
     RootDatum,
     build_root_system,
-    coroot_pairing,
     find_reflections,
     is_reflection_group,
     weight_orbit,

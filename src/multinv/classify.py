@@ -52,17 +52,14 @@ MAX_SIGN_COMPONENTS = 2 ** 16
 
 def min_displacement_rank(action: GroupAction) -> int:
     """Minimum over nonidentity elements of rank(1 - g); this equals the
-    height of the ideal cutting out the non-free locus."""
+    height of the ideal cutting out the non-free locus.  A reflection s
+    has rank(1 - s) = 1, the least there is, so a group with reflections
+    lists no element here."""
+    if find_reflections(action):
+        return 1
     if action.order == 1:
         raise TrivialGroup("displacement rank needs a nontrivial group")
     return min(r for r in displacement_ranks(action) if r)
-
-
-def is_fixed_point_free(action: GroupAction) -> bool:
-    """True when every nonidentity element fixes only the origin."""
-    if action.order == 1:
-        return True
-    return min_displacement_rank(action) == action.rank
 
 
 def class_group(action: GroupAction) -> ElementaryDivisors:
@@ -139,7 +136,9 @@ def _is_odd_prime(n: int) -> bool:
 
 
 def _is_sign_group(action: GroupAction) -> bool:
-    for g in action.elements:
+    """Whether every element is diagonal with +-1 entries; the diagonal
+    sign matrices form a group, so it is enough that the generators are."""
+    for g in action.generators:
         for i, row in enumerate(g.entries):
             for j, x in enumerate(row):
                 if i == j:
@@ -237,14 +236,14 @@ def _sign_locus(action: GroupAction):
     all without listing a component."""
     if not _is_sign_group(action):
         raise NotSignGroup("every element must be diagonal with +-1 entries")
+    if find_reflections(action):
+        raise HasReflections("sign group contains a reflection")
     n = action.rank
     inversion_sets = set()
     for g in action.elements:
         inv = frozenset(i for i in range(n) if g.entries[i][i] == -1)
         if inv:
             inversion_sets.add(inv)
-    if any(len(s) == 1 for s in inversion_sets):
-        raise HasReflections("sign group contains a reflection")
     if not inversion_sets:
         raise TrivialGroup("sign-group analysis needs a nontrivial group")
     minimal = [
@@ -297,7 +296,6 @@ __all__ = [
     "UNKNOWN",
     "MAX_SIGN_COMPONENTS",
     "min_displacement_rank",
-    "is_fixed_point_free",
     "class_group",
     "reflection_monoid",
     "verdict",

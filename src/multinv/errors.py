@@ -17,10 +17,6 @@ class NotContained(MultInvError):
     """The claimed sublattice is not contained in the ambient lattice."""
 
 
-class NotMultiple(MultInvError):
-    """A vector difference is not a scalar multiple of the expected root."""
-
-
 class NotReflectionGroup(MultInvError):
     """The reflections in the group generate a proper subgroup."""
 

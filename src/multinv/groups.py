@@ -6,7 +6,11 @@ vectors), so the action is faithful by construction.
 Every orbit, the group itself as the orbit of the identity included, is
 found by one breadth-first search over the generators, `_search`.
 
-`close_group` enumerates a group on row orbits: row i of an element m is
+When every generator is a reflection, `close_group` takes |G| from the
+root system the generators' roots walk out (see `roots._walked_order`)
+and lists no element; the element list is then closed on first read.
+
+The closure enumerates a group on row orbits: row i of an element m is
 the lattice point e_i * m, and inside the search an element is the
 tuple of ids of its n row points.  The rows of m * g are the rows of m,
 each moved by g, so a product is n lookups in a per-generator table of
@@ -28,11 +32,13 @@ DEFAULT_CLOSURE_CAP = 10_000
 
 
 class GroupAction:
-    """A fully enumerated finite subgroup of GL_n(Z).
+    """A finite subgroup of GL_n(Z), given by its generators.
 
-    `elements` is the complete, canonically sorted element list (identity
-    included); `generators` are the given ones without repeats, which
-    orbits are searched over.
+    `generators` are the given ones without repeats, which orbits are
+    searched over.  `elements` is the complete, canonically sorted
+    element list (identity included), closed under `cap` on first read;
+    `order` is |G|, read off the root heights when `close_group` found G
+    generated by reflections, else the length of the element list.
 
     Facts derived from the group (fixed sublattice, displacement ranks,
     reflections, whether the reflections generate) are memoised on the
@@ -41,17 +47,27 @@ class GroupAction:
     threads can at worst compute a fact twice.
     """
 
-    __slots__ = ("rank", "elements", "generators", "_memo")
+    __slots__ = ("rank", "generators", "cap", "_elements", "_order", "_memo")
 
-    def __init__(self, rank, elements, generators):
+    def __init__(self, rank, generators, cap=DEFAULT_CLOSURE_CAP):
         self.rank = rank
-        self.elements = tuple(elements)
         self.generators = tuple(dict.fromkeys(generators))
+        self.cap = cap
+        self._elements = None
+        self._order = None
         self._memo = {}
 
     @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = _close(self.rank, self.generators, self.cap)
+        return self._elements
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        if self._order is None:
+            self._order = len(self.elements)
+        return self._order
 
     def __eq__(self, other):
         if not isinstance(other, GroupAction):
@@ -100,21 +116,19 @@ class _RowImages(dict):
 
 def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
                 rank: int | None = None) -> GroupAction:
-    """Multiplication closure of the given generators.
+    """The group the given generators generate.
 
     Raises NotUnimodular for a generator that is not `rank` x `rank` (by
     default the first generator's size) or has det outside {1, -1}, and
-    GroupTooLarge when the closure exceeds `cap` elements (the group is
-    then almost certainly infinite).  An empty generator list needs an
+    GroupTooLarge when the group has more than `cap` elements (it is then
+    almost certainly infinite).  An empty generator list needs an
     explicit `rank` and yields the trivial group.
 
-    The closure runs on row orbits: an element is the tuple of ids of its
-    rows e_i * m, and m * g is read off one image table per generator,
-    so no matrix product is formed.  The row points are integral because
-    they are images of the unit rows under the generators, whose entries
-    `IntMatrix` checked when they were made; so after the search the
-    elements' row tuples are sorted and each `IntMatrix` is built from
-    them without checking its entries again.
+    When every generator is a reflection and the walk of their roots
+    certifies a finite root system, |G| is the order of its Weyl group,
+    read off the root heights, and no element is listed (see
+    `roots._walked_order`).  Otherwise the elements are closed here, as
+    `_close` describes.
     """
     gens = list(generators)
     if rank is None:
@@ -126,16 +140,42 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
             raise NotUnimodular("generators must be square of equal size")
         if g.det() not in (1, -1):
             raise NotUnimodular(f"generator determinant {g.det()} is not +-1")
+    action = GroupAction(rank, gens, cap)
+    from .roots import _walked_order  # roots imports this module
+    order = _walked_order(action)
+    if order is None:
+        order = len(action.elements)  # closed under the cap
+    elif order > cap:
+        raise GroupTooLarge(_too_large(cap))
+    action._order = order
+    return action
+
+
+def _too_large(cap: int) -> str:
+    return f"closure exceeded {cap} elements; group is probably infinite"
+
+
+def _close(rank: int, gens, cap: int) -> tuple:
+    """The elements of the group `gens` generate, canonically sorted;
+    raises GroupTooLarge past `cap` elements.
+
+    The closure runs on row orbits: an element is the tuple of ids of its
+    rows e_i * m, and m * g is read off one image table per generator,
+    so no matrix product is formed.  The row points are integral because
+    they are images of the unit rows under the generators, whose entries
+    `IntMatrix` checked when they were made; so after the search the
+    elements' row tuples are sorted and each `IntMatrix` is built from
+    them without checking its entries again.
+    """
     points = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     ids = {p: i for i, p in enumerate(points)}
     moves = [lambda m, image=_RowImages(g, points, ids).__getitem__:
              tuple(map(image, m)) for g in gens]
     found = _search(tuple(range(rank)), moves, cap)
     checked = IntMatrix._from_checked_rows
-    elements = [checked(rows, rank)
-                for rows in sorted(tuple(map(points.__getitem__, m))
-                                   for m in found)]
-    return GroupAction(rank, elements, gens)
+    return tuple(checked(rows, rank)
+                 for rows in sorted(tuple(map(points.__getitem__, m))
+                                    for m in found))
 
 
 def _search(start, moves, cap=None) -> list:
@@ -151,10 +191,7 @@ def _search(start, moves, cap=None) -> list:
                 seen.add(y)
                 found.append(y)
                 if cap is not None and len(found) > cap:
-                    raise GroupTooLarge(
-                        f"closure exceeded {cap} elements; group is "
-                        "probably infinite"
-                    )
+                    raise GroupTooLarge(_too_large(cap))
     return found
 
 

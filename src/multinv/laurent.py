@@ -170,22 +170,23 @@ class LaurentPolynomial:
     def sorted_terms(self):
         """Terms in canonical display order: graded lexicographic,
         leading term first."""
-        return sorted(
-            self.terms.items(),
-            key=lambda ec: (-sum(ec[0]), tuple(-x for x in ec[0])),
-        )
+        # exponents are distinct, so no two keys tie
+        return sorted(self.terms.items(),
+                      key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def render(self, labels=None) -> str:
         if not self.terms:
             return "0"
         labels = variable_labels(self.rank) if labels is None else labels
+        den = self.denominator
         pieces = []
         for e, c in self.sorted_terms():
             factors = []
             for x, name in zip(e, labels):
                 if not x:
                     continue
-                power = Fraction(x, self.denominator)
+                # integer support (den == 1) needs no Fraction
+                power = x if den == 1 else Fraction(x, den)
                 if power == 1:
                     factors.append(name)
                 elif power.denominator == 1:
@@ -345,13 +346,6 @@ def _times_orbit(terms: dict, orb) -> dict:
     return out
 
 
-def fundamental_invariants(action: GroupAction, rd: RootDatum,
-                           wm: WeightMonoid) -> list[LaurentPolynomial]:
-    """The expanded fundamental invariants, one per Hilbert basis element."""
-    return [f.polynomial for f in
-            fundamental_invariants_detailed(action, rd, wm)]
-
-
 __all__ = [
     "LaurentPolynomial",
     "FundamentalInvariant",
@@ -359,6 +353,5 @@ __all__ = [
     "orbit_sum",
     "is_invariant",
     "orbit_sum_decomposition",
-    "fundamental_invariants",
     "fundamental_invariants_detailed",
 ]

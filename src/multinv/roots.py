@@ -9,6 +9,16 @@ crystallographic root system spanning the moving subspace (the subspace
 the invariant functionals annihilate), and the group restricted to that
 subspace is the Weyl group.
 
+When every generator is a reflection, G is the Weyl group W of the
+roots, and neither the reflections nor |G| need the element list.  Every
+reflection of W is s_alpha for a root alpha in the W-orbit of the
+generators' roots (Humphreys, Section 1.14), and h^-1 s_alpha h is the
+reflection with root alpha * h and coroot h^-1 . coroot, so the
+reflections are walked out as (root, coroot) pairs over the generators
+(`_root_walk`).  The counts of positive roots by height form the
+partition dual to the exponents m_i, and |W| = prod (m_i + 1)
+(Humphreys, Sections 3.9 and 3.20, after Kostant; `_walked_order`).
+
 Whether the reflections generate the group is decided without listing
 the subgroup W' they generate.  W' acts simply transitively on its
 positive systems (Humphreys, Reflection Groups and Coxeter Groups,
@@ -39,12 +49,14 @@ bad input.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd
 
-from .errors import AxiomFailure, InvalidBase, NotMultiple, NotReflectionGroup
+from .errors import (AxiomFailure, GroupTooLarge, InvalidBase,
+                     NotReflectionGroup)
 from .groups import (GroupAction, _one_minus_rows, _search,
                      fixed_sublattice, memoised)
 from .lattice import (
@@ -85,32 +97,150 @@ def _negated(v) -> tuple:
 
 @memoised
 def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
-    """All reflections of the action, in element order."""
-    n = action.rank
-    identity = IntMatrix.identity(n)
-    out = []
-    for g in action.elements:
-        trace = sum(g.entries[i][i] for i in range(n))
-        if trace != n - 2 or g * g != identity:
-            continue
-        root, coroot = _root_and_coroot(g)
-        out.append(Reflection(g, root, coroot,
-                              all(c % 2 == 0 for c in coroot)))
-    return tuple(out)
+    """All reflections of the action, in element order (sorted by
+    rows): walked out from the generators when `_root_walk` certifies
+    the walk, else found among the elements."""
+    pairs = _root_walk(action)
+    if pairs is None:
+        n = action.rank  # a reflection has trace n - 2
+        pairs = [pair for g in action.elements
+                 if sum(g.entries[i][i] for i in range(n)) == n - 2
+                 and (pair := _reflection_pair(g)) is not None]
+    refls = (Reflection(_reflection_matrix(root, coroot), root, coroot,
+                        all(c % 2 == 0 for c in coroot))
+             for root, coroot in pairs)
+    return tuple(sorted(refls, key=lambda r: r.matrix.entries))
 
 
-def _root_and_coroot(g: IntMatrix):
-    """The primitive root (first nonzero coordinate positive) and the
-    coroot with 1 - g == coroot (x) root, read off the rows of 1 - g."""
+def _reflection_pair(g: IntMatrix):
+    """(root, coroot) with 1 - g == coroot (x) root and root . coroot == 2,
+    the root primitive with its first nonzero coordinate positive, read
+    off the rows of 1 - g; None when g is no reflection.
+
+    g = 1 - c (x) a squares to 1 + (a . c - 2) c (x) a, so these are
+    exactly the elements of order 2 with rank(1 - g) = 1."""
     moved = _one_minus_rows(g)
-    row = next(r for r in moved if any(r))
+    row = next((r for r in moved if any(r)), None)
+    if row is None:
+        return None
     k = next(j for j, x in enumerate(row) if x)
     scale = gcd(*row) if row[k] > 0 else -gcd(*row)
     root = tuple(x // scale for x in row)
     coroot = tuple(r[k] // root[k] for r in moved)
-    if any(r != tuple(c * x for x in root) for r, c in zip(moved, coroot)):
-        raise AxiomFailure("1 - g of a reflection is not coroot times root")
+    if _dot(root, coroot) != 2 or any(
+            r != tuple(c * x for x in root) for r, c in zip(moved, coroot)):
+        return None
     return root, coroot
+
+
+def _reflection_matrix(root, coroot) -> IntMatrix:
+    """1 - coroot (x) root."""
+    return IntMatrix._from_checked_rows(
+        tuple(tuple(int(i == j) - c * x for j, x in enumerate(root))
+              for i, c in enumerate(coroot)), len(root))
+
+
+# Most roots of an irreducible reduced crystallographic root system of
+# rank k, for k = 1..8 (A1, G2, B3, F4, B5, E6, E7, E8); beyond that B_k
+# and C_k, with 2k^2.
+_MOST_IRREDUCIBLE_ROOTS = (0, 2, 12, 18, 48, 50, 72, 126, 240)
+
+
+def _most_roots(rank: int) -> int:
+    """The most roots a reduced crystallographic root system of the given
+    rank has: the largest sum of irreducible maxima over ranks adding up
+    to `rank` (E8 x A1 has 242 roots at rank 9)."""
+    best = [0]
+    for r in range(1, rank + 1):
+        best.append(max(
+            (_MOST_IRREDUCIBLE_ROOTS[k] if k <= 8 else 2 * k * k)
+            + best[r - k] for k in range(1, r + 1)))
+    return best[rank]
+
+
+@memoised
+def _root_walk(action: GroupAction):
+    """The (root, coroot) pair of every reflection of G, walked out from
+    the generators, or None unless every generator is a reflection and
+    the walk certifies that G is a finite Weyl group.
+
+    A reflection g (g^-1 = g) moves the pair of s_alpha to the pair of
+    g s_alpha g: root -> root * g and coroot -> g . coroot, by row
+    arithmetic with 1 - g = c (x) a; each pair is normalised so its root
+    has first nonzero coordinate positive.  With r the rank of the
+    generators' roots (v * g - v is a multiple of a, so every root lies in
+    their span, and likewise every coroot in the span of theirs), the
+    walk is trusted when
+    - the generators' coroots also have rank r,
+    - it finds at most `_most_roots(r)` roots, and
+    - each root has one coroot.
+    Then G permutes the finitely many roots, which span the root span
+    V, so it acts on V through a finite group, orthogonal for some
+    invariant inner product; there v . coroot = 2 (v, a) / (a, a), and
+    the only vector of V pairing to zero with every coroot is 0.  An
+    element h fixing every root fixes every coroot (a root has one), so
+    v * h - v, which lies in V, pairs to zero with every coroot: h = 1.
+    So G embeds in the permutations of the roots and is their Weyl
+    group.  Otherwise, as for the infinite group of one root with
+    coroots (2, 0) and (2, 1), the caller closes G.
+    """
+    pairs = [_reflection_pair(g) for g in action.generators]
+    if not pairs or None in pairs:
+        return None
+    n = action.rank
+    rank = IntMatrix([a for a, _ in pairs], ncols=n).rank()
+    if IntMatrix([c for _, c in pairs], ncols=n).rank() != rank:
+        return None
+    moves = [lambda pair, a=a, c=c: _reflected_pair(pair, a, c)
+             for a, c in pairs]
+    budget = _most_roots(rank) // 2  # a pair stands for the roots +-a
+    found = {}
+    for pair in pairs:
+        if pair in found:
+            continue
+        if len(found) >= budget:
+            return None
+        try:
+            found.update(dict.fromkeys(
+                _search(pair, moves, budget - len(found))))
+        except GroupTooLarge:
+            return None
+    if len({a for a, _ in found}) != len(found):
+        return None
+    return tuple(found)
+
+
+def _reflected_pair(pair, a, c):
+    """The pair of g s g for the reflection g = 1 - c (x) a, normalised."""
+    root, coroot = pair
+    k, m = _dot(root, c), _dot(a, coroot)
+    if k:
+        root = tuple(x - k * y for x, y in zip(root, a))
+    if m:
+        coroot = tuple(x - m * y for x, y in zip(coroot, c))
+    if next(x for x in root if x) < 0:
+        return _negated(root), _negated(coroot)
+    return root, coroot
+
+
+def _walked_order(action: GroupAction):
+    """|G| from the root heights when `_root_walk` certifies the walk,
+    else None.
+
+    The counts n_k of positive roots of height k form the partition dual
+    to the exponents: n_k - n_(k+1) exponents equal k, and
+    |W| = prod (m_i + 1) (Humphreys, Sections 3.9 and 3.20)."""
+    if _root_walk(action) is None:
+        return None
+    _, coordinates = _base_coordinates(action)
+    counts = Counter(sum(c) for c in coordinates.values() if min(c) >= 0)
+    order = 1
+    for k in range(1, max(counts) + 1):
+        exponents = counts[k] - counts[k + 1]
+        if exponents < 0:
+            raise AxiomFailure("root heights do not form a partition")
+        order *= (k + 1) ** exponents
+    return order
 
 
 @memoised
@@ -127,13 +257,19 @@ def _root_span(action: GroupAction) -> tuple[frozenset, int]:
 
 
 @memoised
-def _positive_system(action: GroupAction) -> tuple[tuple, frozenset]:
-    """The base `_generic_base` picks from the roots, checked by
-    `_check_base`, and the positive roots over it: those whose base
-    coordinates are all nonnegative."""
+def _base_coordinates(action: GroupAction) -> tuple[tuple, dict]:
+    """The base `_generic_base` picks from the roots, and the coordinates
+    of every root over it, checked by `_check_base`."""
     roots, rank = _root_span(action)
     base = _generic_base(roots, rank)
-    coordinates = _check_base(roots, base, rank, strict=False)
+    return base, _check_base(roots, base, rank, strict=False)
+
+
+@memoised
+def _positive_system(action: GroupAction) -> tuple[tuple, frozenset]:
+    """The base of `_base_coordinates` and the positive roots over it:
+    those whose base coordinates are all nonnegative."""
+    base, coordinates = _base_coordinates(action)
     return base, frozenset(r for r, c in coordinates.items() if min(c) >= 0)
 
 
@@ -203,20 +339,6 @@ def _base_reflections(refls, base) -> tuple[Reflection, ...]:
         by_line[alpha if alpha in by_line else _negated(alpha)]
         for alpha in base
     )
-
-
-def coroot_pairing(v, refl: Reflection, root=None) -> Fraction:
-    """The scalar c with v - v*g == c * root.
-
-    `root` defaults to the reflection's normalized root; pass the negated
-    root to pair against the other generator of the root line.  Raises
-    NotMultiple for any other root.
-    """
-    if root is None or tuple(root) == refl.root:
-        return Fraction(_dot(v, refl.coroot))
-    if tuple(root) == _negated(refl.root):
-        return -Fraction(_dot(v, refl.coroot))
-    raise NotMultiple("difference is not a multiple of the root")
 
 
 @dataclass(frozen=True)
@@ -436,7 +558,6 @@ __all__ = [
     "RootDatum",
     "find_reflections",
     "is_reflection_group",
-    "coroot_pairing",
     "build_root_system",
     "weight_orbit",
 ]

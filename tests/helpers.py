@@ -15,6 +15,7 @@ from multinv import (
     GroupAction,
     GroupTooLarge,
     IntMatrix,
+    Reflection,
     Sublattice,
     build_root_system,
     close_group,
@@ -116,6 +117,35 @@ def _identity_rows(n):
     return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
+def cartan_matrix(kind, n):
+    """The Cartan matrix of A_n, B_n, D_n (n >= 4), E_n (n = 6, 7, 8) or
+    G2 (n = 2), entry (i, j) = <alpha_i, alpha_j^v>, nodes numbered as in
+    Bourbaki."""
+    if kind == "G":
+        return [[2, -1], [-3, 2]]
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if kind == "D":
+        edges[-1] = (n - 3, n - 1)
+    elif kind == "E":
+        edges = [(0, 2), (2, 3), (3, 4), (1, 3)] + edges[4:]
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
+    if kind == "B":  # alpha_n short
+        cartan[n - 2][n - 1] = -2
+    return cartan
+
+
+def root_lattice_generators(kind, n):
+    """The simple reflections of the Weyl group of the given type on its
+    root lattice, in the basis of simple roots: s_i maps alpha_r to
+    alpha_r - <alpha_r, alpha_i^v> alpha_i."""
+    cartan = cartan_matrix(kind, n)
+    return [IntMatrix([[int(r == k) - (cartan[r][i] if k == i else 0)
+                        for k in range(n)] for r in range(n)])
+            for i in range(n)]
+
+
 def weyl_generators(kind, n):
     """Generators of a finite reflection group of rank n:
     "S": S_n permuting the coordinates of Z^n (n >= 2), of order n!;
@@ -126,13 +156,7 @@ def weyl_generators(kind, n):
     A and G are generated by the simple reflections, written in the basis
     of simple roots."""
     if kind in "AG":
-        cartan = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)]
-                  for i in range(n)]
-        if kind == "G":
-            cartan = [[2, -1], [-3, 2]]
-        return [IntMatrix([[int(r == k) - (cartan[r][i] if k == i else 0)
-                            for k in range(n)] for r in range(n)])
-                for i in range(n)]
+        return root_lattice_generators(kind, n)
     gens = []
     for i in range(n - 1):  # adjacent transpositions
         rows = _identity_rows(n)
@@ -332,6 +356,51 @@ def oracle_class_group(action):
     assert is_reflection_group(image), "residual action is a reflection group"
     rd = build_root_system(image)
     return quotient_invariants(rd.pi_lattice, Sublattice.full(rd.rank))
+
+
+def oracle_find_reflections(action):
+    """The reflections as the element scan found them: the elements with
+    trace n - 2 and g^2 = 1, in element order, each with its root (the
+    first nonzero row of 1 - g made primitive, first nonzero coordinate
+    positive) and its coroot (1 - g = coroot (x) root)."""
+    n = action.rank
+    identity = IntMatrix.identity(n)
+    out = []
+    for g in action.elements:
+        if sum(g.entries[i][i] for i in range(n)) != n - 2 or \
+                g * g != identity:
+            continue
+        moved = (identity - g).entries
+        row = next(r for r in moved if any(r))
+        k = next(j for j, x in enumerate(row) if x)
+        scale = gcd(*row) if row[k] > 0 else -gcd(*row)
+        root = tuple(x // scale for x in row)
+        coroot = tuple(r[k] // root[k] for r in moved)
+        assert all(r == tuple(c * x for x in root)
+                   for r, c in zip(moved, coroot))
+        out.append(Reflection(g, root, coroot,
+                              all(c % 2 == 0 for c in coroot)))
+    return tuple(out)
+
+
+def oracle_is_fixed_point_free(action):
+    """True when every nonidentity element fixes only the origin, that is,
+    1 - g has full rank."""
+    identity = IntMatrix.identity(action.rank)
+    return all((identity - g).rank() == action.rank
+               for g in action.elements if g != identity)
+
+
+def oracle_coroot_pairing(v, refl, root=None):
+    """The scalar c with v - v*g == c * root, for `root` the reflection's
+    normalized root (the default) or its negative; ValueError for any
+    other root."""
+    c = Fraction(sum(a * b for a, b in zip(v, refl.coroot)))
+    if root is None or tuple(root) == refl.root:
+        return c
+    if tuple(root) == tuple(-x for x in refl.root):
+        return -c
+    raise ValueError("difference is not a multiple of the root")
 
 
 def snf_diagonal_by_minors(m: IntMatrix):

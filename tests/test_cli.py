@@ -5,7 +5,7 @@ from multinv import classify, cli, groups, laurent, roots
 from multinv.cli import main
 from multinv.lattice import IntMatrix
 from multinv.laurent import LaurentPolynomial
-from helpers import BASE_RANK2, weyl_generators
+from helpers import BASE_RANK2, root_lattice_generators, weyl_generators
 
 RANK2_DOC = {
     "rank": 2,
@@ -286,6 +286,49 @@ def test_group_cap_flag(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", path, "--group-cap", "3"])
     assert code == 2
     assert "exceeded" in err
+
+
+def generator_doc(gens):
+    return {"rank": gens[0].nrows,
+            "generators": [[list(r) for r in g.entries] for g in gens]}
+
+
+def test_group_cap_bounds_a_reflection_group(tmp_path, capsys):
+    # |G| = 6 comes from the root heights, and the cap still binds
+    for doc in (RANK2_DOC, generator_doc(weyl_generators("A", 2))):
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, ["analyze", path, "--group-cap", "3"])
+        assert (code, out, err) == (
+            2, "", "error: closure exceeded 3 elements; group is probably "
+                   "infinite\n")
+        code, out, _ = run(capsys, ["analyze", path, "--group-cap", "6"])
+        assert code == 0 and "group order:         6" in out
+
+
+def test_reflection_group_commands_list_no_element(tmp_path, capsys,
+                                                   monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("the element list was built")
+
+    monkeypatch.setattr(groups, "_close", no_closure)
+    e8_cap = ["--group-cap", "696729600"]
+    runs = [("verdict", weyl_generators("S", 6), []),
+            ("verdict", weyl_generators("D", 5), []),
+            ("verdict", weyl_generators("B", 5), []),
+            ("verdict", root_lattice_generators("E", 8), e8_cap),
+            ("analyze", weyl_generators("B", 4), [])]
+    for n in (6, 7, 8):
+        runs += [(command, root_lattice_generators("E", n), e8_cap)
+                 for command in ("verdict", "classgroup", "analyze")]
+    for command, gens, flags in runs:
+        path = write_doc(tmp_path, generator_doc(gens))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, path, "--json"] + flags)
+        assert (command, len(gens), code, err) == (command, len(gens), 0, "")
+        assert time.perf_counter() - start < 5.0
+    report = json.loads(out)  # analyze on E8
+    assert (report["group_order"], report["reflection_count"],
+            report["ideal_height"]) == (696729600, 120, 1)
 
 
 def test_labels_are_used_in_rendering(tmp_path, capsys):

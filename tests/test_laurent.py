@@ -12,7 +12,6 @@ from multinv import (
     build_root_system,
     build_weight_monoid,
     close_group,
-    fundamental_invariants,
     fundamental_invariants_detailed,
     is_invariant,
     kernel_lattice,
@@ -218,7 +217,7 @@ def rank2_invariants():
 
 def test_fundamental_invariants_rank2_match_hand_expansions():
     g, rd, wm = rank2_invariants()
-    mus = fundamental_invariants(g, rd, wm)
+    mus = [f.polynomial for f in fundamental_invariants_detailed(g, rd, wm)]
     assert mus[0] == poly(2, MU1_RANK2)
     assert mus[1] == poly(2, MU2_RANK2)
     assert mus[2] == poly(2, MU3_RANK2)
@@ -226,7 +225,7 @@ def test_fundamental_invariants_rank2_match_hand_expansions():
 
 def test_fundamental_invariants_first_block_are_orbit_sum_powers():
     g, rd, wm = rank2_invariants()
-    mus = fundamental_invariants(g, rd, wm)
+    mus = [f.polynomial for f in fundamental_invariants_detailed(g, rd, wm)]
     for i in range(rd.rank):
         z = wm.multipliers[i]
         assert mus[i] == orbit_sum(g, rd.fundamental_weights[i]) ** z
@@ -259,14 +258,14 @@ def test_rank1_squared_orbit_sum():
     g = neg_rank1_action()
     rd = build_root_system(g)
     wm = build_weight_monoid(rd, rd.pi_lattice)
-    (mu,) = fundamental_invariants(g, rd, wm)
+    (mu,) = [f.polynomial for f in fundamental_invariants_detailed(g, rd, wm)]
     assert mu == poly(1, {(1,): 1, (0,): 2, (-1,): 1})
     assert mu.render() == "a + 2 + a^-1"
 
 
 def test_leading_exponents_of_the_free_block_are_distinct():
     g, rd, wm = rank2_invariants()
-    mus = fundamental_invariants(g, rd, wm)
+    mus = [f.polynomial for f in fundamental_invariants_detailed(g, rd, wm)]
     leading = [mu.sorted_terms()[0][0] for mu in mus[: rd.rank]]
     assert len(set(leading)) == rd.rank
 
@@ -339,3 +338,6 @@ def test_render_formats():
     assert p.render() == "1/2*a^-1*b^2 + a*b^-1 - 3"
     q = LaurentPolynomial.monomial((Fraction(1, 3), Fraction(-1, 3)))
     assert q.render() == "a^(1/3)*b^(-1/3)"
+    # in halves: integral powers print bare, the others in parentheses
+    r = LaurentPolynomial(2, 2, {(1, 2): 1, (4, -3): -2, (-2, 0): 3})
+    assert r.render() == "a^(1/2)*b - 2*a^2*b^(-3/2) + 3*a^-1"

@@ -1,0 +1,131 @@
+"""Groups generated by reflections: `close_group` walks the roots out from
+the generators and reads |W| off the root heights, listing no element.
+The closure and the element scan are the oracles."""
+
+from math import prod
+
+import pytest
+from hypothesis import given, settings
+
+from multinv import (
+    GroupAction,
+    GroupTooLarge,
+    build_root_system,
+    close_group,
+    find_reflections,
+    groups,
+    roots,
+)
+from helpers import (
+    BLOCK_SUMS,
+    GOLDEN_REFLECTION_ACTIONS,
+    block_diagonal,
+    conjugated_block_sums,
+    mat,
+    oracle_find_reflections,
+    orbit_sublattice_actions,
+    root_lattice_generators,
+    weyl_generators,
+)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@pytest.fixture
+def no_closure(monkeypatch):
+    """Fail at once if a group is closed: at rank 8 a closure that the
+    walk should have spared would run out of memory."""
+    def refuse(*args):
+        raise AssertionError("the element list was built")
+
+    monkeypatch.setattr(groups, "_close", refuse)
+
+
+def assert_walk_matches_the_closure(gens):
+    group = close_group(gens)
+    refls = find_reflections(group)
+    assert group._elements is None  # order and reflections list nothing
+    assert group.order == len(group.elements)
+    assert refls == oracle_find_reflections(group)
+
+
+def test_walk_matches_the_closure_on_every_block_sum():
+    for blocks in BLOCK_SUMS:
+        assert_walk_matches_the_closure(
+            block_diagonal([weyl_generators(*b) for b in blocks]))
+    for action, _ in GOLDEN_REFLECTION_ACTIONS.values():
+        assert_walk_matches_the_closure(action().generators)
+
+
+@PROPERTY
+@given(conjugated_block_sums(max_trivial=2))
+def test_walk_matches_the_closure_in_a_random_basis(gens):
+    assert_walk_matches_the_closure(gens)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(orbit_sublattice_actions())
+def test_walk_matches_the_closure_off_block_sums(gens):
+    assert_walk_matches_the_closure(gens)
+
+
+# (type, rank, roots, degrees, fundamental group); the degrees
+# d_i = m_i + 1 multiply to |W|, and the exponents m_i add up to the
+# number of positive roots
+ROOT_LATTICES = [
+    ("E", 6, 72, (2, 5, 6, 8, 9, 12), "Z/3"),
+    ("E", 7, 126, (2, 6, 8, 10, 12, 14, 18), "Z/2"),
+    ("E", 8, 240, (2, 8, 12, 14, 18, 20, 24, 30), "trivial"),
+    ("A", 8, 72, (2, 3, 4, 5, 6, 7, 8, 9), "Z/9"),
+    ("B", 8, 128, (2, 4, 6, 8, 10, 12, 14, 16), "Z/2"),
+    ("D", 8, 112, (2, 4, 6, 8, 10, 12, 14, 8), "Z/2 x Z/2"),
+]
+
+
+@pytest.mark.parametrize("kind, n, root_count, degrees, fundamental_group",
+                         ROOT_LATTICES,
+                         ids=[f"{k}{n}" for k, n, *_ in ROOT_LATTICES])
+def test_weyl_groups_of_rank_6_to_8_on_their_root_lattices(
+        no_closure, kind, n, root_count, degrees, fundamental_group):
+    gens = root_lattice_generators(kind, n)
+    order = prod(degrees)
+    group = close_group(gens, cap=order)
+    assert group.order == order
+    assert 2 * len(find_reflections(group)) == root_count
+    assert sum(d - 1 for d in degrees) == root_count // 2
+    assert str(build_root_system(group).fundamental_group) == \
+        fundamental_group
+    with pytest.raises(GroupTooLarge) as exc:
+        close_group(gens, cap=order - 1)
+    assert str(exc.value) == (f"closure exceeded {order - 1} elements; "
+                              "group is probably infinite")
+
+
+def test_most_roots_by_rank():
+    assert [roots._most_roots(r) for r in range(1, 10)] == \
+        [2, 12, 18, 48, 50, 72, 126, 240, 242]
+
+
+def test_e8_times_a1_walks_242_roots(no_closure):
+    gens = block_diagonal([root_lattice_generators("E", 8),
+                           root_lattice_generators("A", 1)])
+    order = 2 * 696729600
+    group = close_group(gens, cap=order)
+    assert roots._root_walk(group) is not None
+    assert 2 * len(find_reflections(group)) == 242
+    assert group.order == order
+
+
+@pytest.mark.parametrize("gens", [
+    # one root, (1, 0), with coroots (2, 0) and (2, 1): infinite
+    [mat([[-1, 0], [0, 1]]), mat([[-1, 0], [-1, 1]])],
+    # no reflection
+    [mat([[1, 1], [0, 1]])],
+], ids=["e1", "shear"])
+def test_infinite_groups_take_the_closure(gens):
+    with pytest.raises(GroupTooLarge) as exc:
+        close_group(gens, cap=1000)
+    assert str(exc.value) == ("closure exceeded 1000 elements; group is "
+                              "probably infinite")
+    assert roots._root_walk(GroupAction(2, gens)) is None
