@@ -24,7 +24,6 @@ from .errors import (
     InvalidInput,
     LocusTooLarge,
     MultInvError,
-    NotContained,
     NotInvariant,
     NotReflectionGroup,
     NotSignGroup,
@@ -44,7 +43,6 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     kernel_lattice,
-    quotient_invariants,
     smith_normal_form,
     solve_integer,
 )

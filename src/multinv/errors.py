@@ -13,10 +13,6 @@ class GroupTooLarge(MultInvError):
     """Group closure exceeded the element cap; the group is probably infinite."""
 
 
-class NotContained(MultInvError):
-    """The claimed sublattice is not contained in the ambient lattice."""
-
-
 class NotReflectionGroup(MultInvError):
     """The reflections in the group generate a proper subgroup."""
 

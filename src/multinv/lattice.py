@@ -8,8 +8,8 @@ Conventions used throughout the package:
   positive pivots) so that equal sublattices have identical bases.
 
 Everything rests on two integer primitives: `_echelon`, a fraction-free
-(Bareiss) Gauss-Jordan elimination behind determinants, ranks, unimodular
-inverses and linear solves, and `_row_step`, a unimodular two-row step
+(Bareiss) Gauss-Jordan elimination behind determinants, ranks and the
+root layer's coordinates and weights, and `_row_step`, a unimodular two-row step
 behind the Smith and Hermite forms.  Fractions appear only in rational
 answers: solutions, coordinates and weights.
 """
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
-
-from .errors import NotContained
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -148,9 +146,6 @@ class IntMatrix:
             return (0,) * self.ncols
         return tuple(sum(map(mul, v, col)) for col in zip(*self.entries))
 
-    def is_identity(self) -> bool:
-        return self.nrows == self.ncols and self == IntMatrix.identity(self.nrows)
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.nrows != self.ncols:
@@ -161,21 +156,6 @@ class IntMatrix:
     def rank(self) -> int:
         """Rank over the rationals."""
         return len(_echelon(self.entries, self.ncols)[1])
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse; requires det = +-1 so the inverse is integral."""
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = [row + tuple(int(i == j) for j in range(n))
-               for i, row in enumerate(self.entries)]
-        rows, pivots, scale, _ = _echelon(aug, n)
-        if len(pivots) < n:
-            raise ValueError("singular matrix")
-        if scale not in (1, -1):
-            raise ValueError("matrix is not unimodular")
-        return IntMatrix([[scale * x for x in row[n:]] for row in rows],
-                         ncols=n)
 
 
 # the slot setters, which `IntMatrix.__setattr__` blocks
@@ -474,55 +454,11 @@ class ElementaryDivisors:
         """Group order, or None when there is a free summand."""
         return None if self.free_rank else prod(self.divisors)
 
-    def annihilated_by(self, n: int) -> bool:
-        return self.free_rank == 0 and all(n % d == 0 for d in self.torsion)
-
     def __str__(self):
         if self.is_trivial:
             return "trivial"
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " x ".join(parts)
-
-
-def quotient_invariants(sub: Sublattice, amb: Sublattice) -> ElementaryDivisors:
-    """Elementary divisors of amb/sub; requires sub to be contained in amb."""
-    if sub.ambient_rank != amb.ambient_rank:
-        raise NotContained("lattices live in different ambient spaces")
-    rows = []
-    for vec in sub.basis:
-        cs = amb.coefficients(vec)
-        if cs is None or any(c.denominator != 1 for c in cs):
-            raise NotContained(f"{vec} is not in the ambient lattice")
-        rows.append([int(c) for c in cs])
-    rel = IntMatrix(rows, ncols=amb.rank)
-    _, d, _ = smith_normal_form(rel)
-    divs = [d.entries[i][i] for i in range(min(rel.nrows, rel.ncols))]
-    if 0 in divs:
-        raise NotContained("sublattice basis is not independent")
-    divs += [0] * (amb.rank - len(divs))
-    return ElementaryDivisors(tuple(divs))
-
-
-def solve_linear(equations, rhs):
-    """Solve the system A*x = rhs exactly over the rationals.
-
-    `equations` is a list of coefficient rows.  Free variables are set to
-    zero; returns None when the system is inconsistent.
-    """
-    if not equations:
-        return ()
-    ncols = len(equations[0])
-    aug = []
-    for row, b in zip(equations, rhs):
-        den = common_denominator([*row, b])
-        aug.append([int(x * den) for x in (*row, b)])
-    rows, pivots, scale, _ = _echelon(aug, ncols)
-    if any(row[ncols] for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[ncols], scale)
-    return tuple(x)
 
 
 def solve_integer(m: IntMatrix, b):
@@ -550,8 +486,6 @@ __all__ = [
     "smith_normal_form",
     "hermite_basis",
     "kernel_lattice",
-    "quotient_invariants",
-    "solve_linear",
     "solve_integer",
     "common_denominator",
     "xgcd",

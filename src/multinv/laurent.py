@@ -3,30 +3,36 @@ and explicit fundamental invariants for reflection actions.
 
 Exponent vectors are stored as integer tuples measured in 1/N units of
 the lattice, with N canonicalized to the smallest denominator carrying
-the support; coefficients are exact rationals.
+the support; coefficients are exact: an `int` when integral, else a
+`Fraction`.
 
-The fundamental invariants are expanded in integer weight coordinates,
-on Weyl orbits walked by simple reflections, and each is mapped to the
-lattice once; `orbit_sum` and `orbit_sum_decomposition` search each orbit
-over the group's generators and serve any finite group.
+The fundamental invariants are products of orbit sums of fundamental
+weights.  They are multiplied in the orbit-sum basis, on
+{dominant weight: coefficient} dicts in integer weight coordinates, and
+each dominant term's Weyl orbit is expanded and mapped to the lattice
+once, at the end; `orbit_sum` and `orbit_sum_decomposition` search each
+orbit over the group's generators and serve any finite group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
 
 from .errors import AxiomFailure, NotInvariant, SupportEscape
 from .groups import GroupAction, _search
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
-from .roots import RootDatum, weight_orbit
+from .roots import (RootDatum, _dominant, _orbit_sizes, _sparse, _walk_down,
+                    weight_orbit)
 
 
 class LaurentPolynomial:
     """Finitely supported map from exponent vectors to rational
-    coefficients.
+    coefficients, kept as `int` when integral.
 
     >>> p = LaurentPolynomial(1, 2, {(1,): 1, (-1,): 1})  # x^(1/2) + x^(-1/2)
     >>> print((p * p).render())
@@ -40,7 +46,10 @@ class LaurentPolynomial:
             raise ValueError("denominator must be positive")
         clean = {}
         for e, c in dict(terms).items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if not c:
                 continue
             e = tuple(e)
@@ -52,8 +61,9 @@ class LaurentPolynomial:
         else:
             g = denominator
             for e in clean:
-                for x in e:
-                    g = gcd(g, x)
+                g = gcd(g, *e)
+                if g == 1:
+                    break
             if g > 1:
                 clean = {
                     tuple(x // g for x in e): c for e, c in clean.items()
@@ -72,7 +82,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, rank: int, value) -> "LaurentPolynomial":
-        return cls(rank, 1, {(0,) * rank: Fraction(value)})
+        return cls(rank, 1, {(0,) * rank: value})
 
     @classmethod
     def monomial(cls, point, coeff=1) -> "LaurentPolynomial":
@@ -80,7 +90,7 @@ class LaurentPolynomial:
         point = tuple(Fraction(x) for x in point)
         den = common_denominator(point)
         exps = tuple(int(x * den) for x in point)
-        return cls(len(point), den, {exps: Fraction(coeff)})
+        return cls(len(point), den, {exps: coeff})
 
     @property
     def is_zero(self) -> bool:
@@ -110,7 +120,7 @@ class LaurentPolynomial:
             return NotImplemented
         den, ta, tb = self._aligned(other)
         for e, c in tb.items():
-            ta[e] = ta.get(e, Fraction(0)) + c
+            ta[e] = ta.get(e, 0) + c
         return LaurentPolynomial(self.rank, den, ta)
 
     def __neg__(self):
@@ -131,7 +141,7 @@ class LaurentPolynomial:
         for ea, ca in ta.items():
             for eb, cb in tb.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+                out[key] = out.get(key, 0) + ca * cb
         return LaurentPolynomial(self.rank, den, out)
 
     def __pow__(self, n: int):
@@ -229,9 +239,43 @@ def orbit_sum(action: GroupAction, point) -> LaurentPolynomial:
 def is_invariant(action: GroupAction, p: LaurentPolynomial) -> bool:
     """True when every generator g fixes p, that is, as e -> e.g is
     injective, maps each term onto a term with the same coefficient; the
-    action is a right action, p.(gh) = (p.g).h, so generators suffice."""
-    return all(p.terms.get(g.apply(e)) == c
-               for g in action.generators for e, c in p.terms.items())
+    action is a right action, p.(gh) = (p.g).h, so generators suffice.
+
+    Coordinate k of e.g is e . (column k of g), so e.g differs from e
+    only in the coordinates whose column of g differs from the
+    identity's.  The exponents are held coordinate by coordinate, and
+    each such coordinate of every image is a combination of them by the
+    column's nonzero entries."""
+    coefficients = list(p.terms.values())
+    coords = list(zip(*p.terms)) if p.terms else [()] * p.rank
+    for g in action.generators:
+        moved = _moved_columns(g)
+        if not moved:  # g fixes every exponent
+            continue
+        images = list(coords)
+        for k, column in moved:
+            images[k] = _combination(coords, column)
+        if list(map(p.terms.get, zip(*images))) != coefficients:
+            return False
+    return True
+
+
+def _moved_columns(g: IntMatrix):
+    """(k, ((i, g[i][k]) for the nonzero entries)) for each column k of g
+    that differs from the identity's."""
+    return [(k, tuple((i, a) for i, a in enumerate(column) if a))
+            for k, column in enumerate(zip(*g.entries))
+            if any(a != (i == k) for i, a in enumerate(column))]
+
+
+def _combination(coords, column) -> list:
+    """The sum of a * coords[i] over the (i, a) of `column`, entry by
+    entry."""
+    total = None
+    for i, a in column:
+        term = coords[i] if a == 1 else map(mul, coords[i], repeat(a))
+        total = term if total is None else map(add, total, term)
+    return list(total)
 
 
 def orbit_sum_decomposition(action: GroupAction, p: LaurentPolynomial) -> dict:
@@ -283,31 +327,28 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     """Products of powers of the weight orbit sums, one per Hilbert basis
     element, each verified invariant with support inside the lattice.
 
-    The expansion runs in integer weight coordinates: each fundamental
-    weight's orbit comes from `weight_orbit`, and the products are taken
-    on {weight: coefficient} dicts.  Each product is mapped to the
-    lattice once, at the end, by mu -> mu . (N * fundamental weights) in
-    1/N units, N the common denominator of the weights.
+    The products are taken in the orbit-sum basis
+    (`_orbit_sum_products`).  Each dominant term lambda is mapped to the
+    lattice by lambda -> lambda . (N * fundamental weights) in 1/N units,
+    N the common denominator of the weights; the rest of its orbit is
+    walked down from there as `weight_orbit` walks it, in lattice
+    coordinates, since s_i moves the exponent of mu by -mu_i * alpha_i.
 
     For non-effective actions the bare product lives in a refinement of
     the lattice; multiplying by the fixed-lattice monomial of a lattice
     preimage of the basis element moves the support into the lattice
     without breaking invariance.
     """
-    n, r = action.rank, rd.rank
+    n = action.rank
+    cartan, simple_roots = _sparse(rd.cartan.entries), _sparse(rd.base)
     den = lcm(*(common_denominator(w) for w in rd.fundamental_weights))
     # column k of N * fundamental weights: mu . column is the k-th
     # ambient exponent of the weight mu, in 1/N units
     columns = tuple(zip(*(tuple(int(x * den) for x in w)
                           for w in rd.fundamental_weights)))
-    orbits = [weight_orbit(rd, [int(i == j) for i in range(r)])
-              for j in range(r)]
     out = []
-    for row in wm.hilbert_basis:
-        terms = {(0,) * r: 1}
-        for orb, power in zip(orbits, row):
-            for _ in range(power):
-                terms = _times_orbit(terms, orb)
+    for row, terms in zip(wm.hilbert_basis,
+                          _orbit_sum_products(rd, wm.hilbert_basis)):
         target = tuple(_dot(row, col) for col in columns)
         shift = (0,) * n  # the unit prefix, in 1/N units
         if any(t % den for t in target):
@@ -318,14 +359,19 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
                 )
             shift = tuple(a * den - t for a, t in zip(preimage, target))
         prefix = tuple(Fraction(s, den) for s in shift)
-        poly = LaurentPolynomial(n, den, {
-            tuple(s + _dot(mu, col) for s, col in zip(shift, columns)): c
-            for mu, c in terms.items()
-        })
-        if not poly.has_integer_support:
-            raise SupportEscape(
-                f"invariant for {row} has support outside the lattice"
-            )
+        # distinct dominant weights have disjoint orbits, and the weights
+        # map to the lattice injectively: no two terms share an exponent
+        exponents = {}
+        for lam, c in terms.items():
+            point = [s + _dot(lam, col) for s, col in zip(shift, columns)]
+            if any(x % den for x in point):
+                raise SupportEscape(
+                    f"invariant for {row} has support outside the lattice"
+                )
+            for _, e in _walk_down(cartan, simple_roots, lam,
+                                   [x // den for x in point]):
+                exponents[e] = c
+        poly = LaurentPolynomial(n, 1, exponents)
         if not is_invariant(action, poly):
             raise AxiomFailure("fundamental invariant is not invariant")
         out.append(FundamentalInvariant(tuple(row), prefix, poly))
@@ -336,13 +382,58 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _times_orbit(terms: dict, orb) -> dict:
-    """{weight: coefficient} times the sum of the weights in `orb`."""
-    out: dict = {}
-    for mu, c in terms.items():
-        for nu in orb:
-            key = tuple(a + b for a, b in zip(mu, nu))
-            out[key] = out.get(key, 0) + c
+def _orbit_sum_products(rd: RootDatum, rows) -> list[dict]:
+    """prod_j m_j ** row_j for each row, m_j the orbit sum of the j-th
+    fundamental weight, as {dominant weight: coefficient}.
+
+    With m_kappa the orbit sum of a dominant weight kappa,
+    m_kappa * m_mu = sum over nu in W mu of
+    (|W kappa| / |W dom(kappa + nu)|) * m_dom(kappa + nu):
+    the pairs (kappa', nu) in W kappa x W mu with kappa' + nu in W lambda
+    number c_lambda * |W lambda|, and |W kappa| times as many as those
+    with kappa' = kappa.  The sum runs over the smaller of the two
+    orbits, and the counts for each lambda are added up before dividing
+    (as LiE does; van Leeuwen, Cohen and Lisser, CAN 1992).  Partial
+    products are shared between rows."""
+    r = rd.rank
+    cartan = _sparse(rd.cartan.entries)
+    size = _orbit_sizes(rd)
+    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    orbits = {}  # dominant weight -> its orbit, listed on first use
+
+    def times(terms: dict, unit) -> dict:
+        out: dict = {}
+        for kappa, c in terms.items():
+            # m_kappa * m_unit, summed over the smaller orbit, W mu
+            kappa, mu = ((unit, kappa) if size(kappa) < size(unit)
+                         else (kappa, unit))
+            if mu not in orbits:
+                orbits[mu] = weight_orbit(rd, mu)
+            counts: dict = {}
+            for nu in orbits[mu]:
+                lam = _dominant(cartan, [a + b for a, b in zip(kappa, nu)])
+                counts[lam] = counts.get(lam, 0) + 1
+            k = size(kappa)
+            for lam, m in counts.items():
+                q, rem = divmod(k * m, size(lam))
+                if rem:
+                    raise AxiomFailure(
+                        f"orbit-sum product coefficient {k * m}/{size(lam)}"
+                        " is not an integer")
+                out[lam] = out.get(lam, 0) + c * q
+        return out
+
+    zero = (0,) * r
+    products = {zero: {zero: 1}}  # powers -> their product
+    out = []
+    for row in rows:
+        key = zero
+        for j, power in enumerate(row):
+            for _ in range(power):
+                prev, key = key, key[:j] + (key[j] + 1,) + key[j + 1:]
+                if key not in products:
+                    products[key] = times(products[prev], units[j])
+        out.append(products[key])
     return out
 
 

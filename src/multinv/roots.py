@@ -39,7 +39,10 @@ subspace dual to the simple coroots, are Cartan^-1 . base, from one
 elimination of [Cartan | base].  The root and weight lattices follow, and
 the Smith form of the Cartan matrix gives their quotient.  In weight
 coordinates the simple reflection s_i subtracts mu_i times row i of the
-Cartan matrix, so `weight_orbit` walks a Weyl orbit in integers.
+Cartan matrix, so `weight_orbit` walks a Weyl orbit in integers, down
+from its dominant weight lambda; its size |W| / |W_J|, J the zero
+coordinates of lambda, comes from root heights without the walk
+(`_orbit_sizes`).
 
 Everything is verified at runtime: the construction raises AxiomFailure
 if any root-system axiom fails, which would indicate a bug rather than
@@ -233,9 +236,15 @@ def _walked_order(action: GroupAction):
     if _root_walk(action) is None:
         return None
     _, coordinates = _base_coordinates(action)
-    counts = Counter(sum(c) for c in coordinates.values() if min(c) >= 0)
+    return _kostant_order(sum(c) for c in coordinates.values() if min(c) >= 0)
+
+
+def _kostant_order(heights) -> int:
+    """The order of the Weyl group whose positive roots have these
+    heights: prod (k + 1) ** (n_k - n_(k+1)), n_k the number of height k."""
+    counts = Counter(heights)
     order = 1
-    for k in range(1, max(counts) + 1):
+    for k in range(1, max(counts, default=0) + 1):
         exponents = counts[k] - counts[k + 1]
         if exponents < 0:
             raise AxiomFailure("root heights do not form a partition")
@@ -505,17 +514,98 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
 
 def weight_orbit(rd: RootDatum, weight) -> tuple[tuple[int, ...], ...]:
     """The Weyl group orbit of an integral weight, in weight coordinates,
-    in breadth-first order from `weight`.
+    walked breadth-first down from its dominant representative
+    dom(weight), so the order depends only on the orbit (and starts at
+    `weight` itself when that is dominant).
 
     The simple reflection s_i maps mu to mu - mu_i * (row i of the Cartan
-    matrix) and fixes mu when mu_i == 0; the simple reflections generate
-    the Weyl group, so `groups._search` over them reaches the whole orbit
-    (Snow, "Weyl group orbits", ACM TOMS 16, 1990).
+    matrix).  From dom(weight) every weight of the orbit is reached by
+    steps that apply s_i only where mu_i > 0, each lowering the weight by
+    a positive multiple of alpha_i; s_i with mu_i < 0 leads back to a
+    weight found one level up, so the walk lists the orbit in the same
+    breadth-first order as a search over every s_i (Snow, "Weyl group
+    orbits", ACM TOMS 16, 1990).
     """
-    moves = [lambda mu, i=i, row=row:
-             tuple(m - mu[i] * a for m, a in zip(mu, row)) if mu[i] else mu
-             for i, row in enumerate(rd.cartan.entries)]
-    return tuple(_search(tuple(weight), moves))
+    cartan = _sparse(rd.cartan.entries)
+    walk = _walk_down(cartan, [()] * rd.rank, _dominant(cartan, weight), ())
+    return tuple(mu for mu, _ in walk)
+
+
+def _walk_down(cartan, lifts, start, point) -> list:
+    """The walk of `weight_orbit` from the dominant weight `start`, each
+    weight paired with a vector: `point` with `start`, and
+    v - mu_i * lifts[i] with s_i mu when v is paired with mu.  With
+    lifts[i] the image of the i-th simple root under a linear map of the
+    weights, and `point` that of `start`, each weight is paired with its
+    image.  The rows of the Cartan matrix and the lifts come as
+    `_sparse` gives them."""
+    seen = {start}
+    found = [(start, tuple(point))]
+    for mu, v in found:  # `found` grows while it is walked: a queue
+        for i, m in enumerate(mu):
+            if m > 0:
+                nu = _minus(mu, m, cartan[i])
+                if nu not in seen:
+                    seen.add(nu)
+                    found.append((nu, _minus(v, m, lifts[i])))
+    return found
+
+
+def _sparse(rows):
+    """Each row as the (index, entry) pairs of its nonzero entries."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+
+
+def _minus(v, m, sparse_row) -> tuple:
+    """v - m * row, for a row as `_sparse` gives it."""
+    w = list(v)
+    for j, a in sparse_row:
+        w[j] -= m * a
+    return tuple(w)
+
+
+def _dominant(sparse_cartan, weight) -> tuple[int, ...]:
+    """dom(weight): reflect by s_i while some coordinate mu_i < 0; each
+    step raises the weight by -mu_i * alpha_i, so the walk ends, at the
+    one dominant weight of the orbit (Humphreys, Section 1.12).  The
+    Cartan matrix's rows come as `_sparse` gives them."""
+    mu = tuple(weight)
+    while True:
+        for i, m in enumerate(mu):
+            if m < 0:
+                mu = _minus(mu, m, sparse_cartan[i])
+                break
+        else:
+            return mu
+
+
+def _orbit_sizes(rd: RootDatum):
+    """A function from a dominant weight lambda to |W lambda|, memoised on
+    the set J of its zero coordinates.
+
+    The stabiliser of lambda is W_J, generated by the s_j with j in J
+    (Humphreys, Section 1.12), so |W lambda| = |W| / |W_J|; the positive
+    roots of W_J are the positive roots supported on J, read from the
+    base coordinates `_check_base` gives, and their heights give |W_J|
+    as in `_walked_order`.  No orbit is listed."""
+    coordinates = (_check_base(rd.roots, rd.base, rd.rank, strict=False)
+                   if rd.rank else {})
+    supports = [(sum(1 << i for i, x in enumerate(c) if x), sum(c))
+                for c in coordinates.values() if min(c) >= 0]
+    order = _kostant_order(h for _, h in supports)
+    sizes = {}
+
+    def size(weight) -> int:
+        zeros = sum(1 << i for i, x in enumerate(weight) if not x)
+        if zeros not in sizes:
+            q, rem = divmod(order, _kostant_order(
+                h for support, h in supports if not support & ~zeros))
+            if rem:
+                raise AxiomFailure("a parabolic order does not divide |W|")
+            sizes[zeros] = q
+        return sizes[zeros]
+
+    return size
 
 
 def _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice):

@@ -24,15 +24,78 @@ from multinv import (
     is_reflection_group,
     kernel_lattice,
     orbit_sum,
-    quotient_invariants,
     smith_normal_form,
     solve_integer,
 )
+from multinv.lattice import _echelon, common_denominator
 from multinv.laurent import LaurentPolynomial
 
 
 def mat(rows):
     return IntMatrix(rows)
+
+
+def oracle_inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """The exact inverse of a matrix of determinant +-1, from one
+    elimination of [m | 1]; ValueError for any other matrix."""
+    n = m.nrows
+    if n != m.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    aug = [row + tuple(int(i == j) for j in range(n))
+           for i, row in enumerate(m.entries)]
+    rows, pivots, scale, _ = _echelon(aug, n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    if scale not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix([[scale * x for x in row[n:]] for row in rows], ncols=n)
+
+
+def oracle_solve_linear(equations, rhs):
+    """A rational solution of A * x = rhs, `equations` the rows of A, with
+    the free variables zero; None when the system is inconsistent."""
+    if not equations:
+        return ()
+    ncols = len(equations[0])
+    aug = []
+    for row, b in zip(equations, rhs):
+        den = common_denominator([*row, b])
+        aug.append([int(x * den) for x in (*row, b)])
+    rows, pivots, scale, _ = _echelon(aug, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[ncols], scale)
+    return tuple(x)
+
+
+def oracle_quotient_invariants(sub: Sublattice,
+                               amb: Sublattice) -> ElementaryDivisors:
+    """The elementary divisors of amb / sub, from the Smith form of sub's
+    basis in amb's coordinates; ValueError unless sub is a sublattice of
+    amb of the same ambient rank."""
+    if sub.ambient_rank != amb.ambient_rank:
+        raise ValueError("lattices live in different ambient spaces")
+    rows = []
+    for vec in sub.basis:
+        cs = amb.coefficients(vec)
+        if cs is None or any(c.denominator != 1 for c in cs):
+            raise ValueError(f"{vec} is not in the ambient lattice")
+        rows.append([int(c) for c in cs])
+    rel = IntMatrix(rows, ncols=amb.rank)
+    _, d, _ = smith_normal_form(rel)
+    divs = [d.entries[i][i] for i in range(min(rel.nrows, rel.ncols))]
+    if 0 in divs:
+        raise ValueError("sublattice basis is not independent")
+    divs += [0] * (amb.rank - len(divs))
+    return ElementaryDivisors(tuple(divs))
+
+
+def oracle_annihilated_by(ed: ElementaryDivisors, n: int) -> bool:
+    """Whether n kills the group: no free summand, and every torsion
+    divisor divides n."""
+    return ed.free_rank == 0 and all(n % d == 0 for d in ed.torsion)
 
 
 # rank-2 golden group: S3 acting on Z^2 through the matrices r, s
@@ -194,7 +257,7 @@ def block_diagonal(blocks):
 
 def conjugate(gens, u):
     """The generators written in the basis given by the rows of u."""
-    uinv = u.inverse_unimodular()
+    uinv = oracle_inverse_unimodular(u)
     return [u * g * uinv for g in gens]
 
 
@@ -303,7 +366,7 @@ def oracle_effective_quotient(action):
                               IntMatrix([], ncols=n), close_group([], rank=0))
     u, d, v = smith_normal_form(IntMatrix(fixed.basis, ncols=n))
     assert all(d.entries[i][i] == 1 for i in range(f)), "fixed is saturated"
-    w = v.inverse_unimodular()
+    w = oracle_inverse_unimodular(v)
     # first f rows of w span the fixed sublattice; the rest are a complement
     q = n - f
     section = IntMatrix(w.entries[f:], ncols=n)
@@ -355,7 +418,7 @@ def oracle_class_group(action):
         return ElementaryDivisors(())
     assert is_reflection_group(image), "residual action is a reflection group"
     rd = build_root_system(image)
-    return quotient_invariants(rd.pi_lattice, Sublattice.full(rd.rank))
+    return oracle_quotient_invariants(rd.pi_lattice, Sublattice.full(rd.rank))
 
 
 def oracle_find_reflections(action):
@@ -429,6 +492,21 @@ def oracle_orbit(action, point):
     """The images of the point under all |G| elements, in Fractions."""
     start = tuple(Fraction(x) for x in point)
     return frozenset(g.apply(start) for g in action.elements)
+
+
+def oracle_weight_orbit(rd, weight):
+    """The Weyl orbit of an integral weight in weight coordinates, searched
+    breadth-first from `weight` over every simple reflection
+    s_i(mu) = mu - mu_i * (row i of the Cartan matrix)."""
+    start = tuple(weight)
+    seen, found = {start}, [start]
+    for mu in found:
+        for i, row in enumerate(rd.cartan.entries):
+            nu = tuple(m - mu[i] * a for m, a in zip(mu, row))
+            if nu not in seen:
+                seen.add(nu)
+                found.append(nu)
+    return tuple(found)
 
 
 def oracle_enumerate_box(pi_lattice, multipliers):
@@ -541,7 +619,7 @@ def random_finite_action(rng, n, max_order=8) -> GroupAction:
     while True:
         gens = rng.choice(seeds)
         u = random_unimodular(rng, n)
-        uinv = u.inverse_unimodular()
+        uinv = oracle_inverse_unimodular(u)
         conj = [u * g * uinv for g in gens]
         try:
             return close_group(conj, cap=max_order)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from multinv import (
+    AxiomFailure,
     IntMatrix,
     LaurentPolynomial,
     NotInvariant,
@@ -15,6 +16,7 @@ from multinv import (
     fundamental_invariants_detailed,
     is_invariant,
     kernel_lattice,
+    laurent,
     orbit,
     orbit_sum,
     orbit_sum_decomposition,
@@ -25,11 +27,13 @@ from helpers import (
     BASE_RANK2,
     a1a1_action,
     conjugated_block_sums,
+    S2,
     neg_rank1_action,
     oracle_fundamental_invariants,
     oracle_orbit,
     poly,
     random_finite_action,
+    root_lattice_generators,
     s3_action,
     s4_action,
     swap_action,
@@ -134,6 +138,86 @@ def test_invariance_checks_every_generator():
     b = poly(2, {(0, 1): 1})
     assert b.transform(first) == b and b.transform(second) != b
     assert not is_invariant(g, b)
+
+
+def test_invariance_rejects_one_coefficient_off_by_one():
+    g = close_group(weyl_generators("A", 3))
+    p = orbit_sum(g, (1, 0, 0)) * orbit_sum(g, (0, 1, 1))
+    assert is_invariant(g, p)
+    for e in list(p.terms)[::7]:
+        terms = dict(p.terms)
+        terms[e] += 1
+        assert not is_invariant(g, LaurentPolynomial(3, 1, terms))
+
+
+def test_invariance_checks_the_last_generator():
+    # an orbit sum of the subgroup the other generators generate is fixed
+    # by each of them, and moved only by the last
+    gens = weyl_generators("A", 4)
+    g, sub = close_group(gens), close_group(gens[:-1])
+    p = orbit_sum(sub, (1, 2, 0, -1))
+    assert is_invariant(sub, p)
+    assert all(p.transform(h) == p for h in gens[:-1])
+    assert p.transform(gens[-1]) != p
+    assert not is_invariant(g, p)
+
+
+def test_invariance_reads_every_entry_of_a_moved_column():
+    # S2 = [[1, -1], [0, -1]] moves only column 1, which has two nonzero
+    # entries: (e0, e1) -> (e0, -e0 - e1).  Read from one entry alone,
+    # (1, 1) would go to (1, -1) and back; it goes to (1, -2)
+    g = close_group([S2])
+    assert laurent._moved_columns(S2) == [(1, ((0, -1), (1, -1)))]
+    assert not is_invariant(g, poly(2, {(1, 1): 1, (1, -1): 1}))
+    assert is_invariant(g, poly(2, {(1, 1): 1, (1, -2): 1}))
+    assert not is_invariant(g, poly(2, {(1, 1): 1, (1, -2): 2}))
+
+
+def test_invariance_with_exponents_in_thirds():
+    g = s3_action()
+    p = orbit_sum(g, (Fraction(-2, 3), Fraction(1, 3)))
+    assert p.denominator == 3
+    assert is_invariant(g, p)
+    assert not is_invariant(g, p + LaurentPolynomial.monomial(
+        (Fraction(-2, 3), Fraction(1, 3))))
+
+
+def test_integral_coefficients_are_ints():
+    p = LaurentPolynomial(2, 1, {(1, 0): Fraction(4, 2), (0, 1): 3,
+                                 (0, 0): Fraction(1, 2)})
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    assert (p * p).terms[(2, 0)] == 4 and type((p * p).terms[(2, 0)]) is int
+    g, rd, wm = rank2_invariants()
+    for inv in fundamental_invariants_detailed(g, rd, wm):
+        assert all(type(c) is int for c in inv.polynomial.terms.values())
+
+
+def test_fundamental_invariants_make_no_matrix_application(monkeypatch):
+    group = close_group(weyl_generators("A", 4))
+    pipe = reflection_monoid(group)
+    calls = []
+    apply = IntMatrix.apply
+
+    def counted_apply(self, v):
+        calls.append(v)
+        return apply(self, v)
+
+    monkeypatch.setattr(IntMatrix, "apply", counted_apply)
+    invs = fundamental_invariants_detailed(group, pipe.root_datum,
+                                           pipe.weight_monoid)
+    monkeypatch.undo()
+    assert calls == []
+    assert sum(len(f.polynomial.terms) for f in invs) == 2874
+
+
+def test_orbit_sum_products_raise_on_an_inexact_quotient(monkeypatch):
+    # with wrong orbit sizes (1 + sum of the coordinates: 2 for w1, 3
+    # for 2 w1) the count of 2 w1 in m_w1 * m_w1 fails to divide
+    g, rd, wm = rank2_invariants()
+    monkeypatch.setattr(laurent, "_orbit_sizes",
+                        lambda rd: lambda weight: 1 + sum(weight))
+    with pytest.raises(AxiomFailure):
+        fundamental_invariants_detailed(g, rd, wm)
 
 
 def test_integer_orbits_match_the_fraction_oracle():
@@ -310,6 +394,46 @@ def test_weight_coordinate_expansion_matches_the_orbit_sum_oracle(gens):
         assert frozenset(points) == orbit(group, w)
     assert (fundamental_invariants_detailed(group, rd, wm)
             == oracle_fundamental_invariants(group, rd, wm))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(conjugated_block_sums(max_trivial=2))
+def test_orbit_sum_products_are_the_orbit_sum_decomposition(gens):
+    # each dominant weight lambda stands for the orbit of
+    # prefix + sum lambda_j w_j, named in the decomposition by its
+    # lexicographically largest point
+    group = close_group(gens)
+    pipe = reflection_monoid(group)
+    rd, wm = pipe.root_datum, pipe.weight_monoid
+    products = laurent._orbit_sum_products(rd, wm.hilbert_basis)
+    invs = fundamental_invariants_detailed(group, rd, wm)
+    assert len(products) == len(invs)
+    for terms, inv in zip(products, invs):
+        assert all(min(lam) >= 0 for lam in terms)
+        expect = {}
+        for lam, c in terms.items():
+            point = tuple(
+                p + sum((m * w[k] for m, w in zip(lam, rd.fundamental_weights)),
+                        Fraction(0))
+                for k, p in enumerate(inv.unit_prefix))
+            expect[max(orbit(group, point))] = c
+        assert orbit_sum_decomposition(group, inv.polynomial) == expect
+
+
+def test_e6_invariants_have_the_product_term_count():
+    # the orbit-sum product of powers (p_j) of orbits of sizes s_j is a
+    # sum of prod s_j ** p_j monomials, counted with multiplicity
+    group = close_group(root_lattice_generators("E", 6), cap=51840)
+    pipe = reflection_monoid(group)
+    rd = pipe.root_datum
+    sizes = [len(weight_orbit(rd, [int(i == j) for i in range(6)]))
+             for j in range(6)]
+    assert sorted(sizes) == [27, 27, 72, 216, 216, 720]
+    invs = fundamental_invariants_detailed(group, rd, pipe.weight_monoid)
+    assert len(invs) == len(pipe.weight_monoid.hilbert_basis)
+    for inv in invs:
+        assert sum(inv.polynomial.terms.values()) == prod(
+            s ** p for s, p in zip(sizes, inv.powers))
 
 
 @pytest.mark.parametrize("kind, n", [("A", 2), ("A", 3), ("A", 4),

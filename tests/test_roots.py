@@ -21,7 +21,6 @@ from multinv import (
     verdict,
     weight_orbit,
 )
-from multinv.lattice import solve_linear
 from helpers import (
     BASE_RANK2,
     BASE_RANK3,
@@ -38,6 +37,8 @@ from helpers import (
     oracle_effective_quotient,
     oracle_induced_matrix,
     oracle_is_reflection_group,
+    oracle_solve_linear,
+    oracle_weight_orbit,
     random_unimodular,
     s3_action,
     s4_action,
@@ -302,6 +303,27 @@ def test_weight_orbit_sizes_of_the_fundamental_weights(kind, n, sizes):
     assert sorted(len(weight_orbit(rd, u)) for u in units) == sizes
 
 
+@pytest.mark.parametrize("kind, n", [("A", 3), ("B", 3), ("D", 4),
+                                     ("G", 2), ("S", 4)])
+def test_weight_orbit_is_walked_down_from_the_dominant_weight(kind, n):
+    # from a dominant weight the walk lists the orbit in the order of a
+    # breadth-first search over every simple reflection; from any other
+    # weight of the orbit it lists the same weights in the same order
+    rd = build_root_system(close_group(weyl_generators(kind, n)))
+    rng = random.Random(n)
+    for _ in range(12):
+        weight = tuple(rng.randint(-2, 2) for _ in range(rd.rank))
+        orb = weight_orbit(rd, weight)
+        dominant = max(orb, key=lambda mu: min(mu))
+        assert min(dominant) >= 0
+        assert orb[0] == dominant
+        assert orb == oracle_weight_orbit(rd, dominant)
+        assert set(orb) == set(oracle_weight_orbit(rd, weight))
+        assert weight in orb
+        for mu in orb[::max(1, len(orb) // 5)]:
+            assert weight_orbit(rd, mu) == orb
+
+
 def test_build_root_system_rejects_non_reflection_group():
     with pytest.raises(NotReflectionGroup):
         build_root_system(minus_identity_action(2))
@@ -344,7 +366,7 @@ def test_base_coordinates_match_per_root_solves(gens):
     assert set(coordinates) == rd.roots
     equations = [[b[k] for b in rd.base] for k in range(group.rank)]
     for r, c in coordinates.items():
-        assert solve_linear(equations, r) == c
+        assert oracle_solve_linear(equations, r) == c
     base, positive = roots._positive_system(group)
     assert base == rd.base
     assert {tuple(-x for x in r) for r in positive} == rd.roots - positive
@@ -455,7 +477,7 @@ def oracle_weights(action, base, base_matrices):
         equations.append([int(i == k) - s.entries[i][k] for i in range(n)])
         anchors.append(alpha[k])
     return tuple(
-        solve_linear(equations,
+        oracle_solve_linear(equations,
                      [0] * n + [anchors[j] * (i == j) for j in range(r)])
         for i in range(r)
     )

@@ -2,6 +2,7 @@
 the generators and reads |W| off the root heights, listing no element.
 The closure and the element scan are the oracles."""
 
+from itertools import product
 from math import prod
 
 import pytest
@@ -15,8 +16,11 @@ from multinv import (
     find_reflections,
     groups,
     roots,
+    weight_orbit,
 )
 from helpers import (
+    BASE_RANK2,
+    BASE_RANK3,
     BLOCK_SUMS,
     GOLDEN_REFLECTION_ACTIONS,
     block_diagonal,
@@ -25,6 +29,8 @@ from helpers import (
     oracle_find_reflections,
     orbit_sublattice_actions,
     root_lattice_generators,
+    s3_action,
+    s4_action,
     weyl_generators,
 )
 
@@ -100,6 +106,39 @@ def test_weyl_groups_of_rank_6_to_8_on_their_root_lattices(
         close_group(gens, cap=order - 1)
     assert str(exc.value) == (f"closure exceeded {order - 1} elements; "
                               "group is probably infinite")
+
+
+# A, B, D and G2, alone and in products, up to rank 5
+PARABOLIC_CASES = (
+    [[("A", n)] for n in range(1, 6)] + [[("B", n)] for n in range(2, 6)]
+    + [[("D", 4)], [("D", 5)], [("G", 2)], [("A", 1), ("A", 1)],
+       [("A", 1), ("A", 1), ("A", 1)], [("A", 2), ("B", 2)],
+       [("G", 2), ("A", 3)], [("B", 3), ("G", 2)], [("D", 4), ("A", 1)]])
+
+
+@pytest.mark.parametrize("blocks", PARABOLIC_CASES,
+                         ids=["x".join(f"{k}{n}" for k, n in blocks)
+                              for blocks in PARABOLIC_CASES])
+def test_orbit_sizes_from_heights_match_the_walked_orbits(blocks):
+    # one dominant weight per zero pattern J: |W| / |W_J| from the root
+    # heights against the length of the walked orbit
+    group = close_group(block_diagonal([weyl_generators(*b) for b in blocks]))
+    rd = build_root_system(group)
+    size = roots._orbit_sizes(rd)
+    assert size((0,) * rd.rank) == 1
+    for pattern in product((0, 1, 2), repeat=rd.rank):
+        if 2 in pattern and any(x == 1 for x in pattern):
+            continue  # zero patterns once with 1s, once with 2s
+        assert size(pattern) == len(weight_orbit(rd, pattern))
+    assert size((1,) * rd.rank) == group.order
+
+
+def test_orbit_sizes_over_a_chosen_base():
+    for action, base in ((s3_action(), BASE_RANK2), (s4_action(), BASE_RANK3)):
+        rd = build_root_system(action, base=base)
+        size = roots._orbit_sizes(rd)
+        for pattern in product((0, 1), repeat=rd.rank):
+            assert size(pattern) == len(weight_orbit(rd, pattern))
 
 
 def test_most_roots_by_rank():
