@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .classify import (
     UNKNOWN,
@@ -350,7 +351,10 @@ def _parse_base_override(value):
         raise InvalidInput(f"cannot parse base override: {exc}") from exc
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged,
+    and help is formatted, at the terminal's width, when it is printed."""
     parser = argparse.ArgumentParser(
         prog="multinv",
         description="Exact analysis of multiplicative invariants of finite "

@@ -9,9 +9,13 @@ Conventions used throughout the package:
 
 Everything rests on two integer primitives: `_echelon`, a fraction-free
 (Bareiss) Gauss-Jordan elimination behind determinants, ranks and the
-root layer's coordinates and weights, and `_row_step`, a unimodular two-row step
-behind the Smith and Hermite forms.  Fractions appear only in rational
-answers: solutions, coordinates and weights.
+root layer's coordinates and weights, and `_row_step`, a unimodular
+two-row step behind the Hermite form and the kernel lattices
+(`kernel_lattice` reads the kernel off the transform that brings a
+matrix to echelon form).  The Smith form, also built from `_row_step`,
+is taken only where its diagonal or both transforms are wanted:
+elementary divisors and `solve_integer`.  Fractions appear only in
+rational answers: solutions, coordinates and weights.
 """
 
 from __future__ import annotations
@@ -406,14 +410,23 @@ class Sublattice:
 
 
 def kernel_lattice(m: IntMatrix) -> Sublattice:
-    """The saturated sublattice {x in Z^nrows : x * m == 0}."""
-    u, d, _ = smith_normal_form(m)
-    rows = [
-        u.entries[i]
-        for i in range(m.nrows)
-        if i >= m.ncols or d.entries[i][i] == 0
-    ]
-    return Sublattice(m.nrows, rows)
+    """The saturated sublattice {x in Z^nrows : x * m == 0}.
+
+    Unimodular `_row_step`s bring m to echelon form, with the identity
+    riding along as u, so u * m is the echelon form.  Its rows past the
+    pivots vanish, and u is invertible over Z, so the matching rows of u
+    are a basis of the kernel."""
+    rows = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(m.nrows)] for i in range(m.nrows)]
+    top = 0
+    for col in range(m.ncols):
+        if top == m.nrows:
+            break
+        for k in range(top + 1, m.nrows):
+            _row_step(top, k, col, rows, u)
+        if rows[top][col]:
+            top += 1
+    return Sublattice(m.nrows, u[top:])
 
 
 @dataclass(frozen=True)

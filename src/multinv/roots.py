@@ -46,7 +46,17 @@ coordinates of lambda, comes from root heights without the walk
 
 Everything is verified at runtime: the construction raises AxiomFailure
 if any root-system axiom fails, which would indicate a bug rather than
-bad input.
+bad input.  `_verify_axioms` proves that the roots are reduced, that
+every reflection permutes them, that the weights pair to the Kronecker
+delta with the base coroots and lie in the moving subspace, and that
+the root lattice lies in the projected lattice.  It does so in
+O(r * |R|) steps, not one check per reflection and root: each simple
+reflection s_i maps the roots into themselves, and the (root, coroot)
+pairs of all reflections are walked out from the simple pairs under
+the s_i.  Every reflection is then w s_i w^-1 with w in the group the
+s_i generate, which permutes the roots, so every reflection does
+(Humphreys, Sections 1.5 and 1.14).  The weights are checked in the
+integers scale * weights that the elimination gives.
 """
 
 from __future__ import annotations
@@ -67,7 +77,6 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     _echelon,
-    kernel_lattice,
     smith_normal_form,
 )
 
@@ -91,7 +100,7 @@ class Reflection:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _negated(v) -> tuple:
@@ -194,22 +203,29 @@ def _root_walk(action: GroupAction):
     rank = IntMatrix([a for a, _ in pairs], ncols=n).rank()
     if IntMatrix([c for _, c in pairs], ncols=n).rank() != rank:
         return None
+    # a pair stands for the roots +-a
+    found = _walk_pairs(pairs, _most_roots(rank) // 2)
+    if found is None or len({a for a, _ in found}) != len(found):
+        return None
+    return found
+
+
+def _walk_pairs(pairs, cap):
+    """The pairs walked out from the normalised (root, coroot) `pairs`
+    under the reflections 1 - coroot (x) root they stand for, in the
+    order found; None once more than `cap` are found."""
     moves = [lambda pair, a=a, c=c: _reflected_pair(pair, a, c)
              for a, c in pairs]
-    budget = _most_roots(rank) // 2  # a pair stands for the roots +-a
     found = {}
     for pair in pairs:
         if pair in found:
             continue
-        if len(found) >= budget:
+        if len(found) >= cap:
             return None
         try:
-            found.update(dict.fromkeys(
-                _search(pair, moves, budget - len(found))))
+            found.update(dict.fromkeys(_search(pair, moves, cap - len(found))))
         except GroupTooLarge:
             return None
-    if len({a for a, _ in found}) != len(found):
-        return None
     return tuple(found)
 
 
@@ -221,6 +237,12 @@ def _reflected_pair(pair, a, c):
         root = tuple(x - k * y for x, y in zip(root, a))
     if m:
         coroot = tuple(x - m * y for x, y in zip(coroot, c))
+    return _normalised(root, coroot)
+
+
+def _normalised(root, coroot):
+    """The pair, or both negated: the root's first nonzero coordinate
+    positive."""
     if next(x for x in root if x) < 0:
         return _negated(root), _negated(coroot)
     return root, coroot
@@ -386,13 +408,15 @@ def _generic_base(roots: frozenset, rank: int) -> tuple[tuple[int, ...], ...]:
         values = {r: _dot(functional, r) for r in roots}
         if any(v == 0 for v in values.values()):
             continue
-        positive = {r for r, v in values.items() if v > 0}
+        # a decomposable r is s + t for positive s and t, both of
+        # smaller value, so r - s is tried only for s before r here
+        positive = sorted((v, r) for r, v in values.items() if v > 0)
+        positive_set = {r for _, r in positive}
         base = [
             r
-            for r in positive
-            if not any(
-                tuple(a - b for a, b in zip(r, s)) in positive for s in positive
-            )
+            for k, (_, r) in enumerate(positive)
+            if not any(tuple(a - b for a, b in zip(r, s)) in positive_set
+                       for _, s in positive[:k])
         ]
         if len(base) != rank:
             raise AxiomFailure("indecomposable positive roots do not form a base")
@@ -489,10 +513,10 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         [c + b for c, b in zip(cartan.entries, base)], rank)
     if len(pivots) < rank:
         raise AxiomFailure("the Cartan matrix is singular")
-    weights = tuple(tuple(Fraction(x, scale) for x in row[rank:])
-                    for row in rows)
+    scaled_weights = [row[rank:] for row in rows]
     pi_lattice = Sublattice(rank, coroots.entries)
-    _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice)
+    _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
+                   pi_lattice)
 
     # weight lattice / root lattice is Z^r / (rows of the Cartan matrix)
     _, d, _ = smith_normal_form(cartan)
@@ -506,7 +530,8 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         base_reflections=base_reflections,
         coroots=coroots,
         cartan=cartan,
-        fundamental_weights=weights,
+        fundamental_weights=tuple(
+            tuple(Fraction(x, scale) for x in row) for row in scaled_weights),
         pi_lattice=pi_lattice,
         fundamental_group=fundamental_group,
     )
@@ -608,7 +633,11 @@ def _orbit_sizes(rd: RootDatum):
     return size
 
 
-def _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice):
+def _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
+                   pi_lattice):
+    """Check the root-system axioms and the defining identities of the
+    weights, given as the integer rows scale * weights; AxiomFailure on
+    the first that fails."""
     # reduced: the only roots proportional to a root are itself and its
     # negative.  `_root_span` found one root line per reflection, and two
     # proportional primitive integer vectors are equal or opposite, so
@@ -616,26 +645,32 @@ def _verify_axioms(action, refls, roots, base, coroots, weights, pi_lattice):
     for a in roots:
         if gcd(*a) != 1:
             raise AxiomFailure(f"root {a} is not primitive")
-    # each reflection permutes the root set
-    for refl in refls:
+    # each reflection permutes the root set: each simple reflection maps
+    # the roots into themselves, and the pairs of all reflections are
+    # walked out from the simple pairs, so every reflection is
+    # w s_i w^-1 with w in the group the s_i generate
+    simple = list(zip(base, zip(*coroots.entries)))
+    for alpha, c in simple:
         for beta in roots:
-            c = _dot(beta, refl.coroot)
-            if tuple(b - c * a for a, b in zip(refl.root, beta)) not in roots:
+            k = _dot(beta, c)
+            if k and tuple(b - k * a for a, b in zip(alpha, beta)) not in roots:
                 raise AxiomFailure("a reflection does not permute the roots")
+    walked = _walk_pairs([_normalised(a, c) for a, c in simple], len(refls))
+    if walked is None or set(walked) != {(r.root, r.coroot) for r in refls}:
+        raise AxiomFailure("a reflection does not permute the roots")
     # defining property of the weights, as exact identities: they pair to
     # the Kronecker delta against the base coroots, and they lie in the
-    # moving subspace, which every invariant functional f (g f = f for
-    # all g) annihilates
-    for i, w in enumerate(weights):
-        if coroots.apply(w) != tuple(int(i == j) for j in range(len(base))):
+    # moving subspace, the annihilator of the invariant functionals f
+    # (g f = f for all g), which is the sum of the row spaces of 1 - g
+    for i, w in enumerate(scaled_weights):
+        if coroots.apply(w) != tuple(scale * (i == j)
+                                     for j in range(len(base))):
             raise AxiomFailure("weight pairing identity failed")
-    identity = IntMatrix.identity(action.rank)
-    invariant = kernel_lattice(
-        IntMatrix.hstack([g.transpose() - identity for g in action.generators])
-    )
-    for w in weights:
-        if any(_dot(w, f) for f in invariant.basis):
-            raise AxiomFailure("fundamental weight has a fixed component")
+    moved = [row for g in action.generators for row in _one_minus_rows(g)]
+    n = action.rank
+    if (len(_echelon(moved + scaled_weights, n)[1])
+            != len(_echelon(moved, n)[1])):
+        raise AxiomFailure("fundamental weight has a fixed component")
     # lattice sandwich: root lattice inside the projected lattice inside
     # the weight lattice
     for alpha in base:

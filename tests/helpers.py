@@ -92,6 +92,19 @@ def oracle_quotient_invariants(sub: Sublattice,
     return ElementaryDivisors(tuple(divs))
 
 
+def oracle_kernel_lattice(m: IntMatrix) -> Sublattice:
+    """The saturated kernel {x : x * m == 0} from the Smith form
+    u * m * v == d: the rows of u whose diagonal entry of d is zero, or
+    that lie past the diagonal."""
+    u, d, _ = smith_normal_form(m)
+    rows = [
+        u.entries[i]
+        for i in range(m.nrows)
+        if i >= m.ncols or d.entries[i][i] == 0
+    ]
+    return Sublattice(m.nrows, rows)
+
+
 def oracle_annihilated_by(ed: ElementaryDivisors, n: int) -> bool:
     """Whether n kills the group: no free summand, and every torsion
     divisor divides n."""

@@ -469,3 +469,27 @@ def test_invariants_expand_without_group_orbits_or_polynomial_products(
     assert len(json.loads(out)["invariants"]) == 14
     assert calls == {"orbit": 0, "orbit_sum": 0, "orbit_sum_decomposition": 0,
                      "mul": 0}
+
+
+def test_parser_is_built_once_and_answers_as_a_fresh_one(tmp_path, capsys,
+                                                        monkeypatch):
+    path = write_doc(tmp_path, RANK2_DOC)
+    calls = (["analyze", path], ["analyze", path, "--group-cap", "many"],
+             ["--help"], ["verdict", path, "--json"])
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    assert cli.build_parser() is cli.build_parser()
+    memoised = outcomes()
+    assert [code for code, _, _ in memoised] == [0, ("exit", 2),
+                                                 ("exit", 0), 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert memoised == outcomes()

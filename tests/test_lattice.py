@@ -18,6 +18,7 @@ from helpers import (
     mat,
     oracle_annihilated_by,
     oracle_inverse_unimodular,
+    oracle_kernel_lattice,
     oracle_quotient_invariants,
     oracle_solve_linear,
     random_unimodular,
@@ -131,6 +132,28 @@ def test_kernel_matches_selected_root():
     # 1 + s for the rank-2 shear reflection: the negated line is (0, 1)
     m = IntMatrix.identity(2) + mat([[1, -1], [0, -1]])
     assert kernel_lattice(m).basis == ((0, 1),)
+
+
+def test_kernel_matches_the_smith_form_kernel():
+    rng = random.Random(2024)
+    shapes = [(0, 0), (0, 3), (3, 0), (4, 4)]  # empty, 0-column, zero
+    shapes += [(rng.randint(1, 3), rng.randint(4, 8)) for _ in range(60)]
+    shapes += [(rng.randint(4, 8), rng.randint(1, 3)) for _ in range(60)]
+    shapes += [(n, n) for n in (rng.randint(1, 6) for _ in range(40))]
+    checked = 0
+    for nr, nc in shapes:
+        for bound in (0, 3, 10 ** 6):
+            rows = [[rng.randint(-bound, bound) for _ in range(nc)]
+                    for _ in range(nr)]
+            if nr >= 2 and bound and rng.random() < 0.5:
+                # rank-deficient: one row a combination of two others
+                i, j, k = (rng.randrange(nr) for _ in range(3))
+                rows[i] = [rng.randint(-3, 3) * a + rng.randint(-3, 3) * b
+                           for a, b in zip(rows[j], rows[k])]
+            m = IntMatrix(rows, ncols=nc)
+            assert kernel_lattice(m) == oracle_kernel_lattice(m)
+            checked += 1
+    assert checked >= 200
 
 
 def test_image_identity_and_zero():
@@ -360,8 +383,8 @@ def test_contains_agrees_with_integral_coefficients(m, data):
         lat.contains([0] * (n + 1))
 
 
-# (u, d, v) of the Smith form, pinned: kernel_lattice reads u and
-# solve_integer reads u and v, so the transforms must not drift
+# (u, d, v) of the Smith form, pinned: solve_integer reads u and v, so
+# the transforms must not drift
 PINNED_SMITH_FORMS = [
     (
         [[2, 4, 4], [-6, 6, 12], [10, -4, -16]],

@@ -6,17 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multinv import (
+    AxiomFailure,
     ElementaryDivisors,
     IntMatrix,
     InvalidBase,
     NotReflectionGroup,
     Sublattice,
     build_root_system,
+    classify,
     close_group,
     find_reflections,
     groups,
     is_reflection_group,
     kernel_lattice,
+    lattice,
+    laurent,
+    monoid,
     roots,
     verdict,
     weight_orbit,
@@ -509,3 +514,108 @@ def test_root_datum_matches_the_average_and_kernel_oracles(gens):
     for i, w in enumerate(rd.fundamental_weights):
         assert rd.coroots.apply(w) == tuple(int(i == j)
                                             for j in range(rd.rank))
+
+
+def verified_arguments(gens, monkeypatch):
+    """The arguments `build_root_system` passes to `_verify_axioms`, for
+    the group the generators close to."""
+    seen = []
+    verify = roots._verify_axioms
+    monkeypatch.setattr(roots, "_verify_axioms",
+                        lambda *args: seen.append(args) or verify(*args))
+    build_root_system(close_group(gens))
+    monkeypatch.undo()
+    (args,) = seen
+    return list(args)
+
+
+def non_simple(args):
+    """A reflection whose root is no base root, up to sign."""
+    _, refls, _, base, *_ = args
+    lines = set(base) | {tuple(-x for x in a) for a in base}
+    return next(r for r in refls if r.root not in lines)
+
+
+PERMUTES = "a reflection does not permute the roots"
+
+
+def test_axioms_reject_a_reflection_off_the_simple_walk(monkeypatch):
+    args = verified_arguments(weyl_generators("A", 3), monkeypatch)
+    roots._verify_axioms(*args)
+    bad = non_simple(args)
+    coroot = tuple(2 * c for c in bad.coroot)
+    args[1] = tuple(r if r is not bad else
+                    roots.Reflection(bad.matrix, bad.root, coroot, True)
+                    for r in args[1])
+    with pytest.raises(AxiomFailure, match=PERMUTES):
+        roots._verify_axioms(*args)
+
+
+def test_axioms_reject_roots_a_simple_reflection_does_not_keep(monkeypatch):
+    # the reflections still walk out from the simple ones, but the root
+    # set lacks one of their roots
+    args = verified_arguments(weyl_generators("A", 3), monkeypatch)
+    gone = non_simple(args).root
+    args[2] = args[2] - {gone, tuple(-x for x in gone)}
+    with pytest.raises(AxiomFailure, match=PERMUTES):
+        roots._verify_axioms(*args)
+
+
+def test_axioms_reject_a_walk_past_the_reflection_count(monkeypatch):
+    args = verified_arguments(weyl_generators("B", 3), monkeypatch)
+    bad = non_simple(args)
+    args[1] = tuple(r for r in args[1] if r is not bad)
+    with pytest.raises(AxiomFailure, match=PERMUTES):
+        roots._verify_axioms(*args)
+
+
+def test_axioms_stop_an_endless_walk_at_the_reflection_count(monkeypatch):
+    # S3 permuting Z^3 with the first simple coroot replaced by (1, 1, 1):
+    # it pairs to zero with every root, so the simple reflections still
+    # keep the roots, but conjugating the second pair by the first adds
+    # (1, 1, 1) to its coroot again and again
+    args = verified_arguments(weyl_generators("S", 3), monkeypatch)
+    columns = list(zip(*args[4].entries))
+    columns[0] = (1, 1, 1)
+    args[4] = IntMatrix(list(zip(*columns)), ncols=len(columns))
+    with pytest.raises(AxiomFailure, match=PERMUTES):
+        roots._verify_axioms(*args)
+
+
+def test_axioms_reject_a_weight_off_the_delta(monkeypatch):
+    args = verified_arguments(weyl_generators("B", 3), monkeypatch)
+    weights = args[5]
+    args[5] = [[a + b for a, b in zip(weights[0], weights[1])],
+               *weights[1:]]
+    with pytest.raises(AxiomFailure, match="weight pairing identity failed"):
+        roots._verify_axioms(*args)
+
+
+def test_axioms_reject_a_weight_with_a_fixed_component(monkeypatch):
+    # S4 permuting Z^4 fixes (1, 1, 1, 1), which pairs to zero with every
+    # coroot, so only the fixed-component check sees the shift
+    args = verified_arguments(weyl_generators("S", 4), monkeypatch)
+    weights = args[5]
+    args[5] = [tuple(x + 1 for x in weights[0]), *weights[1:]]
+    with pytest.raises(AxiomFailure,
+                       match="fundamental weight has a fixed component"):
+        roots._verify_axioms(*args)
+
+
+def test_verdict_on_b5_takes_one_smith_form(monkeypatch):
+    group = close_group(weyl_generators("B", 5))
+    taken = []
+    smith_normal_form = lattice.smith_normal_form
+
+    def counted(m):
+        taken.append(m)
+        return smith_normal_form(m)
+
+    for module in (lattice, groups, roots, classify, monoid, laurent):
+        monkeypatch.setattr(module, "smith_normal_form", counted,
+                            raising=False)
+    assert verdict(group).rule == "reflection-invariants"
+    monkeypatch.undo()
+    # the fundamental group; the fixed sublattice and the weights' check
+    # take none
+    assert taken == [build_root_system(group).cartan]

@@ -168,3 +168,28 @@ def test_infinite_groups_take_the_closure(gens):
     assert str(exc.value) == ("closure exceeded 1000 elements; group is "
                               "probably infinite")
     assert roots._root_walk(GroupAction(2, gens)) is None
+
+
+def test_e8_axioms_walk_the_reflections_once_per_simple_root(no_closure,
+                                                             monkeypatch):
+    group = close_group(root_lattice_generators("E", 8), cap=696729600)
+    calls = {"inside": False, "pairs": 0}
+    reflected_pair, verify = roots._reflected_pair, roots._verify_axioms
+
+    def counted_pair(*args):
+        calls["pairs"] += calls["inside"]
+        return reflected_pair(*args)
+
+    def flagged_verify(*args):
+        calls["inside"] = True
+        try:
+            return verify(*args)
+        finally:
+            calls["inside"] = False
+
+    monkeypatch.setattr(roots, "_reflected_pair", counted_pair)
+    monkeypatch.setattr(roots, "_verify_axioms", flagged_verify)
+    build_root_system(group)
+    # one step per simple reflection and positive root, not one check per
+    # reflection and root
+    assert 0 < calls["pairs"] <= 8 * 120
