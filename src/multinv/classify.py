@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 
 from .errors import (
     HasReflections,
@@ -68,29 +69,31 @@ def class_group(action: GroupAction) -> ElementaryDivisors:
     Lorenz's formula (*Multiplicative Invariant Theory*, Springer 2005,
     class-group chapter) gives Cl(k[L]^G) = H^1(G/D, L^D), where D is
     generated by the diagonalizable reflections.  By inflation-restriction
-    this is H^1(G, L^D), as Hom(D, L^D) = 0.  With B the basis rows of
-    L^D, the coboundaries are the row space of hstack(B (h - 1)) over the
-    generators h, and the cocycles are its saturation, so H^1 is the
-    torsion of one Smith form: its nonzero diagonal, leading 1s included,
-    is returned.  Raises NotReflectionGroup when the group is not
-    generated by reflections.
+    this is H^1(G, L^D), as Hom(D, L^D) = 0.  A reflection r moves x by
+    x (1 - r) = (x . coroot) root, so L^D is the kernel of the matrix
+    whose columns are the coroots of the diagonalizable reflections.
+    With B the basis rows of L^D, the coboundaries are the row space of
+    the rows b - b h, side by side over the generators h, and the
+    cocycles are its saturation, so H^1 is the torsion of one Smith form:
+    its nonzero diagonal, leading 1s included, is returned.  Raises
+    NotReflectionGroup when the group is not generated by reflections.
     """
     if not is_reflection_group(action):
         raise NotReflectionGroup("class group formula needs a reflection group")
     if action.order == 1:
         return ElementaryDivisors(())
     n = action.rank
-    identity = IntMatrix.identity(n)
-    diagonalizable = [
-        r.matrix - identity for r in find_reflections(action) if r.diagonalizable
-    ]
-    residual = (kernel_lattice(IntMatrix.hstack(diagonalizable))
-                if diagonalizable else Sublattice.full(n))
+    checked = IntMatrix._from_checked_rows
+    coroots = [r.coroot for r in find_reflections(action) if r.diagonalizable]
+    residual = (kernel_lattice(checked(tuple(zip(*coroots)), len(coroots)))
+                if coroots else Sublattice.full(n))
     if residual.rank == 0:
         return ElementaryDivisors(())
-    basis = IntMatrix(residual.basis, ncols=n)
-    _, d, _ = smith_normal_form(IntMatrix.hstack(
-        [basis * (h - identity) for h in action.generators]))
+    coboundaries = [
+        sum((tuple(map(sub, b, h.apply(b))) for h in action.generators), ())
+        for b in residual.basis]
+    _, d, _ = smith_normal_form(
+        checked(tuple(coboundaries), n * len(action.generators)))
     diagonal = (d.entries[i][i] for i in range(residual.rank))
     return ElementaryDivisors(tuple(x for x in diagonal if x))
 

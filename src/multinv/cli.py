@@ -62,8 +62,9 @@ def load_action(doc) -> ActionDescription:
                         f"{where}[{ri}][{ci}] must be an integer"
                     )
         m = IntMatrix(mat, ncols=rank)
-        if m.det() not in (1, -1):
-            raise InvalidInput(f"{where} has determinant {m.det()}, not +-1")
+        det = m.det()
+        if det not in (1, -1):
+            raise InvalidInput(f"{where} has determinant {det}, not +-1")
         gens.append(m)
     base = doc.get("base_override")
     if base is not None:

@@ -69,14 +69,6 @@ class GroupAction:
             self._order = len(self.elements)
         return self._order
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupAction):
-            return NotImplemented
-        return (self.rank, self.elements) == (other.rank, other.elements)
-
-    def __hash__(self):
-        return hash((self.rank, self.elements))
-
     def __repr__(self):
         return f"GroupAction(rank={self.rank}, order={self.order})"
 
@@ -205,12 +197,14 @@ def orbit(action: GroupAction, point) -> frozenset:
 
 @memoised
 def fixed_sublattice(action: GroupAction) -> Sublattice:
-    """The saturated sublattice of vectors fixed by the whole group."""
+    """The saturated sublattice of vectors fixed by the whole group: the
+    kernel of the rows of 1 - g over the generators g, side by side."""
     gens = action.generators
     if not gens:
         return Sublattice.full(action.rank)
-    identity = IntMatrix.identity(action.rank)
-    return kernel_lattice(IntMatrix.hstack([g - identity for g in gens]))
+    blocks = zip(*map(_one_minus_rows, gens))
+    return kernel_lattice(IntMatrix._from_checked_rows(
+        tuple(sum(rows, ()) for rows in blocks), action.rank * len(gens)))
 
 
 @memoised

@@ -90,17 +90,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def hstack(cls, mats) -> "IntMatrix":
-        mats = list(mats)
-        nrows = mats[0].nrows
-        rows = [sum((m.entries[i] for m in mats), ()) for i in range(nrows)]
-        return cls(rows, ncols=sum(m.ncols for m in mats))
-
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -109,23 +98,6 @@ class IntMatrix:
         columns = other.transpose().entries
         return IntMatrix([tuple(sum(map(mul, row, col)) for col in columns)
                           for row in self.entries], ncols=other.ncols)
-
-    def __add__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        rows = [
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        ]
-        return IntMatrix(rows, ncols=self.ncols)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return IntMatrix(
-            [tuple(-x for x in row) for row in self.entries], ncols=self.ncols
-        )
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):

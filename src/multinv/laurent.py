@@ -26,8 +26,8 @@ from .errors import AxiomFailure, NotInvariant, SupportEscape
 from .groups import GroupAction, _search
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
-from .roots import (RootDatum, _dominant, _orbit_sizes, _sparse, _walk_down,
-                    weight_orbit)
+from .roots import (RootDatum, _dominant, _dot, _orbit_sizes, _sparse,
+                    _walk_down, weight_orbit)
 
 
 class LaurentPolynomial:
@@ -376,10 +376,6 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
             raise AxiomFailure("fundamental invariant is not invariant")
         out.append(FundamentalInvariant(tuple(row), prefix, poly))
     return out
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _orbit_sum_products(rd: RootDatum, rows) -> list[dict]:

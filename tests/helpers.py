@@ -35,6 +35,15 @@ def mat(rows):
     return IntMatrix(rows)
 
 
+def one_minus(*gs: IntMatrix) -> IntMatrix:
+    """[1 - g1 | 1 - g2 | ...] for square matrices g1, g2, ... of one
+    size, entry by entry."""
+    n = gs[0].nrows
+    return IntMatrix([[int(i == j) - x for g in gs
+                       for j, x in enumerate(g.entries[i])]
+                      for i in range(n)], ncols=n * len(gs))
+
+
 def oracle_inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """The exact inverse of a matrix of determinant +-1, from one
     elimination of [m | 1]; ValueError for any other matrix."""
@@ -419,10 +428,9 @@ def oracle_class_group(action):
     bar = oracle_effective_quotient(action).induced
     if bar.order == 1:
         return ElementaryDivisors(())
-    identity = IntMatrix.identity(bar.rank)
-    diagonalizable = [r.matrix - identity for r in find_reflections(bar)
+    diagonalizable = [r.matrix for r in find_reflections(bar)
                       if r.diagonalizable]
-    residual = (kernel_lattice(IntMatrix.hstack(diagonalizable))
+    residual = (kernel_lattice(one_minus(*diagonalizable))
                 if diagonalizable else Sublattice.full(bar.rank))
     if residual.rank == 0:
         return ElementaryDivisors(())
@@ -432,6 +440,29 @@ def oracle_class_group(action):
     assert is_reflection_group(image), "residual action is a reflection group"
     rd = build_root_system(image)
     return oracle_quotient_invariants(rd.pi_lattice, Sublattice.full(rd.rank))
+
+
+def oracle_class_group_divisors(action):
+    """The class group's full Smith diagonal, leading 1s included, from
+    the matrices 1 - g: L^D is the kernel of the 1 - r side by side over
+    the diagonalizable reflections r, and H^1(G, L^D) the nonzero
+    diagonal of the Smith form of B (1 - h) side by side over the
+    generators h, B the basis rows of L^D.  (Negating a matrix keeps its
+    Smith diagonal, so this is also that of B (h - 1) side by side.)"""
+    assert is_reflection_group(action)
+    n = action.rank
+    if action.order == 1:
+        return ElementaryDivisors(())
+    diagonalizable = [r.matrix for r in find_reflections(action)
+                      if r.diagonalizable]
+    residual = (kernel_lattice(one_minus(*diagonalizable))
+                if diagonalizable else Sublattice.full(n))
+    if residual.rank == 0:
+        return ElementaryDivisors(())
+    basis = IntMatrix(residual.basis, ncols=n)
+    _, d, _ = smith_normal_form(basis * one_minus(*action.generators))
+    diagonal = (d.entries[i][i] for i in range(residual.rank))
+    return ElementaryDivisors(tuple(x for x in diagonal if x))
 
 
 def oracle_find_reflections(action):
@@ -446,7 +477,7 @@ def oracle_find_reflections(action):
         if sum(g.entries[i][i] for i in range(n)) != n - 2 or \
                 g * g != identity:
             continue
-        moved = (identity - g).entries
+        moved = one_minus(g).entries
         row = next(r for r in moved if any(r))
         k = next(j for j, x in enumerate(row) if x)
         scale = gcd(*row) if row[k] > 0 else -gcd(*row)
@@ -463,7 +494,7 @@ def oracle_is_fixed_point_free(action):
     """True when every nonidentity element fixes only the origin, that is,
     1 - g has full rank."""
     identity = IntMatrix.identity(action.rank)
-    return all((identity - g).rank() == action.rank
+    return all(one_minus(g).rank() == action.rank
                for g in action.elements if g != identity)
 
 

@@ -40,6 +40,7 @@ from helpers import (
     neg_rank1_action,
     oracle_annihilated_by,
     oracle_class_group,
+    oracle_class_group_divisors,
     oracle_effective_quotient,
     oracle_inverse_unimodular,
     oracle_is_fixed_point_free,
@@ -98,6 +99,7 @@ def assert_class_group_matches_oracle(gens):
     cl = class_group(action)
     assert cl.free_rank == 0
     assert cl.torsion == oracle_class_group(action).torsion
+    assert cl.divisors == oracle_class_group_divisors(action).divisors
 
 
 @PROPERTY

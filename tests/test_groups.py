@@ -23,9 +23,12 @@ from helpers import (
     conjugated_block_sums,
     mat,
     minus_identity_action,
+    one_minus,
     oracle_effective_quotient,
     oracle_induced_matrix,
+    oracle_kernel_lattice,
     oracle_orbit,
+    orbit_sublattice_actions,
     s3_action,
     s4_action,
     swap_action,
@@ -271,7 +274,6 @@ def test_closed_elements_are_the_validated_matrices(gens):
     # interned; they equal the matrices the validating constructor
     # builds, and rank(1 - g) is read off the rows of 1 - g
     group = close_group(gens)
-    identity = IntMatrix.identity(group.rank)
     for i, g in enumerate(group.elements):
         rebuilt = IntMatrix(g.entries, ncols=group.rank)
         assert (g.nrows, g.ncols, g.entries) == \
@@ -279,4 +281,30 @@ def test_closed_elements_are_the_validated_matrices(gens):
         assert g == rebuilt and hash(g) == hash(rebuilt)
         assert group.elements[i] == rebuilt
     assert displacement_ranks(group) == tuple(
-        (identity - g).rank() for g in group.elements)
+        one_minus(g).rank() for g in group.elements)
+
+
+def assert_fixed_sublattice_matches_oracle(gens):
+    # {x : x g = x for every generator g}: the Smith-form kernel of the
+    # 1 - g side by side; its rank is that of the group average
+    # sum_g g, whose image is the fixed space over Q
+    action = close_group(gens)
+    n = action.rank
+    fixed = fixed_sublattice(action)
+    assert fixed == oracle_kernel_lattice(one_minus(*gens))
+    assert all(g.apply(b) == b for b in fixed.basis for g in gens)
+    average = IntMatrix([[sum(g.entries[i][j] for g in action.elements)
+                          for j in range(n)] for i in range(n)], ncols=n)
+    assert fixed.rank == average.rank()
+
+
+@PROPERTY
+@given(conjugated_block_sums(max_trivial=2))
+def test_fixed_sublattice_matches_the_kernel_oracle(gens):
+    assert_fixed_sublattice_matches_oracle(gens)
+
+
+@PROPERTY
+@given(orbit_sublattice_actions())
+def test_fixed_sublattice_matches_the_kernel_oracle_off_block_sums(gens):
+    assert_fixed_sublattice_matches_oracle(gens)

@@ -16,6 +16,7 @@ from multinv import (
 from multinv.lattice import common_denominator
 from helpers import (
     mat,
+    one_minus,
     oracle_annihilated_by,
     oracle_inverse_unimodular,
     oracle_kernel_lattice,
@@ -120,17 +121,18 @@ def test_snf_rectangular():
 
 
 def test_kernel_zero_matrix():
-    assert kernel_lattice(IntMatrix.zero(2, 2)) == Sublattice.full(2)
+    assert kernel_lattice(mat([[0, 0], [0, 0]])) == Sublattice.full(2)
 
 
 def test_kernel_of_swap_difference():
-    m = IntMatrix.identity(2) - mat([[0, 1], [1, 0]])
+    m = one_minus(mat([[0, 1], [1, 0]]))
     assert kernel_lattice(m).basis == ((1, 1),)
 
 
 def test_kernel_matches_selected_root():
-    # 1 + s for the rank-2 shear reflection: the negated line is (0, 1)
-    m = IntMatrix.identity(2) + mat([[1, -1], [0, -1]])
+    # 1 + s for the rank-2 shear reflection s = [[1, -1], [0, -1]]: the
+    # negated line is (0, 1)
+    m = mat([[2, -1], [0, 0]])
     assert kernel_lattice(m).basis == ((0, 1),)
 
 
@@ -158,11 +160,11 @@ def test_kernel_matches_the_smith_form_kernel():
 
 def test_image_identity_and_zero():
     assert Sublattice(3, IntMatrix.identity(3).entries) == Sublattice.full(3)
-    assert Sublattice(2, IntMatrix.zero(2, 2).entries).rank == 0
+    assert Sublattice(2, ((0, 0), (0, 0))).rank == 0
 
 
 def test_image_doubling():
-    m = IntMatrix.identity(2) - mat([[-1, 0], [0, -1]])
+    m = one_minus(mat([[-1, 0], [0, -1]]))
     im = Sublattice(2, m.entries)
     assert im.basis == ((2, 0), (0, 2))
     assert oracle_quotient_invariants(im, Sublattice.full(2)).order() == 4
@@ -294,8 +296,8 @@ def test_matrices_without_rows_or_columns():
     thin = IntMatrix([(), ()], ncols=0)
     assert (thin.transpose().nrows, thin.transpose().ncols) == (0, 2)
     assert thin.apply((1, 2)) == ()
-    assert thin * empty == IntMatrix.zero(2, 3)
-    assert empty * IntMatrix.zero(3, 2) == IntMatrix([], ncols=2)
+    assert thin * empty == mat([[0, 0, 0], [0, 0, 0]])
+    assert empty * mat([[0, 0], [0, 0], [0, 0]]) == IntMatrix([], ncols=2)
 
 
 @PROPERTY

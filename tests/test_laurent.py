@@ -29,6 +29,7 @@ from helpers import (
     conjugated_block_sums,
     S2,
     neg_rank1_action,
+    one_minus,
     oracle_fundamental_invariants,
     oracle_orbit,
     poly,
@@ -360,9 +361,8 @@ def test_fixed_component_is_constant_on_support():
     for action, base in [(s3_action(), BASE_RANK2), (swap_action(), None)]:
         rd = build_root_system(action, base=base)
         wm = build_weight_monoid(rd, rd.pi_lattice)
-        identity = IntMatrix.identity(action.rank)
-        functionals = kernel_lattice(IntMatrix.hstack(
-            [g.transpose() - identity for g in action.generators])).basis
+        functionals = kernel_lattice(one_minus(
+            *[g.transpose() for g in action.generators])).basis
         for inv in fundamental_invariants_detailed(action, rd, wm):
             images = {tuple(sum(a * b for a, b in zip(pt, f))
                             for f in functionals)

@@ -38,6 +38,7 @@ from helpers import (
     mat,
     minus_identity_action,
     neg_rank1_action,
+    one_minus,
     oracle_coroot_pairing,
     oracle_effective_quotient,
     oracle_induced_matrix,
@@ -430,11 +431,8 @@ def test_reflections_descend_to_effective_quotient():
         for g in action.elements:
             if g == identity:
                 continue
-            on_lattice = (identity - g).rank() == 1
-            gbar = oracle_induced_matrix(eq, g)
-            ibar = mat([[int(i == j) for j in range(eq.quotient_rank)]
-                        for i in range(eq.quotient_rank)])
-            on_quotient = (ibar - gbar).rank() == 1
+            on_lattice = one_minus(g).rank() == 1
+            on_quotient = one_minus(oracle_induced_matrix(eq, g)).rank() == 1
             assert on_lattice == on_quotient
 
 
@@ -446,15 +444,16 @@ def test_reflections_descend_to_effective_quotient():
 
 def oracle_reflections(action):
     n = action.rank
-    identity = IntMatrix.identity(n)
     out = []
     for g in action.elements:
-        if (identity - g).rank() != 1:
+        if one_minus(g).rank() != 1:
             continue
-        root = kernel_lattice(g + identity).basis[0]
+        one_plus = mat([[int(i == j) + x for j, x in enumerate(row)]
+                        for i, row in enumerate(g.entries)])
+        root = kernel_lattice(one_plus).basis[0]
         if next(x for x in root if x) < 0:
             root = tuple(-x for x in root)
-        fixed = kernel_lattice(g - identity)
+        fixed = kernel_lattice(one_minus(g))
         split = IntMatrix(list(fixed.basis) + [root], ncols=n)
         out.append((g, root, abs(split.det()) == 1))
     return out
