@@ -17,6 +17,7 @@ from .classify import (
 )
 from .errors import (
     AxiomFailure,
+    BoxTooLarge,
     GenerationFailure,
     GroupTooLarge,
     HasReflections,
@@ -55,6 +56,7 @@ from .laurent import (
     orbit_sum_decomposition,
 )
 from .monoid import (
+    MAX_BOX_POINTS,
     MonoidDescription,
     WeightMonoid,
     build_weight_monoid,

@@ -156,7 +156,7 @@ def verdict(action: GroupAction, base=None) -> Verdict:
     """Decide (or honestly refuse to decide) whether the invariant
     algebra is a semigroup algebra."""
     if action.order == 1:
-        empty = WeightMonoid((), ((),), (), ())
+        empty = WeightMonoid((), (), ())
         return Verdict(
             SEMIGROUP_ALGEBRA,
             "group-algebra",

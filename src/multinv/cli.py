@@ -27,6 +27,7 @@ from .errors import InvalidInput, MultInvError
 from .groups import DEFAULT_CLOSURE_CAP, close_group, fixed_sublattice
 from .lattice import IntMatrix
 from .laurent import fundamental_invariants_detailed, variable_labels
+from .monoid import enumerate_box
 from .roots import build_root_system, find_reflections, is_reflection_group
 
 
@@ -252,17 +253,20 @@ def cmd_hilbert_basis(desc: ActionDescription, cap: int):
     action = _build_group(desc, cap)
     pipe = reflection_monoid(action, base=desc.base_override)
     wm = pipe.weight_monoid
+    # the closed box prod([0, z_i]), listed for this report only
+    rd = pipe.root_datum
+    box = [list(p) for p in enumerate_box(rd, rd.pi_lattice, wm.multipliers)]
     report = {
         "command": "hilbert-basis",
         "multipliers": list(wm.multipliers),
-        "box_points": [list(p) for p in wm.box_points],
+        "box_points": box,
         "hilbert_basis": [list(m) for m in wm.hilbert_basis],
         "cone_rays": [list(r) for r in wm.cone_rays],
         "units_rank": pipe.monoid.units_rank,
     }
     lines = [
         f"multipliers:   {list(wm.multipliers)}",
-        f"box points:    {[list(p) for p in wm.box_points]}",
+        f"box points:    {box}",
         f"hilbert basis: {[list(m) for m in wm.hilbert_basis]}",
         f"units rank:    {pipe.monoid.units_rank}",
     ]

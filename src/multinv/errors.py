@@ -49,6 +49,10 @@ class LocusTooLarge(MultInvError):
     """The singular locus has too many components to list."""
 
 
+class BoxTooLarge(MultInvError):
+    """The weight monoid's box holds too many lattice points to list."""
+
+
 class HasReflections(MultInvError):
     """The sign-group analyzer requires a group without reflections."""
 

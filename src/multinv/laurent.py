@@ -188,37 +188,46 @@ class LaurentPolynomial:
         if not self.terms:
             return "0"
         labels = variable_labels(self.rank) if labels is None else labels
-        den = self.denominator
-        pieces = []
+        factor = _Factors(labels, self.denominator).__getitem__
+        out = []
         for e, c in self.sorted_terms():
-            factors = []
-            for x, name in zip(e, labels):
-                if not x:
-                    continue
-                # integer support (den == 1) needs no Fraction
-                power = x if den == 1 else Fraction(x, den)
-                if power == 1:
-                    factors.append(name)
-                elif power.denominator == 1:
-                    factors.append(f"{name}^{power}")
-                else:
-                    factors.append(f"{name}^({power})")
+            body = "*".join(filter(None, map(factor, enumerate(e))))
             mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            pieces.append((c < 0, body))
-        first_neg, first_body = pieces[0]
-        out = ("-" if first_neg else "") + first_body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+            if mag != 1:
+                body = f"{mag}*{body}" if body else str(mag)
+            out += (" - " if c < 0 else " + "), body or "1"
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self):
         return f"LaurentPolynomial({self.render()!r})"
+
+
+class _Factors(dict):
+    """(coordinate, exponent) -> the factor a rendered term shows for
+    it, "" for exponent zero; each is formatted on first use."""
+
+    __slots__ = ("labels", "denominator")
+
+    def __init__(self, labels, denominator):
+        super().__init__()
+        self.labels, self.denominator = labels, denominator
+
+    def __missing__(self, key):
+        k, x = key
+        name = self.labels[k]
+        # integer support (denominator 1) needs no Fraction
+        power = x if self.denominator == 1 else Fraction(x, self.denominator)
+        if not x:
+            text = ""
+        elif power == 1:
+            text = name
+        elif power.denominator == 1:
+            text = f"{name}^{power}"
+        else:
+            text = f"{name}^({power})"
+        self[key] = text
+        return text
 
 
 def variable_labels(rank: int):

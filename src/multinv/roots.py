@@ -666,10 +666,11 @@ def _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
         if coroots.apply(w) != tuple(scale * (i == j)
                                      for j in range(len(base))):
             raise AxiomFailure("weight pairing identity failed")
+    # the 1 - g rows have rank len(base): `build_root_system` has checked
+    # that it is n minus the rank of the fixed sublattice, and a finite
+    # group fixes as many dimensions of rows as of columns
     moved = [row for g in action.generators for row in _one_minus_rows(g)]
-    n = action.rank
-    if (len(_echelon(moved + scaled_weights, n)[1])
-            != len(_echelon(moved, n)[1])):
+    if len(_echelon(moved + scaled_weights, action.rank)[1]) != len(base):
         raise AxiomFailure("fundamental weight has a fixed component")
     # lattice sandwich: root lattice inside the projected lattice inside
     # the weight lattice

@@ -578,6 +578,51 @@ def oracle_hilbert_basis(points):
                                if sum(1 for x in m if x) != 1))
 
 
+def oracle_scan_hilbert_basis(points):
+    """The minimal nonzero points, kept in one sorted pass that compares
+    each point with every point kept so far, ordered as `hilbert_basis`
+    orders them."""
+    basis = []
+    for m in sorted(points):
+        if any(m) and not any(all(a <= b for a, b in zip(n, m))
+                              for n in basis):
+            basis.append(m)
+    axis = sorted((m for m in basis if sum(1 for x in m if x) == 1),
+                  key=lambda m: next(i for i, x in enumerate(m) if x))
+    return tuple(axis + [m for m in basis if sum(1 for x in m if x) != 1])
+
+
+def oracle_check_generation(points, basis):
+    """The first nonzero point, in order of (coordinate sum, point), that
+    is no basis element plus a point reached before it, trying every
+    basis element; None when every point is reached."""
+    reachable = set()
+    for p in sorted(points, key=lambda q: (sum(q), q)):
+        if any(p) and not any(
+            all(h <= x for h, x in zip(b, p))
+            and tuple(x - h for h, x in zip(b, p)) in reachable
+            for b in basis
+        ):
+            return p
+        reachable.add(p)
+    return None
+
+
+# a stand-in root datum: the weight monoid reads nothing of it but its rank
+RankOnly = namedtuple("RankOnly", "rank")
+
+
+def random_box_lattice(rng, rank, max_multiplier=3, extra=2):
+    """A RankOnly datum and a full-rank sublattice of Z^rank spanned by
+    multiples z_i e_i (1 <= z_i <= max_multiplier) and a few random
+    vectors of the box prod([0, z_i))."""
+    z = [rng.randint(1, max_multiplier) for _ in range(rank)]
+    vectors = [tuple(x if j == i else 0 for j in range(rank))
+               for i, x in enumerate(z)]
+    vectors += [tuple(rng.randrange(x) for x in z) for _ in range(extra)]
+    return RankOnly(rank), Sublattice(rank, vectors)
+
+
 def poly(rank, int_terms, prefix=None):
     """Laurent polynomial from integer exponent terms, optionally shifted
     by a rational monomial prefix."""

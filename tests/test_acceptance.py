@@ -10,6 +10,7 @@ from multinv import (
     build_root_system,
     build_weight_monoid,
     class_group,
+    enumerate_box,
     find_reflections,
     fundamental_invariants_detailed,
     is_invariant,
@@ -213,7 +214,7 @@ def test_criterion_5d_hilbert_basis_completeness():
                          (neg_rank1_action(), None)]:
         rd = build_root_system(action, base=base)
         wm = build_weight_monoid(rd, rd.pi_lattice)
-        pts = set(wm.box_points)
+        pts = set(enumerate_box(rd, rd.pi_lattice, wm.multipliers))
         reachable = {(0,) * rd.rank}
         for p in sorted(pts, key=lambda q: (sum(q), q)):
             if not any(p):

@@ -1,7 +1,7 @@
 import json
 import time
 
-from multinv import classify, cli, groups, laurent, roots
+from multinv import classify, cli, groups, laurent, monoid, roots
 from multinv.cli import main
 from multinv.lattice import IntMatrix
 from multinv.laurent import LaurentPolynomial
@@ -303,6 +303,32 @@ def test_group_cap_bounds_a_reflection_group(tmp_path, capsys):
                    "infinite\n")
         code, out, _ = run(capsys, ["analyze", path, "--group-cap", "6"])
         assert code == 0 and "group order:         6" in out
+
+
+def test_an_oversized_weight_box_exits_2_before_it_is_listed(tmp_path, capsys):
+    # A10 on its root lattice: the fundamental weights have order 11
+    # modulo the root lattice, so the half-open box prod([0, 11)) holds
+    # 11^10 / 11 lattice points
+    path = write_doc(tmp_path, generator_doc(root_lattice_generators("A", 10)))
+    for command in ("verdict", "hilbert-basis"):
+        start = time.perf_counter()
+        code, out, err = run(capsys,
+                             [command, path, "--group-cap", "39916800"])
+        assert (code, out, err) == (
+            2, "", "error: the weight box holds up to 2357947691 lattice "
+                   "points, more than the 4000000 that can be listed\n")
+        assert time.perf_counter() - start < 5.0
+
+
+def test_the_printed_closed_box_is_bounded_too(tmp_path, capsys, monkeypatch):
+    # A2: the half-open box holds 3 points, the closed box prod([0, 3])
+    # at most 4 * 2 (Hermite diagonal 1, 3 with the coordinates reversed)
+    monkeypatch.setattr(monoid, "MAX_BOX_POINTS", 5)
+    path = write_doc(tmp_path, RANK2_DOC)
+    assert run(capsys, ["verdict", path])[0] == 0
+    assert run(capsys, ["hilbert-basis", path]) == (
+        2, "", "error: the weight box holds up to 8 lattice points, more "
+               "than the 5 that can be listed\n")
 
 
 def test_reflection_group_commands_list_no_element(tmp_path, capsys,

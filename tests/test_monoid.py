@@ -1,5 +1,7 @@
 import random
+import re
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,8 +25,11 @@ from helpers import (
     BASE_RANK3,
     conjugated_block_sums,
     neg_rank1_action,
+    oracle_check_generation,
     oracle_enumerate_box,
     oracle_hilbert_basis,
+    oracle_scan_hilbert_basis,
+    random_box_lattice,
     s3_action,
     s4_action,
     swap_action,
@@ -100,7 +105,7 @@ def test_hilbert_basis_rank1():
     rd, lat = pipeline(neg_rank1_action())
     wm = build_weight_monoid(rd, lat)
     assert wm.multipliers == (2,)
-    assert wm.box_points == ((0,), (2,))
+    assert enumerate_box(rd, lat, wm.multipliers) == ((0,), (2,))
     assert wm.hilbert_basis == ((2,),)
 
 
@@ -109,7 +114,8 @@ def test_hilbert_basis_generates_and_is_minimal():
                          (s4_action(), BASE_RANK3)]:
         rd, lat = pipeline(action, base)
         wm = build_weight_monoid(rd, lat)
-        pts = set(wm.box_points)
+        box = enumerate_box(rd, lat, wm.multipliers)
+        pts = set(box)
         # completeness: dynamic program over the box
         reachable = {(0,) * rd.rank}
         for p in sorted(pts, key=lambda q: (sum(q), q)):
@@ -125,7 +131,7 @@ def test_hilbert_basis_generates_and_is_minimal():
         for drop in range(len(wm.hilbert_basis)):
             rest = [b for i, b in enumerate(wm.hilbert_basis) if i != drop]
             with pytest.raises(GenerationFailure):
-                _check_generation(wm.box_points, rest)
+                _check_generation(box, rest)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -134,9 +140,84 @@ def test_hilbert_basis_generates_and_is_minimal():
 def test_box_points_and_hilbert_basis_match_the_scan_oracles(gens):
     rd = build_root_system(close_group(gens))
     wm = build_weight_monoid(rd, rd.pi_lattice)
-    assert wm.box_points == oracle_enumerate_box(rd.pi_lattice,
-                                                 wm.multipliers)
-    assert wm.hilbert_basis == oracle_hilbert_basis(wm.box_points)
+    box = enumerate_box(rd, rd.pi_lattice, wm.multipliers)
+    assert box == oracle_enumerate_box(rd.pi_lattice, wm.multipliers)
+    assert wm.hilbert_basis == oracle_hilbert_basis(box)
+
+
+def closed_box(rd, lat):
+    return enumerate_box(rd, lat, minimal_multipliers(rd, lat))
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_bitset_passes_agree_with_the_scans_on_closed_boxes(rank):
+    rng = random.Random(rank)
+    for _ in range(12):
+        rd, lat = random_box_lattice(rng, rank, max(3, 7 - rank))
+        box = closed_box(rd, lat)
+        assert box == oracle_enumerate_box(lat, minimal_multipliers(rd, lat))
+        basis = hilbert_basis(box)
+        assert basis == oracle_scan_hilbert_basis(box)
+        assert oracle_check_generation(box, basis) is None
+
+
+def assert_same_verdict(points, basis):
+    named = oracle_check_generation(points, basis)
+    if named is None:
+        _check_generation(points, basis)
+    else:
+        message = re.escape(f"box point {named} is not generated")
+        with pytest.raises(GenerationFailure, match=f"^{message}$"):
+            _check_generation(points, basis)
+    return named
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_the_certificate_fails_where_the_scan_fails(rank):
+    rng = random.Random(100 + rank)
+    for _ in range(12):
+        rd, lat = random_box_lattice(rng, rank, max(3, 7 - rank))
+        box = closed_box(rd, lat)
+        basis = list(hilbert_basis(box))
+        dropped = basis[:]
+        del dropped[rng.randrange(len(dropped))]
+        generator = rng.choice(basis)
+        missing = [p for p in box if p != generator]
+        stray = tuple(rng.randint(0, 3) for _ in range(rank))
+        # not trusted to be minimal or positive: a zero element and
+        # random b in {-1, 0, 1}^rank, some putting p - b after p in
+        # (sum, point) order
+        untrusted = dropped + [(0,) * rank] + [
+            tuple(rng.randint(-1, 1) for _ in range(rank)) for _ in range(3)]
+        # the dropped element itself is never generated
+        assert assert_same_verdict(box, dropped) is not None
+        for points, gens in ((missing, basis), (box + (stray,), basis),
+                             (box, untrusted)):
+            assert_same_verdict(points, gens)
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_half_open_box_gives_the_closed_box_hilbert_basis(rank):
+    rng = random.Random(200 + rank)
+    for _ in range(12):
+        rd, lat = random_box_lattice(rng, rank, max(3, 7 - rank))
+        z = minimal_multipliers(rd, lat)
+        half_open = enumerate_box(rd, lat, tuple(x - 1 for x in z))
+        # exactly prod(z_k / p_k) points: a fundamental domain of the
+        # multiples of the rays in the lattice
+        assert len(half_open) == prod(z) // prod(r[k] for k, r in
+                                                 enumerate(lat.basis))
+        wm = build_weight_monoid(rd, lat)
+        assert wm.hilbert_basis == oracle_scan_hilbert_basis(
+            closed_box(rd, lat))
+
+
+def test_half_open_box_gives_the_closed_box_hilbert_basis_on_a7():
+    rd = build_root_system(close_group(weyl_generators("A", 7), cap=40320))
+    wm = build_weight_monoid(rd, rd.pi_lattice)
+    assert len(wm.hilbert_basis) == 64
+    assert wm.hilbert_basis == oracle_scan_hilbert_basis(
+        closed_box(rd, rd.pi_lattice))
 
 
 def test_weight_monoid_makes_no_lattice_membership_tests(monkeypatch):
@@ -149,7 +230,8 @@ def test_weight_monoid_makes_no_lattice_membership_tests(monkeypatch):
         return contains(self, v)
 
     monkeypatch.setattr(Sublattice, "contains", counted)
-    assert len(build_weight_monoid(rd, lat).box_points) > 1
+    wm = build_weight_monoid(rd, lat)
+    assert len(enumerate_box(rd, lat, wm.multipliers)) > 1
     assert calls == []
 
 
@@ -169,7 +251,7 @@ def test_enumerate_box_rejects_a_rank_deficient_lattice():
 def test_positivity_zero_is_the_only_unit():
     rd, lat = pipeline(s3_action(), BASE_RANK2)
     wm = build_weight_monoid(rd, lat)
-    for p in wm.box_points:
+    for p in enumerate_box(rd, lat, wm.multipliers):
         if any(p):
             assert not all(x <= 0 for x in p)
 
@@ -178,7 +260,7 @@ def test_normality_spot_check():
     rd, lat = pipeline(s3_action(), BASE_RANK2)
     wm = build_weight_monoid(rd, lat)
     rng = random.Random(2718)
-    pts = list(wm.box_points)
+    pts = list(enumerate_box(rd, lat, wm.multipliers))
     for n in (2, 3):
         for _ in range(40):
             x = rng.choice(pts)
