@@ -25,7 +25,6 @@ from .errors import (
     InvalidInput,
     LocusTooLarge,
     MultInvError,
-    NotInvariant,
     NotReflectionGroup,
     NotSignGroup,
     NotUnimodular,
@@ -37,7 +36,6 @@ from .groups import (
     close_group,
     displacement_ranks,
     fixed_sublattice,
-    orbit,
 )
 from .lattice import (
     ElementaryDivisors,
@@ -52,8 +50,6 @@ from .laurent import (
     LaurentPolynomial,
     fundamental_invariants_detailed,
     is_invariant,
-    orbit_sum,
-    orbit_sum_decomposition,
 )
 from .monoid import (
     MAX_BOX_POINTS,

@@ -33,10 +33,6 @@ class SupportEscape(MultInvError):
     """A fundamental invariant has support outside the lattice; a bug."""
 
 
-class NotInvariant(MultInvError):
-    """The polynomial is not invariant under the group action."""
-
-
 class TrivialGroup(MultInvError):
     """The operation requires a nontrivial group."""
 

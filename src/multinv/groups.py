@@ -22,11 +22,10 @@ assembled from their rows without checking every entry again.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import wraps
 
 from .errors import GroupTooLarge, NotUnimodular
-from .lattice import IntMatrix, Sublattice, common_denominator, kernel_lattice
+from .lattice import IntMatrix, Sublattice, kernel_lattice
 
 DEFAULT_CLOSURE_CAP = 10_000
 
@@ -187,14 +186,6 @@ def _search(start, moves, cap=None) -> list:
     return found
 
 
-def orbit(action: GroupAction, point) -> frozenset:
-    """The set of images of `point` under the group."""
-    den = common_denominator(point)
-    scaled = tuple(int(Fraction(x) * den) for x in point)
-    images = _search(scaled, [g.apply for g in action.generators])
-    return frozenset(tuple(Fraction(x, den) for x in p) for p in images)
-
-
 @memoised
 def fixed_sublattice(action: GroupAction) -> Sublattice:
     """The saturated sublattice of vectors fixed by the whole group: the
@@ -229,7 +220,6 @@ __all__ = [
     "GroupAction",
     "DEFAULT_CLOSURE_CAP",
     "close_group",
-    "orbit",
     "fixed_sublattice",
     "displacement_ranks",
 ]

@@ -1,17 +1,12 @@
-"""Sparse exact Laurent polynomials over a refined lattice, orbit sums,
-and explicit fundamental invariants for reflection actions.
+"""Sparse Laurent polynomials on the lattice, and explicit fundamental
+invariants for reflection actions.
 
-Exponent vectors are stored as integer tuples measured in 1/N units of
-the lattice, with N canonicalized to the smallest denominator carrying
-the support; coefficients are exact: an `int` when integral, else a
-`Fraction`.
-
-The fundamental invariants are products of orbit sums of fundamental
-weights.  They are multiplied in the orbit-sum basis, on
+A polynomial maps integer exponent vectors to nonzero `int`
+coefficients.  The fundamental invariants are products of orbit sums of
+fundamental weights.  They are multiplied in the orbit-sum basis, on
 {dominant weight: coefficient} dicts in integer weight coordinates, and
 each dominant term's Weyl orbit is expanded and mapped to the lattice
-once, at the end; `orbit_sum` and `orbit_sum_decomposition` search each
-orbit over the group's generators and serve any finite group.
+once, at the end.
 """
 
 from __future__ import annotations
@@ -19,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 
-from .errors import AxiomFailure, NotInvariant, SupportEscape
-from .groups import GroupAction, _search
+from .errors import AxiomFailure, SupportEscape
+from .groups import GroupAction
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
 from .roots import (RootDatum, _dominant, _dot, _orbit_sizes, _sparse,
@@ -31,164 +26,65 @@ from .roots import (RootDatum, _dominant, _dot, _orbit_sizes, _sparse,
 
 
 class LaurentPolynomial:
-    """Finitely supported map from exponent vectors to rational
-    coefficients, kept as `int` when integral.
+    """Finitely supported map from integer exponent vectors to nonzero
+    `int` coefficients.
 
-    >>> p = LaurentPolynomial(1, 2, {(1,): 1, (-1,): 1})  # x^(1/2) + x^(-1/2)
+    >>> p = LaurentPolynomial(1, {(1,): 1, (-1,): 1})  # a + a^-1
     >>> print((p * p).render())
-    a + 2 + a^-1
+    a^2 + 2 + a^-2
     """
 
-    __slots__ = ("rank", "denominator", "terms")
+    __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, denominator: int, terms):
-        if denominator < 1:
-            raise ValueError("denominator must be positive")
+    def __init__(self, rank: int, terms: dict):
         clean = {}
-        for e, c in dict(terms).items():
+        for e, c in terms.items():
             if type(c) is not int:
-                c = Fraction(c)
-                if c.denominator == 1:
-                    c = c.numerator
-            if not c:
-                continue
+                raise TypeError(f"coefficient {c!r} is not an int")
             e = tuple(e)
             if len(e) != rank:
                 raise ValueError("exponent length does not match rank")
-            clean[e] = c
-        if not clean:
-            denominator = 1
-        else:
-            g = denominator
-            for e in clean:
-                g = gcd(g, *e)
-                if g == 1:
-                    break
-            if g > 1:
-                clean = {
-                    tuple(x // g for x in e): c for e, c in clean.items()
-                }
-                denominator //= g
+            if c:
+                clean[e] = c
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
-    @classmethod
-    def zero(cls, rank: int) -> "LaurentPolynomial":
-        return cls(rank, 1, {})
-
-    @classmethod
-    def constant(cls, rank: int, value) -> "LaurentPolynomial":
-        return cls(rank, 1, {(0,) * rank: value})
-
-    @classmethod
-    def monomial(cls, point, coeff=1) -> "LaurentPolynomial":
-        """Single term with a rational exponent vector."""
-        point = tuple(Fraction(x) for x in point)
-        den = common_denominator(point)
-        exps = tuple(int(x * den) for x in point)
-        return cls(len(point), den, {exps: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> frozenset:
-        """Exponent vectors as rational tuples."""
-        n = self.denominator
-        return frozenset(
-            tuple(Fraction(x, n) for x in e) for e in self.terms
-        )
-
-    @property
-    def has_integer_support(self) -> bool:
-        return self.denominator == 1
-
-    def _aligned(self, other):
-        den = lcm(self.denominator, other.denominator)
-        a = den // self.denominator
-        b = den // other.denominator
-        ta = {tuple(x * a for x in e): c for e, c in self.terms.items()}
-        tb = {tuple(x * b for x in e): c for e, c in other.terms.items()}
-        return den, ta, tb
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        den, ta, tb = self._aligned(other)
-        for e, c in tb.items():
-            ta[e] = ta.get(e, 0) + c
-        return LaurentPolynomial(self.rank, den, ta)
-
-    def __neg__(self):
-        return LaurentPolynomial(
-            self.rank, self.denominator, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        den, ta, tb = self._aligned(other)
         out: dict = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return LaurentPolynomial(self.rank, den, out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        result = LaurentPolynomial.constant(self.rank, 1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        return LaurentPolynomial(self.rank, out)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.denominator == other.denominator
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.denominator, frozenset(self.terms.items())))
+        return self.rank == other.rank and self.terms == other.terms
 
     def transform(self, g: IntMatrix) -> "LaurentPolynomial":
         """Apply a lattice automorphism to every exponent vector."""
         return LaurentPolynomial(
-            self.rank,
-            self.denominator,
-            {g.apply(e): c for e, c in self.terms.items()},
-        )
+            self.rank, {g.apply(e): c for e, c in self.terms.items()})
 
     def sorted_terms(self):
         """Terms in canonical display order: graded lexicographic,
         leading term first."""
-        # exponents are distinct, so no two keys tie
-        return sorted(self.terms.items(),
-                      key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
+        # exponents are distinct, and the sort by sum is stable
+        exponents = sorted(self.terms, reverse=True)
+        exponents.sort(key=sum, reverse=True)
+        return list(zip(exponents, map(self.terms.__getitem__, exponents)))
 
     def render(self, labels=None) -> str:
         if not self.terms:
             return "0"
         labels = variable_labels(self.rank) if labels is None else labels
-        factor = _Factors(labels, self.denominator).__getitem__
+        factor = _Factors(labels).__getitem__
         out = []
         for e, c in self.sorted_terms():
             body = "*".join(filter(None, map(factor, enumerate(e))))
@@ -207,25 +103,16 @@ class _Factors(dict):
     """(coordinate, exponent) -> the factor a rendered term shows for
     it, "" for exponent zero; each is formatted on first use."""
 
-    __slots__ = ("labels", "denominator")
+    __slots__ = ("labels",)
 
-    def __init__(self, labels, denominator):
+    def __init__(self, labels):
         super().__init__()
-        self.labels, self.denominator = labels, denominator
+        self.labels = labels
 
     def __missing__(self, key):
         k, x = key
         name = self.labels[k]
-        # integer support (denominator 1) needs no Fraction
-        power = x if self.denominator == 1 else Fraction(x, self.denominator)
-        if not x:
-            text = ""
-        elif power == 1:
-            text = name
-        elif power.denominator == 1:
-            text = f"{name}^{power}"
-        else:
-            text = f"{name}^({power})"
+        text = "" if not x else name if x == 1 else f"{name}^{x}"
         self[key] = text
         return text
 
@@ -234,15 +121,6 @@ def variable_labels(rank: int):
     if rank <= 26:
         return tuple(chr(ord("a") + i) for i in range(rank))
     return tuple(f"x{i + 1}" for i in range(rank))
-
-
-def orbit_sum(action: GroupAction, point) -> LaurentPolynomial:
-    """Sum of the distinct group images of a lattice point, each with
-    coefficient one; g^-1 is integral, so they share its denominator."""
-    den = common_denominator(point)
-    scaled = tuple(int(Fraction(x) * den) for x in point)
-    orb = _search(scaled, [g.apply for g in action.generators])
-    return LaurentPolynomial(action.rank, den, dict.fromkeys(orb, 1))
 
 
 def is_invariant(action: GroupAction, p: LaurentPolynomial) -> bool:
@@ -285,31 +163,6 @@ def _combination(coords, column) -> list:
         term = coords[i] if a == 1 else map(mul, coords[i], repeat(a))
         total = term if total is None else map(add, total, term)
     return list(total)
-
-
-def orbit_sum_decomposition(action: GroupAction, p: LaurentPolynomial) -> dict:
-    """Expand an invariant polynomial in the orbit-sum basis.
-
-    Returns a map from the lexicographically maximal representative of
-    each orbit (as a rational tuple) to its coefficient.  Raises
-    NotInvariant when the coefficients are not constant on some orbit.
-    """
-    remaining = dict(p.terms)
-    den = p.denominator
-    moves = [g.apply for g in action.generators]
-    out = {}
-    while remaining:
-        e = max(remaining)
-        c = remaining[e]
-        rep = tuple(Fraction(x, den) for x in e)
-        for key in _search(e, moves):
-            if remaining.pop(key, None) != c:
-                raise NotInvariant(
-                    "coefficients are not constant on the orbit of "
-                    f"{rep}"
-                )
-        out[rep] = c
-    return out
 
 
 @dataclass(frozen=True)
@@ -380,7 +233,7 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
             for _, e in _walk_down(cartan, simple_roots, lam,
                                    [x // den for x in point]):
                 exponents[e] = c
-        poly = LaurentPolynomial(n, 1, exponents)
+        poly = LaurentPolynomial(n, exponents)
         if not is_invariant(action, poly):
             raise AxiomFailure("fundamental invariant is not invariant")
         out.append(FundamentalInvariant(tuple(row), prefix, poly))
@@ -446,8 +299,6 @@ __all__ = [
     "LaurentPolynomial",
     "FundamentalInvariant",
     "variable_labels",
-    "orbit_sum",
     "is_invariant",
-    "orbit_sum_decomposition",
     "fundamental_invariants_detailed",
 ]

@@ -185,10 +185,6 @@ class WeightMonoid:
     hilbert_basis: tuple[tuple[int, ...], ...]
     cone_rays: tuple[tuple[int, ...], ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.multipliers)
-
 
 def build_weight_monoid(rd: RootDatum, pi_lattice: Sublattice) -> WeightMonoid:
     """The Hilbert basis from the half-open box prod([0, z_i)) plus the

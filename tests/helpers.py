@@ -5,7 +5,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from multinv import (
     fixed_sublattice,
     is_reflection_group,
     kernel_lattice,
-    orbit_sum,
     smith_normal_form,
     solve_integer,
 )
@@ -533,9 +532,12 @@ def snf_diagonal_by_minors(m: IntMatrix):
 
 
 def oracle_orbit(action, point):
-    """The images of the point under all |G| elements, in Fractions."""
-    start = tuple(Fraction(x) for x in point)
-    return frozenset(g.apply(start) for g in action.elements)
+    """The images of the point under all |G| elements, in Fractions; the
+    elements act on the point scaled by its common denominator."""
+    den = common_denominator(point)
+    start = tuple(int(Fraction(x) * den) for x in point)
+    images = {g.apply(start) for g in action.elements}
+    return frozenset(tuple(Fraction(x, den) for x in e) for e in images)
 
 
 def oracle_weight_orbit(rd, weight):
@@ -623,14 +625,69 @@ def random_box_lattice(rng, rank, max_multiplier=3, extra=2):
     return RankOnly(rank), Sublattice(rank, vectors)
 
 
-def poly(rank, int_terms, prefix=None):
-    """Laurent polynomial from integer exponent terms, optionally shifted
-    by a rational monomial prefix."""
-    p = LaurentPolynomial(rank, 1, {tuple(e): Fraction(c)
-                                    for e, c in int_terms.items()})
-    if prefix is not None:
-        p = LaurentPolynomial.monomial(prefix) * p
-    return p
+# An independent rational Laurent oracle: a polynomial is a
+# {exponent tuple: int coefficient} dict, the exponents Fractions (or
+# ints, which hash and compare as equal Fractions do), zero terms dropped.
+
+def oracle_orbit_sum(action, point):
+    """The sum of the images of a rational point under all |G| elements,
+    each with coefficient one."""
+    return dict.fromkeys(oracle_orbit(action, point), 1)
+
+
+def oracle_times(p, q):
+    """p * q, each pair of terms multiplied out."""
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_power(p, k):
+    """p ** k for a nonzero p, by repeated products."""
+    out = {(0,) * len(next(iter(p))): 1}
+    for _ in range(k):
+        out = oracle_times(out, p)
+    return out
+
+
+def oracle_shift(p, point):
+    """p times the monomial of a rational point."""
+    return {tuple(x + y for x, y in zip(e, point)): c for e, c in p.items()}
+
+
+def oracle_orbit_sum_decomposition(action, p):
+    """{lexicographically largest point of each orbit: its coefficient}
+    for an invariant p, each orbit listed over all |G| elements;
+    ValueError when a coefficient is not constant on some orbit."""
+    remaining = dict(p)
+    out = {}
+    while remaining:
+        e = max(remaining)
+        c = remaining[e]
+        for point in oracle_orbit(action, e):
+            if remaining.pop(point, None) != c:
+                raise ValueError(f"coefficients vary on the orbit of {e}")
+        out[tuple(map(Fraction, e))] = c
+    return out
+
+
+def poly(rank, terms):
+    """The LaurentPolynomial of an oracle dict with integral exponents."""
+    exponents = {}
+    for e, c in terms.items():
+        e = tuple(Fraction(x) for x in e)
+        assert all(x.denominator == 1 for x in e), f"{e} is not integral"
+        exponents[tuple(map(int, e))] = c
+    return LaurentPolynomial(rank, exponents)
+
+
+def has_lattice_support(p):
+    """Every exponent of p is a tuple of p.rank ints."""
+    return all(type(e) is tuple and len(e) == p.rank
+               and all(type(x) is int for x in e) for e in p.terms)
 
 
 def oracle_fundamental_invariants(action, rd, wm):
@@ -639,12 +696,17 @@ def oracle_fundamental_invariants(action, rd, wm):
     times the fixed-lattice monomial of a lattice preimage when the bare
     product leaves the lattice."""
     n = action.rank
-    sums = [orbit_sum(action, w) for w in rd.fundamental_weights]
+    # the products are taken in exponents scaled by the weights' common
+    # denominator, which are ints and add fast
+    den = lcm(*(common_denominator(w) for w in rd.fundamental_weights))
+    sums = [{tuple(int(x * den) for x in e): c
+             for e, c in oracle_orbit_sum(action, w).items()}
+            for w in rd.fundamental_weights]
     out = []
     for row in wm.hilbert_basis:
-        p = LaurentPolynomial.constant(n, 1)
+        p = {(0,) * n: 1}
         for s, power in zip(sums, row):
-            p = p * s ** power
+            p = oracle_times(p, oracle_power(s, power))
         target = [sum((c * w[k] for c, w in zip(row, rd.fundamental_weights)),
                       Fraction(0))
                   for k in range(n)]
@@ -652,8 +714,9 @@ def oracle_fundamental_invariants(action, rd, wm):
         if any(x.denominator != 1 for x in target):
             preimage = solve_integer(rd.coroots, row)
             prefix = tuple(Fraction(a) - t for a, t in zip(preimage, target))
-            p = LaurentPolynomial.monomial(prefix) * p
-        out.append(FundamentalInvariant(tuple(row), prefix, p))
+            p = oracle_shift(p, [int(x * den) for x in prefix])
+        p = {tuple(Fraction(x, den) for x in e): c for e, c in p.items()}
+        out.append(FundamentalInvariant(tuple(row), prefix, poly(n, p)))
     return out
 
 

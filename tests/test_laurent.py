@@ -9,7 +9,6 @@ from multinv import (
     AxiomFailure,
     IntMatrix,
     LaurentPolynomial,
-    NotInvariant,
     build_root_system,
     build_weight_monoid,
     close_group,
@@ -17,21 +16,25 @@ from multinv import (
     is_invariant,
     kernel_lattice,
     laurent,
-    orbit,
-    orbit_sum,
-    orbit_sum_decomposition,
     reflection_monoid,
     weight_orbit,
 )
+from multinv.groups import _search
+from multinv.lattice import common_denominator
 from helpers import (
     BASE_RANK2,
     a1a1_action,
     conjugated_block_sums,
+    has_lattice_support,
     S2,
     neg_rank1_action,
     one_minus,
     oracle_fundamental_invariants,
     oracle_orbit,
+    oracle_orbit_sum,
+    oracle_orbit_sum_decomposition,
+    oracle_power,
+    oracle_times,
     poly,
     random_finite_action,
     root_lattice_generators,
@@ -54,16 +57,21 @@ MU3_RANK2 = {
 }
 
 
-def test_canonical_denominator_reduction():
-    p = LaurentPolynomial(1, 2, {(2,): 1, (-2,): 1})
-    assert p.denominator == 1
-    assert p.terms == {(1,): 1, (-1,): 1}
-    z = LaurentPolynomial(2, 6, {})
-    assert z.is_zero and z.denominator == 1
+def test_constructor_checks_coefficients_and_exponent_lengths():
+    # a Fraction is refused even when it is integral
+    for c in (Fraction(1, 2), Fraction(4, 2), 1.0, True):
+        with pytest.raises(TypeError):
+            LaurentPolynomial(2, {(1, 0): c})
+    for e in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError):
+            LaurentPolynomial(2, {e: 1})
+    p = LaurentPolynomial(2, {(1, 0): 0, (0, 1): 2, (1, 1): 0})
+    assert p.terms == {(0, 1): 2}
+    assert LaurentPolynomial(2, {(1, 0): 0}).terms == {}
 
 
 def test_multiply_by_one_and_binomial():
-    one = LaurentPolynomial.constant(1, 1)
+    one = poly(1, {(0,): 1})
     p = poly(1, {(1,): 1, (-1,): 1})
     assert p * one == p
     assert p * p == poly(1, {(2,): 1, (0,): 2, (-2,): 1})
@@ -79,49 +87,54 @@ def test_multiply_commutes_and_associates():
     rng = random.Random(5)
 
     def rand_poly():
-        terms = {
-            (rng.randint(-2, 2), rng.randint(-2, 2)):
-                Fraction(rng.randint(-3, 3))
+        return LaurentPolynomial(2, {
+            (rng.randint(-6, 6), rng.randint(-6, 6)): rng.randint(-3, 3)
             for _ in range(4)
-        }
-        return LaurentPolynomial(2, rng.choice([1, 2, 3]), terms)
+        })
 
     for _ in range(25):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert (a * b).terms == oracle_times(a.terms, b.terms)
 
 
 def test_power_by_squaring():
-    p = poly(1, {(1,): 1, (0,): 1})
-    assert p**0 == LaurentPolynomial.constant(1, 1)
-    assert p**3 == poly(1, {(3,): 1, (2,): 3, (1,): 3, (0,): 1})
+    # the oracle's powers, against a hand expansion and the product
+    p = {(1,): 1, (0,): 1}
+    assert oracle_power(p, 0) == {(0,): 1}
+    cube = {(3,): 1, (2,): 3, (1,): 3, (0,): 1}
+    assert oracle_power(p, 3) == cube
+    assert poly(1, p) * poly(1, p) * poly(1, p) == poly(1, cube)
+
+
+def thirds(*xs):
+    return tuple(Fraction(x, 3) for x in xs)
 
 
 def test_orbit_sum_of_zero_is_one():
-    assert orbit_sum(s3_action(), (0, 0)) == LaurentPolynomial.constant(2, 1)
+    assert oracle_orbit_sum(s3_action(), (0, 0)) == {(0, 0): 1}
 
 
 def test_orbit_sum_second_weight_rank2():
-    got = orbit_sum(s3_action(), (Fraction(-1, 3), Fraction(2, 3)))
-    expect = LaurentPolynomial(2, 3, {(-1, -1): 1, (-1, 2): 1, (2, -1): 1})
-    assert got == expect
+    got = oracle_orbit_sum(s3_action(), thirds(-1, 2))
+    assert got == {thirds(-1, -1): 1, thirds(-1, 2): 1, thirds(2, -1): 1}
 
 
 def test_orbit_sum_third_weight_rank3():
-    got = orbit_sum(s4_action(), (Fraction(-1, 4),) * 3)
-    expect = LaurentPolynomial(
-        3, 4,
-        {(-1, -1, -1): 1, (3, -1, -1): 1, (-1, 3, -1): 1, (-1, -1, 3): 1},
-    )
+    got = oracle_orbit_sum(s4_action(), (Fraction(-1, 4),) * 3)
+    expect = {
+        tuple(Fraction(x, 4) for x in e): 1
+        for e in ((-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3))
+    }
     assert got == expect
 
 
 def test_orbit_sums_are_invariant_and_monomials_are_not():
     g = s3_action()
-    assert is_invariant(g, orbit_sum(g, (1, 0)))
-    assert is_invariant(g, orbit_sum(g, (Fraction(-2, 3), Fraction(1, 3))))
+    assert is_invariant(g, poly(2, oracle_orbit_sum(g, (1, 0))))
+    # the orbit of (-2/3, 1/3), scaled by 3
+    assert is_invariant(g, poly(2, oracle_orbit_sum(g, (-2, 1))))
     assert not is_invariant(g, poly(2, {(1, 0): 1}))
 
 
@@ -143,12 +156,13 @@ def test_invariance_checks_every_generator():
 
 def test_invariance_rejects_one_coefficient_off_by_one():
     g = close_group(weyl_generators("A", 3))
-    p = orbit_sum(g, (1, 0, 0)) * orbit_sum(g, (0, 1, 1))
+    p = poly(3, oracle_times(oracle_orbit_sum(g, (1, 0, 0)),
+                             oracle_orbit_sum(g, (0, 1, 1))))
     assert is_invariant(g, p)
     for e in list(p.terms)[::7]:
         terms = dict(p.terms)
         terms[e] += 1
-        assert not is_invariant(g, LaurentPolynomial(3, 1, terms))
+        assert not is_invariant(g, LaurentPolynomial(3, terms))
 
 
 def test_invariance_checks_the_last_generator():
@@ -156,7 +170,7 @@ def test_invariance_checks_the_last_generator():
     # by each of them, and moved only by the last
     gens = weyl_generators("A", 4)
     g, sub = close_group(gens), close_group(gens[:-1])
-    p = orbit_sum(sub, (1, 2, 0, -1))
+    p = poly(4, oracle_orbit_sum(sub, (1, 2, 0, -1)))
     assert is_invariant(sub, p)
     assert all(p.transform(h) == p for h in gens[:-1])
     assert p.transform(gens[-1]) != p
@@ -175,19 +189,22 @@ def test_invariance_reads_every_entry_of_a_moved_column():
 
 
 def test_invariance_with_exponents_in_thirds():
+    # the orbit of (-2/3, 1/3) in exponents scaled by 3: the action is
+    # linear, so the scaled orbit sum is invariant, and one more term on
+    # the orbit breaks it
     g = s3_action()
-    p = orbit_sum(g, (Fraction(-2, 3), Fraction(1, 3)))
-    assert p.denominator == 3
-    assert is_invariant(g, p)
-    assert not is_invariant(g, p + LaurentPolynomial.monomial(
-        (Fraction(-2, 3), Fraction(1, 3))))
+    terms = oracle_orbit_sum(g, (-2, 1))
+    assert oracle_orbit_sum(g, thirds(-2, 1)) == {
+        thirds(*e): c for e, c in terms.items()}
+    assert is_invariant(g, poly(2, terms))
+    terms[(-2, 1)] += 1
+    assert not is_invariant(g, poly(2, terms))
 
 
 def test_integral_coefficients_are_ints():
-    p = LaurentPolynomial(2, 1, {(1, 0): Fraction(4, 2), (0, 1): 3,
-                                 (0, 0): Fraction(1, 2)})
-    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
-    assert (p * p).terms[(2, 0)] == 4 and type((p * p).terms[(2, 0)]) is int
+    p = LaurentPolynomial(2, {(1, 0): 2, (0, 1): 3, (0, 0): -1})
+    assert all(type(c) is int for c in (p * p).terms.values())
+    assert (p * p).terms[(2, 0)] == 4
     g, rd, wm = rank2_invariants()
     for inv in fundamental_invariants_detailed(g, rd, wm):
         assert all(type(c) is int for c in inv.polynomial.terms.values())
@@ -222,6 +239,8 @@ def test_orbit_sum_products_raise_on_an_inexact_quotient(monkeypatch):
 
 
 def test_integer_orbits_match_the_fraction_oracle():
+    # the generator search the program runs for every orbit, on a
+    # rational point scaled by its common denominator
     rng = random.Random(424242)
     for n in (2, 3):
         for _ in range(40):
@@ -231,65 +250,63 @@ def test_integer_orbits_match_the_fraction_oracle():
             point = tuple(Fraction(rng.randint(-6, 6),
                                    rng.choice((1, 2, 4, 6)))
                           for _ in range(n))
-            expect = oracle_orbit(action, point)
-            assert orbit(action, point) == expect
-            assert orbit_sum(action, point).support() == expect
+            den = common_denominator(point)
+            found = _search(tuple(int(x * den) for x in point),
+                            [g.apply for g in action.generators])
+            assert len(set(found)) == len(found)
+            assert {tuple(Fraction(x, den) for x in e)
+                    for e in found} == oracle_orbit(action, point)
 
 
 def test_orbit_sum_well_defined_on_orbit():
     g = s3_action()
-    a = (Fraction(-2, 3), Fraction(1, 3))
+    a = thirds(-2, 1)
     for m in g.elements:
-        assert orbit_sum(g, m.apply(a)) == orbit_sum(g, a)
+        assert oracle_orbit_sum(g, m.apply(a)) == oracle_orbit_sum(g, a)
 
+
+# the oracle decomposition, against hand expansions; it checks the
+# program's invariants in test_orbit_sum_decomposition_rebuilds_every_invariant
 
 def test_decomposition_of_single_orbit_sum():
     g = s3_action()
-    assert orbit_sum_decomposition(g, orbit_sum(g, (2, 1))) == {
-        (Fraction(2), Fraction(1)): Fraction(1)
-    }
+    assert oracle_orbit_sum_decomposition(
+        g, oracle_orbit_sum(g, (2, 1))) == {(2, 1): 1}
 
 
 def test_decomposition_is_linear():
     g = s3_action()
-    p = orbit_sum(g, (2, 1)) * LaurentPolynomial.constant(2, 2)
-    p = p + orbit_sum(g, (0, 0)) * LaurentPolynomial.constant(2, 3)
-    got = orbit_sum_decomposition(g, p)
-    assert got == {
-        (Fraction(2), Fraction(1)): Fraction(2),
-        (Fraction(0), Fraction(0)): Fraction(3),
-    }
+    p = {e: 2 for e in oracle_orbit_sum(g, (2, 1))}
+    p[(0, 0)] = 3
+    assert oracle_orbit_sum_decomposition(g, p) == {(2, 1): 2, (0, 0): 3}
 
 
 def test_decomposition_of_third_invariant():
     # the six nonzero-support monomials form a single orbit; the oracle is
     # the hand expansion MU3_RANK2
     g = s3_action()
-    got = orbit_sum_decomposition(g, poly(2, MU3_RANK2))
-    assert got == {
-        (Fraction(1), Fraction(0)): Fraction(1),
-        (Fraction(0), Fraction(0)): Fraction(3),
-    }
+    assert oracle_orbit_sum_decomposition(g, MU3_RANK2) == {
+        (1, 0): 1, (0, 0): 3}
 
 
 def test_decomposition_rejects_non_invariant():
     g = s3_action()
-    with pytest.raises(NotInvariant):
-        orbit_sum_decomposition(g, poly(2, {(1, 0): 1}))
+    with pytest.raises(ValueError):
+        oracle_orbit_sum_decomposition(g, {(1, 0): 1})
 
 
 def test_reassembling_decomposition_reproduces_polynomial():
     g = s4_action()
     rng = random.Random(17)
-    p = LaurentPolynomial.zero(3)
+    p = {}
     for _ in range(4):
         pt = tuple(rng.randint(-2, 2) for _ in range(3))
-        coeff = LaurentPolynomial.constant(3, rng.randint(1, 5))
-        p = p + orbit_sum(g, pt) * coeff
-    parts = orbit_sum_decomposition(g, p)
-    rebuilt = LaurentPolynomial.zero(3)
-    for rep, c in parts.items():
-        rebuilt = rebuilt + orbit_sum(g, rep) * LaurentPolynomial.constant(3, c)
+        c = rng.randint(1, 5)
+        for e in oracle_orbit_sum(g, pt):
+            p[e] = p.get(e, 0) + c
+    rebuilt = {}
+    for rep, c in oracle_orbit_sum_decomposition(g, p).items():
+        rebuilt.update(dict.fromkeys(oracle_orbit(g, rep), c))
     assert rebuilt == p
 
 
@@ -313,13 +330,14 @@ def test_fundamental_invariants_first_block_are_orbit_sum_powers():
     mus = [f.polynomial for f in fundamental_invariants_detailed(g, rd, wm)]
     for i in range(rd.rank):
         z = wm.multipliers[i]
-        assert mus[i] == orbit_sum(g, rd.fundamental_weights[i]) ** z
+        assert mus[i] == poly(2, oracle_power(
+            oracle_orbit_sum(g, rd.fundamental_weights[i]), z))
 
 
 def test_fundamental_invariants_are_invariant_with_lattice_support():
     g, rd, wm = rank2_invariants()
     for inv in fundamental_invariants_detailed(g, rd, wm):
-        assert inv.polynomial.has_integer_support
+        assert has_lattice_support(inv.polynomial)
         assert is_invariant(g, inv.polynomial)
         assert not inv.has_unit_prefix  # effective action needs no unit
 
@@ -333,10 +351,10 @@ def test_fundamental_invariant_of_swap_action():
     wm = build_weight_monoid(rd, rd.pi_lattice)
     (inv,) = fundamental_invariants_detailed(g, rd, wm)
     assert inv.has_unit_prefix
-    assert inv.polynomial.has_integer_support
+    assert has_lattice_support(inv.polynomial)
     assert is_invariant(g, inv.polynomial)
-    decomposition = orbit_sum_decomposition(g, inv.polynomial)
-    assert list(decomposition.values()) == [Fraction(1)]
+    decomposition = oracle_orbit_sum_decomposition(g, inv.polynomial.terms)
+    assert list(decomposition.values()) == [1]
 
 
 def test_rank1_squared_orbit_sum():
@@ -366,7 +384,7 @@ def test_fixed_component_is_constant_on_support():
         for inv in fundamental_invariants_detailed(action, rd, wm):
             images = {tuple(sum(a * b for a, b in zip(pt, f))
                             for f in functionals)
-                      for pt in inv.polynomial.support()}
+                      for pt in inv.polynomial.terms}
             assert len(images) == 1
 
 
@@ -391,7 +409,7 @@ def test_weight_coordinate_expansion_matches_the_orbit_sum_oracle(gens):
     for j, w in enumerate(rd.fundamental_weights):
         points = ambient_orbit(rd, j)
         assert len(set(points)) == len(points)
-        assert frozenset(points) == orbit(group, w)
+        assert frozenset(points) == oracle_orbit(group, w)
     assert (fundamental_invariants_detailed(group, rd, wm)
             == oracle_fundamental_invariants(group, rd, wm))
 
@@ -416,8 +434,9 @@ def test_orbit_sum_products_are_the_orbit_sum_decomposition(gens):
                 p + sum((m * w[k] for m, w in zip(lam, rd.fundamental_weights)),
                         Fraction(0))
                 for k, p in enumerate(inv.unit_prefix))
-            expect[max(orbit(group, point))] = c
-        assert orbit_sum_decomposition(group, inv.polynomial) == expect
+            expect[max(oracle_orbit(group, point))] = c
+        assert oracle_orbit_sum_decomposition(
+            group, inv.polynomial.terms) == expect
 
 
 def test_e6_invariants_have_the_product_term_count():
@@ -442,26 +461,25 @@ def test_orbit_sum_decomposition_rebuilds_every_invariant(kind, n):
     group = close_group(weyl_generators(kind, n))
     pipe = reflection_monoid(group)
     rd = pipe.root_datum
-    sizes = [len(orbit(group, w)) for w in rd.fundamental_weights]
+    sizes = [len(oracle_orbit(group, w)) for w in rd.fundamental_weights]
     for inv in fundamental_invariants_detailed(group, rd, pipe.weight_monoid):
         p = inv.polynomial
-        rebuilt = LaurentPolynomial.zero(n)
+        rebuilt = {}
         total = 0
-        for rep, c in orbit_sum_decomposition(group, p).items():
-            s = orbit_sum(group, rep)
-            rebuilt = rebuilt + LaurentPolynomial(
-                n, s.denominator, {e: c for e in s.terms})
-            total += c * len(s.terms)
-        assert rebuilt == p
+        for rep, c in oracle_orbit_sum_decomposition(group, p.terms).items():
+            s = oracle_orbit_sum(group, rep)
+            rebuilt.update(dict.fromkeys(s, c))
+            total += c * len(s)
+        assert poly(n, rebuilt) == p
         assert total == prod(k ** e for k, e in zip(sizes, inv.powers))
 
 
 def test_render_formats():
-    assert LaurentPolynomial.zero(2).render() == "0"
-    p = poly(2, {(1, -1): 1, (0, 0): -3, (-1, 2): Fraction(1, 2)})
-    assert p.render() == "1/2*a^-1*b^2 + a*b^-1 - 3"
-    q = LaurentPolynomial.monomial((Fraction(1, 3), Fraction(-1, 3)))
-    assert q.render() == "a^(1/3)*b^(-1/3)"
-    # in halves: integral powers print bare, the others in parentheses
-    r = LaurentPolynomial(2, 2, {(1, 2): 1, (4, -3): -2, (-2, 0): 3})
-    assert r.render() == "a^(1/2)*b - 2*a^2*b^(-3/2) + 3*a^-1"
+    assert LaurentPolynomial(2, {}).render() == "0"
+    p = poly(2, {(1, -1): 1, (0, 0): -3, (-1, 2): 2})
+    assert p.render() == "2*a^-1*b^2 + a*b^-1 - 3"
+    # graded lexicographic, leading term first; a negative lead keeps
+    # its sign
+    r = LaurentPolynomial(2, {(1, 2): 1, (4, -3): -2, (-2, 0): 3,
+                              (2, 1): -1})
+    assert r.render() == "-a^2*b + a*b^2 - 2*a^4*b^-3 + 3*a^-2"
