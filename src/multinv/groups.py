@@ -129,8 +129,8 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     for g in gens:
         if g.nrows != rank or g.ncols != rank:
             raise NotUnimodular("generators must be square of equal size")
-        if g.det() not in (1, -1):
-            raise NotUnimodular(f"generator determinant {g.det()} is not +-1")
+        if (det := g.det()) not in (1, -1):
+            raise NotUnimodular(f"generator determinant {det} is not +-1")
     action = GroupAction(rank, gens, cap)
     from .roots import _walked_order  # roots imports this module
     order = _walked_order(action)

@@ -19,16 +19,14 @@ reflections are walked out as (root, coroot) pairs over the generators
 partition dual to the exponents m_i, and |W| = prod (m_i + 1)
 (Humphreys, Sections 3.9 and 3.20, after Kostant; `_walked_order`).
 
-Whether the reflections generate the group is decided without listing
-the subgroup W' they generate.  W' acts simply transitively on its
-positive systems (Humphreys, Reflection Groups and Coxeter Groups,
-Sections 1.6-1.8), so an element h lies in W' exactly when a descent
-ends at the identity: replace h by s_i * h while h sends some simple
-root alpha_i to a negative root.  Each step sends one positive root
-fewer to a negative root, so the descent takes at most |positive roots|
-steps.  The positive roots are those with nonnegative coordinates over
-the base, and the coordinates of all roots come from one fraction-free
-elimination.
+Whether the reflections generate the group is decided from two orders.
+The group W' they generate fixes the lattice modulo the root span V,
+since v * s - v lies in Q alpha, and acts on V as the Weyl group of the
+roots; an element trivial on both V and the quotient is unipotent of
+finite order, so it is 1.  Hence |W'| is the Kostant product over the
+root heights (`_weyl_order`), and G = W' exactly when |G| equals it.
+The heights are read off the coordinates of the roots over a base, all
+from one fraction-free elimination.
 
 A base of simple roots fixes the rest through the coroots of its
 reflections, the columns of the n x r coroot matrix.  A vector v has
@@ -250,13 +248,16 @@ def _normalised(root, coroot):
 
 def _walked_order(action: GroupAction):
     """|G| from the root heights when `_root_walk` certifies the walk,
-    else None.
+    else None."""
+    return None if _root_walk(action) is None else _weyl_order(action)
+
+
+def _weyl_order(action: GroupAction) -> int:
+    """|W'|, the order of the group the reflections generate.
 
     The counts n_k of positive roots of height k form the partition dual
     to the exponents: n_k - n_(k+1) exponents equal k, and
-    |W| = prod (m_i + 1) (Humphreys, Sections 3.9 and 3.20)."""
-    if _root_walk(action) is None:
-        return None
+    |W'| = prod (m_i + 1) (Humphreys, Sections 3.9 and 3.20)."""
     _, coordinates = _base_coordinates(action)
     return _kostant_order(sum(c) for c in coordinates.values() if min(c) >= 0)
 
@@ -297,61 +298,20 @@ def _base_coordinates(action: GroupAction) -> tuple[tuple, dict]:
 
 
 @memoised
-def _positive_system(action: GroupAction) -> tuple[tuple, frozenset]:
-    """The base of `_base_coordinates` and the positive roots over it:
-    those whose base coordinates are all nonnegative."""
-    base, coordinates = _base_coordinates(action)
-    return base, frozenset(r for r, c in coordinates.items() if min(c) >= 0)
-
-
-@memoised
 def is_reflection_group(action: GroupAction) -> bool:
     """True when the reflections generate the whole group (vacuously true
     for the trivial group).
 
-    G permutes its reflections by conjugation and maps primitive roots to
-    primitive roots, so the roots form a reduced crystallographic root
-    system of the subgroup W' the reflections generate, and W' acts
-    simply transitively on its positive systems (Humphreys, Reflection
-    Groups and Coxeter Groups, Sections 1.6-1.8).  Each generator is
-    tested for membership in W' by descent (see `_descend`): it lies in
-    W' exactly when the descent ends at the identity, and G = W' exactly
-    when every generator does.  No group is closed.
+    When `_root_walk` certifies the walk, every generator is a
+    reflection.  Otherwise G was listed to find its reflections, and
+    G = W', the subgroup they generate, exactly when |G| = |W'|
+    (`_weyl_order`).  No subgroup is closed.
     """
-    refls = find_reflections(action)
-    if not refls:
+    if _root_walk(action) is not None:
+        return True
+    if not find_reflections(action):
         return action.order == 1
-    base, positive = _positive_system(action)
-    simple = tuple(zip(base, _base_coroots(
-        base, _base_reflections(refls, base))))
-    identity = IntMatrix.identity(action.rank).entries
-    return all(_descend(g.entries, simple, positive) == identity
-               for g in action.generators)
-
-
-def _descend(h, simple, positive):
-    """Descend the group element with rows `h` by steps h -> s_i * h to
-    an element that keeps the positive system, and return its rows.
-
-    A step is taken while some simple root alpha_i has alpha_i * h
-    outside `positive`; with 1 - s_i = coroot_i (x) alpha_i the step is
-    h - coroot_i (x) (alpha_i * h).  When h sends alpha_i to a negative
-    root, s_i * h sends one positive root fewer to a negative root than
-    h does (s_i permutes the other positive roots), so at most
-    |positive| steps are taken; more raise AxiomFailure.  An element of
-    the reflection subgroup W' that keeps the positive system is the
-    identity, so the result is the identity exactly when h lies in W'.
-    """
-    for _ in range(len(positive) + 1):
-        for alpha, coroot in simple:
-            image = tuple(_dot(alpha, column) for column in zip(*h))
-            if image not in positive:
-                break
-        else:
-            return h
-        h = tuple(tuple(x - c * y for x, y in zip(row, image)) if c else row
-                  for c, row in zip(coroot, h))
-    raise AxiomFailure("descent to the positive system did not end")
+    return action.order == _weyl_order(action)
 
 
 def _base_coroots(base, base_reflections) -> tuple[tuple[int, ...], ...]:
@@ -493,7 +453,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         )
 
     if base is None:
-        base, _ = _positive_system(action)
+        base, _ = _base_coordinates(action)
     else:
         try:
             base = tuple(
@@ -612,7 +572,7 @@ def _orbit_sizes(rd: RootDatum):
     (Humphreys, Section 1.12), so |W lambda| = |W| / |W_J|; the positive
     roots of W_J are the positive roots supported on J, read from the
     base coordinates `_check_base` gives, and their heights give |W_J|
-    as in `_walked_order`.  No orbit is listed."""
+    as in `_weyl_order`.  No orbit is listed."""
     coordinates = (_check_base(rd.roots, rd.base, rd.rank, strict=False)
                    if rd.rank else {})
     supports = [(sum(1 << i for i, x in enumerate(c) if x), sum(c))

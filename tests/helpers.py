@@ -21,6 +21,7 @@ from multinv import (
     close_group,
     find_reflections,
     fixed_sublattice,
+    groups,
     is_reflection_group,
     kernel_lattice,
     smith_normal_form,
@@ -354,13 +355,14 @@ GOLDEN_REFLECTION_ACTIONS = {
 
 
 def oracle_is_reflection_group(action):
-    """Whether the reflections generate the group, decided by closing all
-    of them and comparing orders: the enumeration the descent replaced."""
+    """Whether the reflections generate the group, decided by listing
+    the subgroup they generate and comparing orders, independent of the
+    root heights that `is_reflection_group` reads."""
     refls = find_reflections(action)
     if not refls:
         return action.order == 1
-    sub = close_group([r.matrix for r in refls], cap=action.order)
-    return sub.order == action.order
+    sub = groups._close(action.rank, [r.matrix for r in refls], action.order)
+    return len(sub) == action.order
 
 
 # The class-group construction the single Smith form replaced, kept as

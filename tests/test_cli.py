@@ -416,7 +416,7 @@ def test_analyze_computes_each_group_fact_once(tmp_path, capsys,
     assert code == 0
     report = json.loads(out)
     assert (report["group_order"], report["fixed_rank"]) == (6, 1)
-    # the input group only: reflection generation is decided by descent,
+    # the input group only: reflection generation is |G| against |W'|,
     # and analyze reads only the fixed rank, so the induced quotient group
     # is never built
     assert calls["close_group"] == 1

@@ -226,6 +226,21 @@ def test_descent_on_groups_beyond_the_weyl_blocks(gens, expected):
     assert is_reflection_group(group) == expected
 
 
+@pytest.mark.parametrize("name, case", DESCENT_CASES.items(),
+                         ids=DESCENT_CASES.keys())
+def test_weyl_order_is_the_listed_order_of_the_reflection_subgroup(name,
+                                                                   case):
+    # |W'| read off the root heights against the subgroup the reflections
+    # generate, listed; without reflections W' = 1 and no height is read
+    group = close_group(case[0])
+    refls = [r.matrix for r in find_reflections(group)]
+    listed = len(groups._close(group.rank, refls, group.order))
+    assert (roots._weyl_order(group) if refls else 1) == listed
+    orders = {"S4x+-I": (24, 48), "B3-by-minus": (48, 48)}
+    if name in orders:
+        assert (listed, group.order) == orders[name]
+
+
 def test_reflections_generating_a_proper_subgroup():
     # S4 x {+-I} on Z^4: the reflections are the six transpositions, whose
     # roots span rank 3 and generate S4 only
@@ -373,7 +388,8 @@ def test_base_coordinates_match_per_root_solves(gens):
     equations = [[b[k] for b in rd.base] for k in range(group.rank)]
     for r, c in coordinates.items():
         assert oracle_solve_linear(equations, r) == c
-    base, positive = roots._positive_system(group)
+    base, coordinates = roots._base_coordinates(group)
+    positive = {r for r, c in coordinates.items() if min(c) >= 0}
     assert base == rd.base
     assert {tuple(-x for x in r) for r in positive} == rd.roots - positive
 
