@@ -34,7 +34,6 @@ from .errors import (
 from .groups import (
     GroupAction,
     close_group,
-    displacement_ranks,
     fixed_sublattice,
 )
 from .lattice import (

@@ -22,11 +22,7 @@ from .errors import (
     NotSignGroup,
     TrivialGroup,
 )
-from .groups import (
-    GroupAction,
-    displacement_ranks,
-    fixed_sublattice,
-)
+from .groups import GroupAction, _one_minus_rows, fixed_sublattice, memoised
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
@@ -51,16 +47,30 @@ UNKNOWN = "Unknown"
 MAX_SIGN_COMPONENTS = 2 ** 16
 
 
+@memoised
 def min_displacement_rank(action: GroupAction) -> int:
     """Minimum over nonidentity elements of rank(1 - g); this equals the
     height of the ideal cutting out the non-free locus.  A reflection s
     has rank(1 - s) = 1, the least there is, so a group with reflections
-    lists no element here."""
+    lists no element here.  Otherwise the elements are ranked in the
+    order of the bound ceil((n - tr g) / 2) <= rank(1 - g), until it
+    reaches the least rank found: g is diagonalisable over C with roots
+    of unity l as eigenvalues, and n - tr g is the sum over the l != 1
+    of 1 - Re l, each at most 2.  The bound is 0 only for the identity."""
     if find_reflections(action):
         return 1
     if action.order == 1:
         raise TrivialGroup("displacement rank needs a nontrivial group")
-    return min(r for r in displacement_ranks(action) if r)
+    n = action.rank
+    bounds = sorted(((n + 1 - sum(g.entries[i][i] for i in range(n))) // 2, k)
+                    for k, g in enumerate(action.elements))
+    best = n
+    for bound, k in bounds[1:]:  # bounds[0] is the identity's, 0
+        if bound >= best:
+            break
+        rows = _one_minus_rows(action.elements[k])
+        best = min(best, IntMatrix._from_checked_rows(rows, n).rank())
+    return best
 
 
 def class_group(action: GroupAction) -> ElementaryDivisors:

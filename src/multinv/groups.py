@@ -14,10 +14,11 @@ The closure enumerates a group on row orbits: row i of an element m is
 the lattice point e_i * m, and inside the search an element is the
 tuple of ids of its n row points.  The rows of m * g are the rows of m,
 each moved by g, so a product is n lookups in a per-generator table of
-point images, filled on first use with one `IntMatrix.apply`.  Every
-point is an integer vector, the image of a unit row under validated
-`IntMatrix` generators, so the matrices, built once after the search, are
-assembled from their rows without checking every entry again.
+point images, filled on first use with one `IntMatrix.apply` (on the
+columns it keeps).  Every point is an integer vector, the image of a
+unit row under validated `IntMatrix` generators, so the matrices, built
+once after the search, are assembled from their rows without checking
+every entry again.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class GroupAction:
     `order` is |G|, read off the root heights when `close_group` found G
     generated by reflections, else the length of the element list.
 
-    Facts derived from the group (fixed sublattice, displacement ranks,
-    reflections, whether the reflections generate) are memoised on the
-    action (see `memoised`): each is computed on first use and read back
+    Facts derived from the group (fixed sublattice, least displacement
+    rank, reflections, whether the reflections generate) are memoised on
+    the action (see `memoised`): each is computed on first use and read back
     after that.  They are deterministic, so sharing an action between
     threads can at worst compute a fact twice.
     """
@@ -87,17 +88,17 @@ def memoised(compute):
 
 class _RowImages(dict):
     """Point id -> id of its image under one generator, each entry filled
-    on first use: the image vector is computed once and interned in the
-    shared `points` / `ids`."""
+    on first use: the image vector is computed once, by the generator's
+    `apply`, and interned in the shared `points` / `ids`."""
 
-    __slots__ = ("g", "points", "ids")
+    __slots__ = ("apply", "points", "ids")
 
     def __init__(self, g: IntMatrix, points: list, ids: dict):
         super().__init__()
-        self.g, self.points, self.ids = g, points, ids
+        self.apply, self.points, self.ids = g.apply, points, ids
 
     def __missing__(self, pid: int) -> int:
-        image = self.g.apply(self.points[pid])
+        image = self.apply(self.points[pid])
         qid = self.ids.setdefault(image, len(self.points))
         if qid == len(self.points):
             self.points.append(image)
@@ -126,11 +127,12 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
         if not gens:
             raise ValueError("rank is required when no generators are given")
         rank = gens[0].nrows
-    for g in gens:
+    for i, g in enumerate(gens):
         if g.nrows != rank or g.ncols != rank:
             raise NotUnimodular("generators must be square of equal size")
         if (det := g.det()) not in (1, -1):
-            raise NotUnimodular(f"generator determinant {det} is not +-1")
+            raise NotUnimodular(
+                f"generators[{i}] has determinant {det}, not +-1")
     action = GroupAction(rank, gens, cap)
     from .roots import _walked_order  # roots imports this module
     order = _walked_order(action)
@@ -198,18 +200,6 @@ def fixed_sublattice(action: GroupAction) -> Sublattice:
         tuple(sum(rows, ()) for rows in blocks), action.rank * len(gens)))
 
 
-@memoised
-def displacement_ranks(action: GroupAction) -> tuple[int, ...]:
-    """rank(1 - g) for every element, in element order; only the
-    identity has rank 0."""
-    n = action.rank
-    identity = IntMatrix.identity(n)
-    checked = IntMatrix._from_checked_rows
-    return tuple(
-        0 if g == identity else checked(_one_minus_rows(g), n).rank()
-        for g in action.elements)
-
-
 def _one_minus_rows(g: IntMatrix) -> tuple:
     """The rows of 1 - g, as a tuple of int tuples."""
     return tuple(tuple(int(i == j) - x for j, x in enumerate(row))
@@ -221,5 +211,4 @@ __all__ = [
     "DEFAULT_CLOSURE_CAP",
     "close_group",
     "fixed_sublattice",
-    "displacement_ranks",
 ]

@@ -7,10 +7,11 @@ Conventions used throughout the package:
 * sublattices are stored in a canonical Hermite form (lower triangular,
   positive pivots) so that equal sublattices have identical bases.
 
-Everything rests on two integer primitives: `_echelon`, a fraction-free
-(Bareiss) Gauss-Jordan elimination behind determinants, ranks and the
-root layer's coordinates and weights, and `_row_step`, a unimodular
-two-row step behind the Hermite form and the kernel lattices
+Everything rests on integer primitives: `_bareiss`, one forward-only
+fraction-free (Bareiss) pass behind determinants and ranks; `_echelon`,
+the Gauss-Jordan form of the same elimination, behind the root layer's
+coordinates and weights, which read a reduced form; and `_row_step`, a
+unimodular two-row step behind the Hermite form and the kernel lattices
 (`kernel_lattice` reads the kernel off the transform that brings a
 matrix to echelon form).  The Smith form, also built from `_row_step`,
 is taken only where its diagonal or both transforms are wanted:
@@ -51,7 +52,7 @@ class IntMatrix:
     6
     """
 
-    __slots__ = ("entries", "nrows", "ncols")
+    __slots__ = ("entries", "nrows", "ncols", "_columns")
 
     def __init__(self, entries, ncols: int | None = None):
         rows = tuple(tuple(row) for row in entries)
@@ -71,6 +72,7 @@ class IntMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -84,6 +86,7 @@ class IntMatrix:
         _set_entries(m, rows)
         _set_nrows(m, len(rows))
         _set_ncols(m, ncols)
+        _set_columns(m, None)
         return m
 
     @classmethod
@@ -115,29 +118,66 @@ class IntMatrix:
                          else [()] * self.ncols, ncols=self.nrows)
 
     def apply(self, v):
-        """Row vector v times this matrix; entries of v may be Fractions."""
+        """Row vector v times this matrix; entries of v may be Fractions.
+        The columns are taken on first use and kept on the matrix."""
         if len(v) != self.nrows:
             raise ValueError("vector length mismatch")
-        if not self.entries:
-            return (0,) * self.ncols
-        return tuple(sum(map(mul, v, col)) for col in zip(*self.entries))
+        if self._columns is None:
+            _set_columns(self, tuple(zip(*self.entries)) if self.entries
+                         else ((),) * self.ncols)
+        return tuple(sum(map(mul, v, col)) for col in self._columns)
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant by one forward fraction-free (Bareiss) pass."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        _, pivots, scale, sign = _echelon(self.entries, self.ncols)
-        return sign * scale if len(pivots) == self.nrows else 0
+        rank, pivot, sign = _bareiss(self.entries, self.ncols)
+        return sign * pivot if rank == self.nrows else 0
 
     def rank(self) -> int:
         """Rank over the rationals."""
-        return len(_echelon(self.entries, self.ncols)[1])
+        return _bareiss(self.entries, self.ncols)[0]
 
 
 # the slot setters, which `IntMatrix.__setattr__` blocks
 _set_entries = IntMatrix.entries.__set__
 _set_nrows = IntMatrix.nrows.__set__
 _set_ncols = IntMatrix.ncols.__set__
+_set_columns = IntMatrix._columns.__set__
+
+
+def _bareiss(rows, ncols: int) -> tuple[int, int, int]:
+    """(rank, last pivot, sign of the row swaps) of integer `rows`, by one
+    forward fraction-free (Bareiss) pass; for a square matrix of full rank
+    sign * pivot is the determinant.  Only rows below the pivot row and
+    nonzero in its column are eliminated.  Each row keeps in `tags` the
+    pivot current when it was last written; Bareiss's row is the stored
+    one times (last pivot / tag), a minor, so every division is exact."""
+    rows = list(rows)
+    tags = [1] * len(rows)
+    last, sign, r = 1, 1, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            tags[r], tags[piv] = tags[piv], tags[r]
+            sign = -sign
+        top = rows[r]
+        if tags[r] != last:
+            top = [x * last // tags[r] for x in top]
+        p = top[c]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * a - f * b) // tags[i]
+                           for a, b in zip(row, top)]
+                tags[i] = p
+        last = p
+        r += 1
+    return r, last, sign
 
 
 def _echelon(rows, ncols: int):

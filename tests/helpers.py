@@ -60,6 +60,51 @@ def oracle_inverse_unimodular(m: IntMatrix) -> IntMatrix:
     return IntMatrix([[scale * x for x in row[n:]] for row in rows], ncols=n)
 
 
+def _oracle_pivots(m: IntMatrix):
+    """Gaussian elimination of m on Fractions: the pivot values, in
+    order, and the sign of the row permutation."""
+    rows = [[Fraction(x) for x in row] for row in m.entries]
+    pivots, sign = [], 1
+    for c in range(m.ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / top[c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        pivots.append(top[c])
+    return pivots, sign
+
+
+def oracle_rank(m: IntMatrix) -> int:
+    """Rank over Q, by Gaussian elimination on Fractions."""
+    return len(_oracle_pivots(m)[0])
+
+
+def oracle_det(m: IntMatrix) -> int:
+    """Determinant of a square matrix: the signed product of the pivots
+    of a Gaussian elimination on Fractions."""
+    pivots, sign = _oracle_pivots(m)
+    if len(pivots) < m.nrows:
+        return 0
+    det = sign * prod(pivots, start=Fraction(1))
+    assert det.denominator == 1
+    return int(det)
+
+
+def oracle_min_displacement_rank(action) -> int:
+    """The least rank(1 - g) over the nonidentity elements, every one
+    ranked by the Fraction oracle."""
+    identity = IntMatrix.identity(action.rank)
+    return min(oracle_rank(one_minus(g)) for g in action.elements
+               if g != identity)
+
+
 def oracle_solve_linear(equations, rhs):
     """A rational solution of A * x = rhs, `equations` the rows of A, with
     the free variables zero; None when the system is inconsistent."""

@@ -44,6 +44,7 @@ from helpers import (
     oracle_effective_quotient,
     oracle_inverse_unimodular,
     oracle_is_fixed_point_free,
+    oracle_min_displacement_rank,
     orbit_sublattice_actions,
     random_finite_action,
     random_unimodular,
@@ -65,6 +66,47 @@ def test_min_displacement_rank():
     assert min_displacement_rank(sign_sl_action(3)) == 2
     with pytest.raises(TrivialGroup):
         min_displacement_rank(close_group([], rank=2))
+
+
+ROT90_XM1 = IntMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
+
+
+def test_min_displacement_rank_matches_the_oracle():
+    # the trace bound stops the ranking early; the answer is still the
+    # least rank(1 - g) over every nonidentity element
+    actions = [sign_sl_action(n) for n in range(3, 8)]
+    actions += [cyclotomic_action(p) for p in (3, 5, 7)]
+    actions.append(close_group([ROT90_XM1]))
+    rng = random.Random(24680)
+    for n in (2, 3):
+        actions += [random_finite_action(rng, n) for _ in range(25)]
+    for action in actions:
+        if action.order > 1:
+            assert (min_displacement_rank(action)
+                    == oracle_min_displacement_rank(action))
+
+
+@PROPERTY
+@given(conjugated_block_sums(max_trivial=1))
+def test_min_displacement_rank_matches_the_oracle_on_block_sums(gens):
+    action = close_group(gens)
+    assert (min_displacement_rank(action)
+            == oracle_min_displacement_rank(action))
+
+
+def test_min_displacement_rank_of_a_sign_group_ranks_one_element(
+        monkeypatch):
+    # sign_sl_action(7) has 63 nonidentity elements, and the bound
+    # (n - tr g) / 2 of each is its rank(1 - g), the count of its -1s:
+    # after the first rank, every other bound is at least the least rank
+    action = sign_sl_action(7)
+    assert not find_reflections(action)
+    calls = []
+    rank = IntMatrix.rank
+    monkeypatch.setattr(IntMatrix, "rank",
+                        lambda self: calls.append(self) or rank(self))
+    assert min_displacement_rank(action) == 2
+    assert len(calls) <= 1
 
 
 def test_is_fixed_point_free():

@@ -232,8 +232,24 @@ def test_invalid_input_exits_2(tmp_path, capsys):
     bad_det = write_doc(tmp_path, {"rank": 2,
                                    "generators": [[[2, 0], [0, 1]]]},
                         "bad1.json")
-    code, _, err = run(capsys, ["analyze", bad_det])
-    assert code == 2 and "determinant" in err
+    code, out, err = run(capsys, ["analyze", bad_det])
+    assert (code, out) == (2, "")
+    assert err == "error: generators[0] has determinant 2, not +-1\n"
+    # close_group takes each determinant once, after the document's other
+    # fields are checked, so a bad label is reported first
+    bad_both = write_doc(tmp_path, {"rank": 2, "labels": ["x"],
+                                    "generators": [[[1, 0], [0, 1]],
+                                                   [[1, 1], [1, 1]]]},
+                         "bad4.json")
+    code, _, err = run(capsys, ["verdict", bad_both])
+    assert (code, err) == (2, "error: 'labels' must be 2 nonempty strings\n")
+    singular = write_doc(tmp_path, {"rank": 2,
+                                    "generators": [[[1, 0], [0, 1]],
+                                                   [[1, 1], [1, 1]]]},
+                         "bad5.json")
+    code, _, err = run(capsys, ["verdict", singular])
+    assert (code, err) == (2, "error: generators[1] has determinant 0, "
+                              "not +-1\n")
 
     ragged = write_doc(tmp_path, {"rank": 2, "generators": [[[1, 0]]]},
                        "bad2.json")
@@ -420,10 +436,21 @@ def test_analyze_computes_each_group_fact_once(tmp_path, capsys,
     # and analyze reads only the fixed rank, so the induced quotient group
     # is never built
     assert calls["close_group"] == 1
-    # rank(1 - g) once per nonidentity element of G (the induced group
-    # needs none), plus the rank of the root span; the base is checked
-    # inside the elimination that gives the roots' base coordinates
-    assert calls["rank"] <= (6 - 1) + 1
+    # G has reflections, so its least displacement rank is 1 without a
+    # rank(1 - g); the one rank is that of the root span, and the base is
+    # checked inside the elimination that gives the roots' base
+    # coordinates
+    assert calls["rank"] <= 1
+    # rot90 x -1 on Z^3 has no reflection: analyze reads the least
+    # displacement rank for the ideal height and verdict reads it again,
+    # and its three nonidentity elements all have the trace bound 2
+    calls["rank"] = 0
+    rot = {"rank": 3, "generators": [[[0, 1, 0], [-1, 0, 0], [0, 0, -1]]]}
+    code, out, _ = run(capsys, ["analyze", write_doc(tmp_path, rot),
+                                "--json"])
+    assert code == 0
+    assert json.loads(out)["ideal_height"] == 2
+    assert calls["rank"] <= 1
 
 
 def test_classgroup_computes_each_group_fact_once(tmp_path, capsys,

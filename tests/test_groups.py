@@ -9,10 +9,9 @@ from multinv import (
     NotUnimodular,
     Sublattice,
     close_group,
-    displacement_ranks,
     fixed_sublattice,
 )
-from multinv.groups import DEFAULT_CLOSURE_CAP, _search
+from multinv.groups import DEFAULT_CLOSURE_CAP, _one_minus_rows, _search
 from helpers import (
     R2,
     S2,
@@ -23,6 +22,7 @@ from helpers import (
     oracle_effective_quotient,
     oracle_induced_matrix,
     oracle_kernel_lattice,
+    oracle_rank,
     orbit_sublattice_actions,
     s3_action,
     s4_action,
@@ -251,16 +251,19 @@ def test_close_group_forms_no_matrix_product(monkeypatch):
 def test_closed_elements_are_the_validated_matrices(gens):
     # the elements are built from rows checked once, as they were
     # interned; they equal the matrices the validating constructor
-    # builds, and rank(1 - g) is read off the rows of 1 - g
+    # builds, and rank(1 - g) read off the rows of 1 - g is the rank the
+    # Fraction oracle finds
     group = close_group(gens)
+    n = group.rank
     for i, g in enumerate(group.elements):
-        rebuilt = IntMatrix(g.entries, ncols=group.rank)
+        rebuilt = IntMatrix(g.entries, ncols=n)
         assert (g.nrows, g.ncols, g.entries) == \
             (rebuilt.nrows, rebuilt.ncols, rebuilt.entries)
         assert g == rebuilt and hash(g) == hash(rebuilt)
         assert group.elements[i] == rebuilt
-    assert displacement_ranks(group) == tuple(
-        one_minus(g).rank() for g in group.elements)
+        moved = IntMatrix._from_checked_rows(_one_minus_rows(g), n)
+        assert moved == one_minus(g)
+        assert moved.rank() == oracle_rank(one_minus(g))
 
 
 def assert_fixed_sublattice_matches_oracle(gens):

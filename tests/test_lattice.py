@@ -18,9 +18,11 @@ from helpers import (
     mat,
     one_minus,
     oracle_annihilated_by,
+    oracle_det,
     oracle_inverse_unimodular,
     oracle_kernel_lattice,
     oracle_quotient_invariants,
+    oracle_rank,
     oracle_solve_linear,
     random_unimodular,
     snf_diagonal_by_minors,
@@ -55,6 +57,34 @@ def square_pairs(draw, max_size=8):
     n = draw(st.integers(0, max_size))
     return (IntMatrix(draw(int_rows(n, n)), ncols=n),
             IntMatrix(draw(int_rows(n, n)), ncols=n))
+
+
+BIG = st.integers(-10 ** 6, 10 ** 6)
+
+
+@st.composite
+def elimination_cases(draw, square=False, max_size=8):
+    """Square, wide or tall matrices with entries up to 10^6 in size:
+    random, of low rank, or with zero rows or repeated (scaled) rows
+    written over some of their rows."""
+    nr = draw(st.integers(0, max_size))
+    nc = nr if square else draw(st.integers(0, max_size))
+    kind = draw(st.sampled_from(("random", "low-rank", "zero", "repeat")))
+    if kind == "low-rank" and nr and nc:
+        k = draw(st.integers(1, min(nr, nc)))
+        small = st.integers(-300, 300)  # products stay within 10^6
+        a = IntMatrix(draw(int_rows(nr, k, small)), ncols=k)
+        return a * IntMatrix(draw(int_rows(k, nc, small)), ncols=nc)
+    rows = draw(int_rows(nr, nc, BIG))
+    for i in (draw(st.lists(st.integers(0, nr - 1), max_size=3))
+              if nr else ()):
+        if kind == "zero":
+            rows[i] = [0] * nc
+        elif kind == "repeat":
+            j = draw(st.integers(0, nr - 1))
+            c = draw(st.sampled_from((1, -1, 2, -3)))
+            rows[i] = [c * x for x in rows[j]]
+    return IntMatrix(rows, ncols=nc)
 
 
 def leibniz_det(m):
@@ -308,10 +338,23 @@ def test_det_is_multiplicative(pair):
 
 
 @PROPERTY
-@given(square_pairs(max_size=4))
-def test_det_matches_leibniz_expansion(pair):
-    for m in pair:
+@given(square_pairs(max_size=4), elimination_cases(square=True, max_size=6))
+def test_det_matches_leibniz_expansion(pair, large):
+    for m in (*pair, large):
         assert m.det() == leibniz_det(m)
+
+
+@PROPERTY
+@given(elimination_cases())
+def test_rank_matches_the_fraction_oracle(m):
+    assert m.rank() == oracle_rank(m)
+
+
+@PROPERTY
+@given(elimination_cases(square=True))
+def test_det_matches_the_fraction_oracle(m):
+    assert m.det() == oracle_det(m)
+    assert (m.det() == 0) == (m.rank() < m.nrows)
 
 
 @PROPERTY
