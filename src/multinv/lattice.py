@@ -4,19 +4,19 @@ Conventions used throughout the package:
 
 * vectors are rows, and matrices act on the right: ``v -> v * m``;
 * all arithmetic is exact, floats never appear;
-* sublattices are stored in a canonical Hermite form (lower triangular,
+* sublattices are stored in a canonical Hermite form (upper triangular,
   positive pivots) so that equal sublattices have identical bases.
 
-Everything rests on integer primitives: `_bareiss`, one forward-only
-fraction-free (Bareiss) pass behind determinants and ranks; `_echelon`,
-the Gauss-Jordan form of the same elimination, behind the root layer's
-coordinates and weights, which read a reduced form; and `_row_step`, a
-unimodular two-row step behind the Hermite form and the kernel lattices
-(`kernel_lattice` reads the kernel off the transform that brings a
-matrix to echelon form).  The Smith form, also built from `_row_step`,
-is taken only where its diagonal or both transforms are wanted:
-elementary divisors and `solve_integer`.  Fractions appear only in
-rational answers: solutions, coordinates and weights.
+Everything rests on two integer eliminations.  `_echelon` is one
+fraction-free (Bareiss) pass: forward-only behind determinants and
+ranks, and Gauss-Jordan (`reduced`) behind the root layer's coordinates
+and weights.  `_unimodular_echelon` brings rows to echelon form by
+unimodular two-row steps (`_row_step`), with companion matrices riding
+along: it gives the Hermite form, and the kernel lattices as the rows of
+the transform past the pivots.  The Smith form, also built from
+`_row_step`, is taken only where its diagonal or both transforms are
+wanted: elementary divisors and `solve_integer`.  Fractions appear only
+in rational answers: solutions, coordinates and weights.
 """
 
 from __future__ import annotations
@@ -77,6 +77,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        return IntMatrix, (self.entries, self.ncols)
+
     @classmethod
     def _from_checked_rows(cls, rows: tuple, ncols: int) -> "IntMatrix":
         """The matrix on `rows`, a tuple of tuples of `ncols` ints each,
@@ -131,12 +134,12 @@ class IntMatrix:
         """Determinant by one forward fraction-free (Bareiss) pass."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rank, pivot, sign = _bareiss(self.entries, self.ncols)
-        return sign * pivot if rank == self.nrows else 0
+        _, pivots, last, sign = _echelon(self.entries, self.ncols)
+        return sign * last if len(pivots) == self.nrows else 0
 
     def rank(self) -> int:
         """Rank over the rationals."""
-        return _bareiss(self.entries, self.ncols)[0]
+        return len(_echelon(self.entries, self.ncols)[1])
 
 
 # the slot setters, which `IntMatrix.__setattr__` blocks
@@ -146,17 +149,29 @@ _set_ncols = IntMatrix.ncols.__set__
 _set_columns = IntMatrix._columns.__set__
 
 
-def _bareiss(rows, ncols: int) -> tuple[int, int, int]:
-    """(rank, last pivot, sign of the row swaps) of integer `rows`, by one
-    forward fraction-free (Bareiss) pass; for a square matrix of full rank
-    sign * pivot is the determinant.  Only rows below the pivot row and
-    nonzero in its column are eliminated.  Each row keeps in `tags` the
-    pivot current when it was last written; Bareiss's row is the stored
-    one times (last pivot / tag), a minor, so every division is exact."""
+def _echelon(rows, ncols: int, reduced: bool = False):
+    """One fraction-free (Bareiss) pass on the first `ncols` columns of
+    integer `rows`; further columns (an augmented part) ride along.
+
+    Forward, the default, only rows below the pivot row are eliminated:
+    enough for ranks and determinants.  `reduced` eliminates above it
+    too (Gauss-Jordan).  Only rows nonzero in the pivot column are
+    touched.  Each row keeps in `tags` the pivot current when it was last
+    written; Bareiss's row is the stored one times (last pivot / tag), a
+    minor, so every division is exact.
+
+    Returns (rows, pivots, last, sign): the eliminated rows, pivot rows
+    first; the list of pivot columns; the last pivot; and the sign of the
+    row permutation.  For a square matrix of full rank sign * last is the
+    determinant.  When `reduced`, every row is brought to `last`, so the
+    rows divided by `last` are the unique reduced row echelon form.
+    """
     rows = list(rows)
     tags = [1] * len(rows)
-    last, sign, r = 1, 1, 0
+    pivots = []
+    last, sign = 1, 1
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
@@ -166,54 +181,21 @@ def _bareiss(rows, ncols: int) -> tuple[int, int, int]:
             sign = -sign
         top = rows[r]
         if tags[r] != last:
-            top = [x * last // tags[r] for x in top]
+            top = rows[r] = [x * last // tags[r] for x in top]
         p = top[c]
-        for i in range(r + 1, len(rows)):
+        for i in range(0 if reduced else r + 1, len(rows)):
             row = rows[i]
             f = row[c]
-            if f:
+            if f and i != r:
                 rows[i] = [(p * a - f * b) // tags[i]
                            for a, b in zip(row, top)]
                 tags[i] = p
-        last = p
-        r += 1
-    return r, last, sign
-
-
-def _echelon(rows, ncols: int):
-    """Fraction-free Gauss-Jordan elimination (Bareiss exact division) on
-    the first `ncols` columns of integer `rows`; further columns (an
-    augmented part) ride along.
-
-    Returns (rows, pivots, scale, sign): the eliminated integer rows,
-    pivot rows first; the list of pivot columns; the last pivot, which
-    every pivot row carries in its pivot column; and the sign of the row
-    permutation.  Divided by `scale`, the rows are the unique reduced
-    row echelon form, and for a square matrix of full rank
-    sign * scale is the determinant.
-    """
-    rows = [list(row) for row in rows]
-    pivots = []
-    scale, sign = 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
-        pivot_row = rows[r]
-        p = pivot_row[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i == r or (not f and p == scale):
-                continue
-            rows[i] = [(p * a - f * b) // scale
-                       for a, b in zip(row, pivot_row)]
-        scale = p
+        tags[r] = last = p
         pivots.append(c)
-    return rows, pivots, scale, sign
+    if reduced:
+        rows = [row if t == last else [x * last // t for x in row]
+                for row, t in zip(rows, tags)]
+    return rows, pivots, last, sign
 
 
 def _row_step(i: int, k: int, col: int, rows, *companions) -> None:
@@ -309,51 +291,50 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
+def _unimodular_echelon(rows, ncols: int, *companions) -> int:
+    """Bring `rows`, a list of integer lists, to echelon form in place by
+    unimodular `_row_step`s, left to right, the companion matrices riding
+    along; return the number of nonzero rows, which come first."""
+    top = 0
+    for col in range(ncols):
+        if top == len(rows):
+            break
+        for k in range(top + 1, len(rows)):
+            _row_step(top, k, col, rows, *companions)
+        if rows[top][col]:
+            top += 1
+    return top
+
+
 def hermite_basis(ambient_rank: int, vectors) -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the integer row span of the given vectors.
 
-    The result is in lower-triangular Hermite form: pivot columns strictly
-    increase with the row index, each pivot is the last nonzero entry of its
-    row and is positive, and entries below a pivot (in its column) are
+    The result is in upper-triangular Hermite form: pivot columns strictly
+    increase with the row index, each pivot is the first nonzero entry of
+    its row and is positive, and entries above a pivot (in its column) are
     reduced into [0, pivot).
     """
-    work = []
-    for vec in vectors:
-        row = list(vec)
+    rows = [list(vec) for vec in vectors]
+    for row in rows:
         if len(row) != ambient_rank:
             raise ValueError("vector length does not match ambient rank")
-        for x in row:
-            if not isinstance(x, int):
-                raise TypeError("integer vector expected")
-        if any(row):
-            work.append(row)
-    picked: list[tuple[int, list[int]]] = []
-    for col in range(ambient_rank - 1, -1, -1):
-        idxs = [i for i, row in enumerate(work) if row[col]]
-        if not idxs:
-            continue
-        base = idxs[0]
-        for i in idxs[1:]:
-            _row_step(base, i, col, work)
-        row = work.pop(base)
-        if row[col] < 0:
-            row = [-x for x in row]
-        picked.append((col, row))
-        work = [w for w in work if any(w)]
-    picked.reverse()
-    pivots = [col for col, _ in picked]
-    rows = [row for _, row in picked]
-    for k in range(len(rows)):
-        for i in range(k - 1, -1, -1):
-            p = pivots[i]
-            q = rows[k][p] // rows[i][p]
+        if not all(isinstance(x, int) for x in row):
+            raise TypeError("integer vector expected")
+    del rows[_unimodular_echelon(rows, ambient_rank):]
+    for k, row in enumerate(rows):
+        p = next(j for j, x in enumerate(row) if x)
+        if row[p] < 0:
+            row = rows[k] = [-x for x in row]
+        for i in range(k):
+            q = rows[i][p] // row[p]
             if q:
-                rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
+                rows[i] = [a - q * b for a, b in zip(rows[i], row)]
     return tuple(tuple(r) for r in rows)
 
 
 class Sublattice:
-    """Sublattice of Z^n given by a canonical (Hermite form) row basis."""
+    """Sublattice of Z^n given by a canonical row basis, in the upper
+    triangular Hermite form of `hermite_basis`."""
 
     __slots__ = ("ambient_rank", "basis", "_pivots")
 
@@ -361,14 +342,14 @@ class Sublattice:
         basis = hermite_basis(ambient_rank, vectors)
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(
-            self,
-            "_pivots",
-            tuple(max(j for j, x in enumerate(row) if x) for row in basis),
-        )
+        object.__setattr__(self, "_pivots", tuple(
+            next(j for j, x in enumerate(row) if x) for row in basis))
 
     def __setattr__(self, name, value):
         raise AttributeError("Sublattice is immutable")
+
+    def __reduce__(self):
+        return Sublattice, (self.ambient_rank, self.basis)
 
     @classmethod
     def full(cls, n: int) -> "Sublattice":
@@ -396,8 +377,7 @@ class Sublattice:
             raise ValueError("vector length does not match ambient rank")
         rem = [Fraction(x) for x in v]
         coeffs = [Fraction(0)] * len(self.basis)
-        for i in reversed(range(len(self.basis))):
-            p = self._pivots[i]
+        for i, p in enumerate(self._pivots):
             c = rem[p] / self.basis[i][p]
             if c:
                 coeffs[i] = c
@@ -408,11 +388,12 @@ class Sublattice:
 
     def contains(self, v) -> bool:
         """Integral membership: is v an integer combination of the basis?
-        Decided in integers, back-substituting down the triangular basis."""
+        Decided in integers, substituting down the triangular basis from
+        its top row."""
         if len(v) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
         rem = list(v)
-        for row, p in zip(reversed(self.basis), reversed(self._pivots)):
+        for row, p in zip(self.basis, self._pivots):
             q, r = divmod(rem[p], row[p])
             if r:
                 return False
@@ -424,21 +405,13 @@ class Sublattice:
 def kernel_lattice(m: IntMatrix) -> Sublattice:
     """The saturated sublattice {x in Z^nrows : x * m == 0}.
 
-    Unimodular `_row_step`s bring m to echelon form, with the identity
+    `_unimodular_echelon` brings m to echelon form, with the identity
     riding along as u, so u * m is the echelon form.  Its rows past the
     pivots vanish, and u is invertible over Z, so the matching rows of u
     are a basis of the kernel."""
     rows = [list(row) for row in m.entries]
     u = [[int(i == j) for j in range(m.nrows)] for i in range(m.nrows)]
-    top = 0
-    for col in range(m.ncols):
-        if top == m.nrows:
-            break
-        for k in range(top + 1, m.nrows):
-            _row_step(top, k, col, rows, u)
-        if rows[top][col]:
-            top += 1
-    return Sublattice(m.nrows, u[top:])
+    return Sublattice(m.nrows, u[_unimodular_echelon(rows, m.ncols, u):])
 
 
 @dataclass(frozen=True)

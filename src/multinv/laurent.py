@@ -52,6 +52,9 @@ class LaurentPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
+    def __reduce__(self):
+        return LaurentPolynomial, (self.rank, self.terms)
+
     def __mul__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented

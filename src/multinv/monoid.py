@@ -10,8 +10,8 @@ J. Algebra 324, 2010): a point m with m_i >= z_i is the ray z_i e_i plus
 the monoid point m - z_i e_i, so subtracting rays brings every point into
 the box, and every Hilbert basis element other than a ray lies in it.
 
-The box points are listed, in lexicographic order, by a walk along an
-upper triangular Hermite basis of the projected lattice.  The minimal
+The box points are listed, in lexicographic order, by a walk along the
+projected lattice's Hermite basis, which is upper triangular.  The minimal
 nonzero points, and the check that they generate every listed point, read
 "which points lie below m" off one bitmask per coordinate and value
 instead of comparing pairs of points.
@@ -25,7 +25,7 @@ from math import lcm, prod
 from operator import add, and_, getitem, sub
 
 from .errors import AxiomFailure, BoxTooLarge, GenerationFailure
-from .lattice import Sublattice, hermite_basis
+from .lattice import Sublattice
 from .roots import RootDatum
 
 # The most lattice points a weight box may hold before it is listed.
@@ -52,12 +52,12 @@ def enumerate_box(rd: RootDatum, pi_lattice: Sublattice,
                   bounds) -> tuple[tuple[int, ...], ...]:
     """All monoid points inside the box prod([0, b_k]), in weight
     coordinates, listed lexicographically (the origin included).  The
-    Hermite basis of the lattice with its coordinates reversed is upper
-    triangular with positive diagonal p_k, so a point is fixed from its
-    first coordinate up: coordinate k runs over s[k] + p_k Z in [0, b_k],
-    s the chosen multiples of rows ..k-1 summed.  Taking each coordinate
-    in increasing order lists the points lexicographically; each lattice
-    point of the box comes out once, and no other is visited.
+    lattice's Hermite basis is upper triangular with positive diagonal
+    p_k, so a point is fixed from its first coordinate up: coordinate k
+    runs over s[k] + p_k Z in [0, b_k], s the chosen multiples of rows
+    ..k-1 summed.  Taking each coordinate in increasing order lists the
+    points lexicographically; each lattice point of the box comes out
+    once, and no other is visited.
 
     Coordinate k takes at most floor(b_k / p_k) + 1 values, so the box
     holds at most their product of points: exactly prod(z_k / p_k) for
@@ -67,16 +67,15 @@ def enumerate_box(rd: RootDatum, pi_lattice: Sublattice,
     """
     if (pi_lattice.rank, pi_lattice.ambient_rank) != (rd.rank, rd.rank):
         raise AxiomFailure("projected lattice must have full weight rank")
-    upper = [row[::-1] for row in reversed(hermite_basis(
-        rd.rank, (row[::-1] for row in pi_lattice.basis)))]
-    size = prod(b // upper[k][k] + 1 for k, b in enumerate(bounds))
+    basis = pi_lattice.basis
+    size = prod(b // basis[k][k] + 1 for k, b in enumerate(bounds))
     if size > MAX_BOX_POINTS:
         raise BoxTooLarge(
             f"the weight box holds up to {size} lattice points, more than "
             f"the {MAX_BOX_POINTS} that can be listed"
         )
     points = [(0,) * rd.rank]
-    for k, row in enumerate(upper):
+    for k, row in enumerate(basis):
         p, b = row[k], bounds[k]
         # the multiples t * row that keep coordinate k = c + t * p in
         # [0, b], for each value c it has before row k is added

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -344,7 +344,8 @@ class RootDatum:
     coordinates of base root i.  Fundamental weights are rational row
     vectors spanning the weight lattice, with weights . coroots = I.
     `fundamental_group` holds the elementary divisors of weight lattice /
-    root lattice.
+    root lattice.  `coordinates` maps each root to its integer
+    coordinates over the base.
     """
 
     rank: int
@@ -357,6 +358,7 @@ class RootDatum:
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
     pi_lattice: Sublattice
     fundamental_group: ElementaryDivisors
+    coordinates: dict = field(compare=False)
 
 
 def _generic_base(roots: frozenset, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -401,7 +403,8 @@ def _check_base(roots: frozenset, base, rank: int, strict: bool) -> dict:
     order = list(roots)
     columns = [*base, *order]
     rows, pivots, scale, _ = _echelon(
-        [[v[k] for v in columns] for k in range(len(base[0]))], rank)
+        [[v[k] for v in columns] for k in range(len(base[0]))], rank,
+        reduced=True)
     if len(pivots) != rank:
         raise exc("base vectors are linearly dependent")
     coordinates = {}
@@ -450,10 +453,11 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             fundamental_weights=(),
             pi_lattice=Sublattice(0),
             fundamental_group=ElementaryDivisors(()),
+            coordinates={},
         )
 
     if base is None:
-        base, _ = _base_coordinates(action)
+        base, coordinates = _base_coordinates(action)
     else:
         try:
             base = tuple(
@@ -461,7 +465,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             )
         except TypeError as exc:
             raise InvalidBase("base vectors must be integral") from exc
-        _check_base(roots, base, rank, strict=True)
+        coordinates = _check_base(roots, base, rank, strict=True)
 
     base_reflections = _base_reflections(refls, base)
     coroots = IntMatrix(zip(*_base_coroots(base, base_reflections)),
@@ -470,7 +474,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     # Cartan^-1 . base: Gauss-Jordan on the rows [Cartan | base] leaves
     # scale * [1 | Cartan^-1 . base]
     rows, pivots, scale, _ = _echelon(
-        [c + b for c, b in zip(cartan.entries, base)], rank)
+        [c + b for c, b in zip(cartan.entries, base)], rank, reduced=True)
     if len(pivots) < rank:
         raise AxiomFailure("the Cartan matrix is singular")
     scaled_weights = [row[rank:] for row in rows]
@@ -494,6 +498,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             tuple(Fraction(x, scale) for x in row) for row in scaled_weights),
         pi_lattice=pi_lattice,
         fundamental_group=fundamental_group,
+        coordinates=coordinates,
     )
 
 
@@ -571,12 +576,10 @@ def _orbit_sizes(rd: RootDatum):
     The stabiliser of lambda is W_J, generated by the s_j with j in J
     (Humphreys, Section 1.12), so |W lambda| = |W| / |W_J|; the positive
     roots of W_J are the positive roots supported on J, read from the
-    base coordinates `_check_base` gives, and their heights give |W_J|
-    as in `_weyl_order`.  No orbit is listed."""
-    coordinates = (_check_base(rd.roots, rd.base, rd.rank, strict=False)
-                   if rd.rank else {})
+    base coordinates `rd.coordinates`, and their heights give |W_J| as
+    in `_weyl_order`.  No orbit is listed."""
     supports = [(sum(1 << i for i, x in enumerate(c) if x), sum(c))
-                for c in coordinates.values() if min(c) >= 0]
+                for c in rd.coordinates.values() if min(c) >= 0]
     order = _kostant_order(h for _, h in supports)
     sizes = {}
 

@@ -27,7 +27,7 @@ from multinv import (
     smith_normal_form,
     solve_integer,
 )
-from multinv.lattice import _echelon, common_denominator
+from multinv.lattice import common_denominator
 from multinv.laurent import LaurentPolynomial
 
 
@@ -44,20 +44,44 @@ def one_minus(*gs: IntMatrix) -> IntMatrix:
                       for i in range(n)], ncols=n * len(gs))
 
 
+def oracle_rref(rows, ncols: int):
+    """Gauss-Jordan elimination on Fractions of the first `ncols` columns
+    of `rows`, further columns riding along, with the row swaps of
+    `lattice._echelon`.  Returns the rows, pivot rows first, and the
+    pivot columns: the pivot rows are the reduced row echelon form, and
+    each other row is its input row less multiples of them."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][c]
+        top = rows[r] = [x / p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(row, top)]
+        pivots.append(c)
+    return rows, pivots
+
+
 def oracle_inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """The exact inverse of a matrix of determinant +-1, from one
-    elimination of [m | 1]; ValueError for any other matrix."""
+    elimination of [m | 1] on Fractions; ValueError for any other
+    matrix."""
     n = m.nrows
     if n != m.ncols:
         raise ValueError("inverse of a non-square matrix")
-    aug = [row + tuple(int(i == j) for j in range(n))
-           for i, row in enumerate(m.entries)]
-    rows, pivots, scale, _ = _echelon(aug, n)
+    rows, pivots = oracle_rref([row + tuple(int(i == j) for j in range(n))
+                                for i, row in enumerate(m.entries)], n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    if scale not in (1, -1):
+    if any(x.denominator != 1 for row in rows for x in row):
         raise ValueError("matrix is not unimodular")
-    return IntMatrix([[scale * x for x in row[n:]] for row in rows], ncols=n)
+    return IntMatrix([[int(x) for x in row[n:]] for row in rows], ncols=n)
 
 
 def _oracle_pivots(m: IntMatrix):
@@ -111,16 +135,13 @@ def oracle_solve_linear(equations, rhs):
     if not equations:
         return ()
     ncols = len(equations[0])
-    aug = []
-    for row, b in zip(equations, rhs):
-        den = common_denominator([*row, b])
-        aug.append([int(x * den) for x in (*row, b)])
-    rows, pivots, scale, _ = _echelon(aug, ncols)
+    rows, pivots = oracle_rref(
+        [[*row, b] for row, b in zip(equations, rhs)], ncols)
     if any(row[ncols] for row in rows[len(pivots):]):
         return None
     x = [Fraction(0)] * ncols
     for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[ncols], scale)
+        x[c] = row[ncols]
     return tuple(x)
 
 

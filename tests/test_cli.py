@@ -338,7 +338,7 @@ def test_an_oversized_weight_box_exits_2_before_it_is_listed(tmp_path, capsys):
 
 def test_the_printed_closed_box_is_bounded_too(tmp_path, capsys, monkeypatch):
     # A2: the half-open box holds 3 points, the closed box prod([0, 3])
-    # at most 4 * 2 (Hermite diagonal 1, 3 with the coordinates reversed)
+    # at most 4 * 2 (upper Hermite diagonal 1, 3)
     monkeypatch.setattr(monoid, "MAX_BOX_POINTS", 5)
     path = write_doc(tmp_path, RANK2_DOC)
     assert run(capsys, ["verdict", path])[0] == 0

@@ -1,6 +1,8 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from multinv import (
     smith_normal_form,
     solve_integer,
 )
-from multinv.lattice import common_denominator
+from multinv.lattice import _echelon, common_denominator, hermite_basis
 from helpers import (
     mat,
     one_minus,
@@ -23,6 +25,7 @@ from helpers import (
     oracle_kernel_lattice,
     oracle_quotient_invariants,
     oracle_rank,
+    oracle_rref,
     oracle_solve_linear,
     random_unimodular,
     snf_diagonal_by_minors,
@@ -456,3 +459,52 @@ PINNED_SMITH_FORMS = [
 @pytest.mark.parametrize("m, u, d, v", PINNED_SMITH_FORMS)
 def test_smith_form_transforms_are_pinned(m, u, d, v):
     assert smith_normal_form(mat(m)) == (mat(u), mat(d), mat(v))
+
+
+@PROPERTY
+@given(elimination_cases(), st.data())
+def test_reduced_echelon_matches_the_fraction_oracle(m, data):
+    # the matrix and a sparse copy, where some rows are zero in some pivot
+    # columns and skip those steps; each plain, and with the columns from
+    # k on riding along as an augmented part: divided by the last pivot,
+    # every row is the oracle's
+    keep = data.draw(int_rows(m.nrows, m.ncols, st.booleans()))
+    sparse = [[x if b else 0 for x, b in zip(row, bits)]
+              for row, bits in zip(m.entries, keep)]
+    k = data.draw(st.integers(0, m.ncols))
+    for rows, ncols in product((m.entries, sparse), {m.ncols, k}):
+        out, pivots, last, _ = _echelon(rows, ncols, reduced=True)
+        expected, expected_pivots = oracle_rref(rows, ncols)
+        assert pivots == expected_pivots
+        assert [[Fraction(x, last) for x in row] for row in out] == expected
+
+
+@PROPERTY
+@given(elimination_cases(max_size=6))
+def test_hermite_basis_is_an_upper_hermite_basis_of_the_span(m):
+    basis = hermite_basis(m.ncols, m.entries)
+    assert len(basis) == m.rank()
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for k, (row, p) in enumerate(zip(basis, pivots)):
+        assert row[p] > 0
+        assert all(0 <= above[p] < row[p] for above in basis[:k])
+    lat = Sublattice(m.ncols, m.entries)
+    assert all(lat.contains(row) for row in m.entries)
+    for row in basis:
+        x = solve_integer(m, row)
+        assert x is not None and m.apply(x) == row
+
+
+@pytest.mark.parametrize("value", [
+    IntMatrix([[1, 2], [3, 4]]),
+    IntMatrix([], ncols=3),
+    Sublattice(3, [[2, 4, 0], [0, 6, 3]]),
+    Sublattice(2),
+], ids=repr)
+def test_copies_and_pickles_rebuild_an_equal_immutable_value(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, type(value).__slots__[0], None)

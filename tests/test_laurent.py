@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import prod
@@ -68,6 +70,14 @@ def test_constructor_checks_coefficients_and_exponent_lengths():
     p = LaurentPolynomial(2, {(1, 0): 0, (0, 1): 2, (1, 1): 0})
     assert p.terms == {(0, 1): 2}
     assert LaurentPolynomial(2, {(1, 0): 0}).terms == {}
+
+
+def test_copies_and_pickles_rebuild_an_equal_immutable_polynomial():
+    p = LaurentPolynomial(2, {(1, -1): 3, (0, 2): -1})
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and twin.terms is not p.terms
+        with pytest.raises(AttributeError):
+            twin.rank = 3
 
 
 def test_multiply_by_one_and_binomial():
