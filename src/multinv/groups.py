@@ -202,8 +202,10 @@ def fixed_sublattice(action: GroupAction) -> Sublattice:
 
 def _one_minus_rows(g: IntMatrix) -> tuple:
     """The rows of 1 - g, as a tuple of int tuples."""
-    return tuple(tuple(int(i == j) - x for j, x in enumerate(row))
-                 for i, row in enumerate(g.entries))
+    rows = [[-x for x in row] for row in g.entries]
+    for i, row in enumerate(rows):
+        row[i] += 1
+    return tuple(map(tuple, rows))
 
 
 __all__ = [

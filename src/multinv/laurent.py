@@ -49,6 +49,15 @@ class LaurentPolynomial:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _from_checked_terms(cls, rank: int, terms: dict):
+        """The polynomial on `terms`, a dict from `rank`-tuples of ints to
+        nonzero ints, taken as it is, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "rank", rank)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
 
@@ -236,7 +245,8 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
             for _, e in _walk_down(cartan, simple_roots, lam,
                                    [x // den for x in point]):
                 exponents[e] = c
-        poly = LaurentPolynomial(n, exponents)
+        # int coefficients from the products, exponent tuples of ints
+        poly = LaurentPolynomial._from_checked_terms(n, exponents)
         if not is_invariant(action, poly):
             raise AxiomFailure("fundamental invariant is not invariant")
         out.append(FundamentalInvariant(tuple(row), prefix, poly))

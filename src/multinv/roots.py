@@ -15,7 +15,8 @@ reflection of W is s_alpha for a root alpha in the W-orbit of the
 generators' roots (Humphreys, Section 1.14), and h^-1 s_alpha h is the
 reflection with root alpha * h and coroot h^-1 . coroot, so the
 reflections are walked out as (root, coroot) pairs over the generators
-(`_root_walk`).  The counts of positive roots by height form the
+(`_root_walk`), in one loop that skips the moves fixing a pair
+(`_walk_pairs`).  The counts of positive roots by height form the
 partition dual to the exponents m_i, and |W| = prod (m_i + 1)
 (Humphreys, Sections 3.9 and 3.20, after Kostant; `_walked_order`).
 
@@ -34,8 +35,9 @@ weight coordinates v . coroots, so the rows of the coroot matrix span the
 projected lattice in weight coordinates; the Cartan matrix is
 base . coroots; and the fundamental weights, the basis of the moving
 subspace dual to the simple coroots, are Cartan^-1 . base, from one
-elimination of [Cartan | base].  The root and weight lattices follow, and
-the Smith form of the Cartan matrix gives their quotient.  In weight
+elimination of [Cartan | base].  The root and weight lattices follow;
+their quotient, from the Smith form of the Cartan matrix, is taken
+when `RootDatum.fundamental_group` is first read.  In weight
 coordinates the simple reflection s_i subtracts mu_i times row i of the
 Cartan matrix, so `weight_orbit` walks a Weyl orbit in integers, down
 from its dominant weight lambda; its size |W| / |W_J|, J the zero
@@ -50,26 +52,26 @@ delta with the base coroots and lie in the moving subspace, and that
 the root lattice lies in the projected lattice.  It does so in
 O(r * |R|) steps, not one check per reflection and root: each simple
 reflection s_i maps the roots into themselves, and the (root, coroot)
-pairs of all reflections are walked out from the simple pairs under
-the s_i.  Every reflection is then w s_i w^-1 with w in the group the
-s_i generate, which permutes the roots, so every reflection does
-(Humphreys, Sections 1.5 and 1.14).  The weights are checked in the
-integers scale * weights that the elimination gives.
+pairs of all reflections are walked out from the simple pairs by the
+loop `_root_walk` uses.  Every reflection is then w s_i w^-1 with w in
+the group the s_i generate, which permutes the roots, so every
+reflection does (Humphreys, Sections 1.5 and 1.14).  The weights are
+checked in the integers scale * weights that the elimination gives.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from functools import cached_property
+from itertools import count, takewhile
 from math import gcd
+from operator import index, mul, neg
 
-from .errors import (AxiomFailure, GroupTooLarge, InvalidBase,
-                     NotReflectionGroup)
-from .groups import (GroupAction, _one_minus_rows, _search,
-                     fixed_sublattice, memoised)
+from .errors import AxiomFailure, InvalidBase, NotReflectionGroup
+from .groups import (GroupAction, _one_minus_rows, fixed_sublattice,
+                     memoised)
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
@@ -98,7 +100,7 @@ class Reflection:
 
 
 def _dot(u, v):
-    return sum(map(operator.mul, u, v))
+    return sum(map(mul, u, v))
 
 
 def _negated(v) -> tuple:
@@ -110,12 +112,10 @@ def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
     """All reflections of the action, in element order (sorted by
     rows): walked out from the generators when `_root_walk` certifies
     the walk, else found among the elements."""
-    pairs = _root_walk(action)
-    if pairs is None:
-        n = action.rank  # a reflection has trace n - 2
-        pairs = [pair for g in action.elements
-                 if sum(g.entries[i][i] for i in range(n)) == n - 2
-                 and (pair := _reflection_pair(g)) is not None]
+    walk = _root_walk(action)
+    pairs = walk[0] if walk else [
+        pair for g in action.elements
+        if (pair := _reflection_pair(g)) is not None]
     refls = (Reflection(_reflection_matrix(root, coroot), root, coroot,
                         all(c % 2 == 0 for c in coroot))
              for root, coroot in pairs)
@@ -129,6 +129,8 @@ def _reflection_pair(g: IntMatrix):
 
     g = 1 - c (x) a squares to 1 + (a . c - 2) c (x) a, so these are
     exactly the elements of order 2 with rank(1 - g) = 1."""
+    if sum(row[i] for i, row in enumerate(g.entries)) != g.nrows - 2:
+        return None  # by the trace, before a row of 1 - g is built
     moved = _one_minus_rows(g)
     row = next((r for r in moved if any(r)), None)
     if row is None:
@@ -144,10 +146,11 @@ def _reflection_pair(g: IntMatrix):
 
 
 def _reflection_matrix(root, coroot) -> IntMatrix:
-    """1 - coroot (x) root."""
-    return IntMatrix._from_checked_rows(
-        tuple(tuple(int(i == j) - c * x for j, x in enumerate(root))
-              for i, c in enumerate(coroot)), len(root))
+    """1 - coroot (x) root: row i is e_i - c_i * root."""
+    rows = [[-c * x for x in root] for c in coroot]
+    for i, row in enumerate(rows):
+        row[i] += 1
+    return IntMatrix._from_checked_rows(tuple(map(tuple, rows)), len(root))
 
 
 # Most roots of an irreducible reduced crystallographic root system of
@@ -171,16 +174,16 @@ def _most_roots(rank: int) -> int:
 @memoised
 def _root_walk(action: GroupAction):
     """The (root, coroot) pair of every reflection of G, walked out from
-    the generators, or None unless every generator is a reflection and
-    the walk certifies that G is a finite Weyl group.
+    the generators, and the rank of the roots; None unless every
+    generator is a reflection and the walk certifies that G is a finite
+    Weyl group.  The generators are read up to the first that is no
+    reflection.
 
     A reflection g (g^-1 = g) moves the pair of s_alpha to the pair of
-    g s_alpha g: root -> root * g and coroot -> g . coroot, by row
-    arithmetic with 1 - g = c (x) a; each pair is normalised so its root
-    has first nonzero coordinate positive.  With r the rank of the
-    generators' roots (v * g - v is a multiple of a, so every root lies in
-    their span, and likewise every coroot in the span of theirs), the
-    walk is trusted when
+    g s_alpha g: root -> root * g and coroot -> g . coroot
+    (`_walk_pairs`).  With r the rank of the generators' roots
+    (v * g - v is a multiple of a, so every root lies in their span, and
+    likewise every coroot in the span of theirs), the walk is trusted when
     - the generators' coroots also have rank r,
     - it finds at most `_most_roots(r)` roots, and
     - each root has one coroot.
@@ -194,56 +197,45 @@ def _root_walk(action: GroupAction):
     group.  Otherwise, as for the infinite group of one root with
     coroots (2, 0) and (2, 1), the caller closes G.
     """
-    pairs = [_reflection_pair(g) for g in action.generators]
-    if not pairs or None in pairs:
+    # up to the first generator that is no reflection (None)
+    pairs = list(takewhile(bool, map(_reflection_pair, action.generators)))
+    if not pairs or len(pairs) < len(action.generators):
         return None
-    n = action.rank
-    rank = IntMatrix([a for a, _ in pairs], ncols=n).rank()
-    if IntMatrix([c for _, c in pairs], ncols=n).rank() != rank:
+    roots, coroots = zip(*pairs)
+    rank = IntMatrix._from_checked_rows(roots, action.rank).rank()
+    if IntMatrix._from_checked_rows(coroots, action.rank).rank() != rank:
         return None
     # a pair stands for the roots +-a
     found = _walk_pairs(pairs, _most_roots(rank) // 2)
     if found is None or len({a for a, _ in found}) != len(found):
         return None
-    return found
+    return found, rank
 
 
 def _walk_pairs(pairs, cap):
     """The pairs walked out from the normalised (root, coroot) `pairs`
-    under the reflections 1 - coroot (x) root they stand for, in the
-    order found; None once more than `cap` are found."""
-    moves = [lambda pair, a=a, c=c: _reflected_pair(pair, a, c)
-             for a, c in pairs]
-    found = {}
-    for pair in pairs:
-        if pair in found:
-            continue
-        if len(found) >= cap:
+    under the reflections 1 - c (x) a they stand for, by one breadth-first
+    loop, in the order found; None once more than `cap` are found.  The
+    move by (a, c) takes root to root - (root . c) a and coroot to
+    coroot - (a . coroot) c; it is skipped when both products are 0, as
+    it then fixes the pair, and its result is negated when the root's
+    first nonzero coordinate is negative."""
+    found, queue = set(pairs), list(pairs)  # `queue` grows while walked
+    for root, coroot in queue:
+        if len(queue) > cap:
             return None
-        try:
-            found.update(dict.fromkeys(_search(pair, moves, cap - len(found))))
-        except GroupTooLarge:
-            return None
-    return tuple(found)
-
-
-def _reflected_pair(pair, a, c):
-    """The pair of g s g for the reflection g = 1 - c (x) a, normalised."""
-    root, coroot = pair
-    k, m = _dot(root, c), _dot(a, coroot)
-    if k:
-        root = tuple(x - k * y for x, y in zip(root, a))
-    if m:
-        coroot = tuple(x - m * y for x, y in zip(coroot, c))
-    return _normalised(root, coroot)
-
-
-def _normalised(root, coroot):
-    """The pair, or both negated: the root's first nonzero coordinate
-    positive."""
-    if next(x for x in root if x) < 0:
-        return _negated(root), _negated(coroot)
-    return root, coroot
+        for a, c in pairs:
+            k, m = sum(map(mul, root, c)), sum(map(mul, a, coroot))
+            if k or m:
+                r = [x - k * y for x, y in zip(root, a)]
+                s = [x - m * y for x, y in zip(coroot, c)]
+                if next(filter(None, r)) < 0:
+                    r, s = map(neg, r), map(neg, s)
+                pair = tuple(r), tuple(s)
+                if pair not in found:
+                    found.add(pair)
+                    queue.append(pair)
+    return tuple(queue)  # each pair added was walked, after the check
 
 
 def _walked_order(action: GroupAction):
@@ -278,14 +270,17 @@ def _kostant_order(heights) -> int:
 @memoised
 def _root_span(action: GroupAction) -> tuple[frozenset, int]:
     """The roots of the action's reflections, both signs of each, and the
-    rank of their span."""
+    rank of their span: the rank `_root_walk` took of the generators'
+    roots, which span every root, else that of one root per line."""
     refls = find_reflections(action)
     roots = frozenset(r.root for r in refls) | frozenset(
         _negated(r.root) for r in refls
     )
     if len(roots) != 2 * len(refls):
         raise AxiomFailure("reflections do not have distinct root lines")
-    return roots, IntMatrix(sorted(roots), ncols=action.rank).rank()
+    walk = _root_walk(action)
+    return roots, walk[1] if walk else IntMatrix._from_checked_rows(
+        tuple(r.root for r in refls), action.rank).rank()
 
 
 @memoised
@@ -314,24 +309,6 @@ def is_reflection_group(action: GroupAction) -> bool:
     return action.order == _weyl_order(action)
 
 
-def _base_coroots(base, base_reflections) -> tuple[tuple[int, ...], ...]:
-    """The coroot of each base root: the coroot of its reflection,
-    negated when the base root is the negated root."""
-    return tuple(
-        refl.coroot if alpha == refl.root else _negated(refl.coroot)
-        for alpha, refl in zip(base, base_reflections)
-    )
-
-
-def _base_reflections(refls, base) -> tuple[Reflection, ...]:
-    """The reflection of each base root, in base order."""
-    by_line = {r.root: r for r in refls}
-    return tuple(
-        by_line[alpha if alpha in by_line else _negated(alpha)]
-        for alpha in base
-    )
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """Root system data for a reflection group action.
@@ -343,9 +320,10 @@ class RootDatum:
     of Z^rank).  `cartan` is base . coroots: row i holds the weight
     coordinates of base root i.  Fundamental weights are rational row
     vectors spanning the weight lattice, with weights . coroots = I.
-    `fundamental_group` holds the elementary divisors of weight lattice /
-    root lattice.  `coordinates` maps each root to its integer
-    coordinates over the base.
+    `coordinates` maps each root to its integer coordinates over the
+    base.  `fundamental_group`, the elementary divisors of weight lattice
+    / root lattice, is taken on first read.  Equality leaves both out:
+    `base` and `cartan` fix them.
     """
 
     rank: int
@@ -357,8 +335,14 @@ class RootDatum:
     cartan: IntMatrix
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
     pi_lattice: Sublattice
-    fundamental_group: ElementaryDivisors
     coordinates: dict = field(compare=False)
+
+    @cached_property
+    def fundamental_group(self) -> ElementaryDivisors:
+        # weight lattice / root lattice is Z^r / (rows of the Cartan matrix)
+        _, d, _ = smith_normal_form(self.cartan)
+        return ElementaryDivisors(tuple(d.entries[i][i]
+                                        for i in range(self.rank)))
 
 
 def _generic_base(roots: frozenset, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -452,7 +436,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             cartan=IntMatrix([], ncols=0),
             fundamental_weights=(),
             pi_lattice=Sublattice(0),
-            fundamental_group=ElementaryDivisors(()),
             coordinates={},
         )
 
@@ -461,14 +444,19 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     else:
         try:
             base = tuple(
-                tuple(operator.index(x) for x in b) for b in base
+                tuple(index(x) for x in b) for b in base
             )
         except TypeError as exc:
             raise InvalidBase("base vectors must be integral") from exc
         coordinates = _check_base(roots, base, rank, strict=True)
 
-    base_reflections = _base_reflections(refls, base)
-    coroots = IntMatrix(zip(*_base_coroots(base, base_reflections)),
+    # the reflection of each base root, and its coroot, negated when the
+    # base root is the negated root
+    by_line = {r.root: r for r in refls}
+    base_reflections = tuple(by_line[a if a in by_line else _negated(a)]
+                             for a in base)
+    coroots = IntMatrix(zip(*(r.coroot if a == r.root else _negated(r.coroot)
+                              for a, r in zip(base, base_reflections))),
                         ncols=rank)
     cartan = IntMatrix(base, ncols=n) * coroots
     # Cartan^-1 . base: Gauss-Jordan on the rows [Cartan | base] leaves
@@ -481,11 +469,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     pi_lattice = Sublattice(rank, coroots.entries)
     _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
                    pi_lattice)
-
-    # weight lattice / root lattice is Z^r / (rows of the Cartan matrix)
-    _, d, _ = smith_normal_form(cartan)
-    fundamental_group = ElementaryDivisors(
-        tuple(d.entries[i][i] for i in range(rank)))
     return RootDatum(
         rank=rank,
         ambient_rank=n,
@@ -497,7 +480,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         fundamental_weights=tuple(
             tuple(Fraction(x, scale) for x in row) for row in scaled_weights),
         pi_lattice=pi_lattice,
-        fundamental_group=fundamental_group,
         coordinates=coordinates,
     )
 
@@ -611,14 +593,20 @@ def _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
     # each reflection permutes the root set: each simple reflection maps
     # the roots into themselves, and the pairs of all reflections are
     # walked out from the simple pairs, so every reflection is
-    # w s_i w^-1 with w in the group the s_i generate
+    # w s_i w^-1 with w in the group the s_i generate.  The roots are
+    # +-(the reflections' roots), and s(-beta) = -s(beta), so one root
+    # per line is mapped
     simple = list(zip(base, zip(*coroots.entries)))
     for alpha, c in simple:
-        for beta in roots:
-            k = _dot(beta, c)
-            if k and tuple(b - k * a for a, b in zip(alpha, beta)) not in roots:
+        for r in refls:
+            beta = r.root
+            k = sum(map(mul, beta, c))
+            if k and tuple([b - k * a for a, b in zip(alpha, beta)]) \
+                    not in roots:
                 raise AxiomFailure("a reflection does not permute the roots")
-    walked = _walk_pairs([_normalised(a, c) for a, c in simple], len(refls))
+    walked = _walk_pairs([(a, c) if next(filter(None, a)) > 0
+                          else (_negated(a), _negated(c)) for a, c in simple],
+                         len(refls))
     if walked is None or set(walked) != {(r.root, r.coroot) for r in refls}:
         raise AxiomFailure("a reflection does not permute the roots")
     # defining property of the weights, as exact identities: they pair to

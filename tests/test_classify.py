@@ -48,6 +48,7 @@ from helpers import (
     orbit_sublattice_actions,
     random_finite_action,
     random_unimodular,
+    root_lattice_generators,
     s3_action,
     s4_action,
     sign_sl_action,
@@ -170,6 +171,15 @@ RANK_4_TO_6 = [
     ("S", 5, (), [1, 1, 1, 1], 4, 1),
     ("S", 6, (), [1] * 5, 5, 1),
 ]
+# (kind, rank, |W|, class group, sorted multipliers, Hilbert-basis size)
+# at rank 7-8, with no fixed part: E7, E8 and A7 on their root lattices
+# (P/Q = Z/2, trivial and Z/8) and B8 on Z^8
+RANK_7_TO_8 = [
+    ("E", 7, 2903040, (2,), [1, 1, 1, 1, 2, 2, 2], 10),
+    ("E", 8, 696729600, (), [1] * 8, 8),
+    ("A", 7, 40320, (8,), [2, 4, 4, 8, 8, 8, 8], 64),
+    ("B", 8, 2 ** 8 * 40320, (), [1] * 7 + [2], 8),
+]
 
 
 def test_class_group_and_verdict_are_conjugation_invariant_at_rank_4_to_8():
@@ -192,6 +202,20 @@ def test_class_group_and_verdict_are_conjugation_invariant_at_rank_4_to_8():
             assert v.monoid.units_rank == units + trivial
             assert sorted(v.monoid.positive.multipliers) == multipliers
             assert v.monoid.generator_count == basis_size
+    for kind, n, order, torsion, multipliers, basis_size in RANK_7_TO_8:
+        gens = (root_lattice_generators if kind == "E"
+                else weyl_generators)(kind, n)
+        u = random_unimodular(rng, n, steps=12)
+        action = close_group(conjugate(gens, u), cap=order)
+        assert action.order == order
+        cl = class_group(action)
+        assert (cl.free_rank, cl.torsion) == (0, torsion)
+        v = verdict(action)
+        assert (v.status, v.rule) == (SEMIGROUP_ALGEBRA,
+                                      "reflection-invariants")
+        assert v.monoid.units_rank == 0
+        assert sorted(v.monoid.positive.multipliers) == multipliers
+        assert v.monoid.generator_count == basis_size
 
 
 def test_verdict_trivial_action_is_group_algebra():

@@ -321,6 +321,32 @@ def test_group_cap_bounds_a_reflection_group(tmp_path, capsys):
         assert code == 0 and "group order:         6" in out
 
 
+def test_s3_in_a_basis_with_40_digit_entries_answers_at_once(tmp_path,
+                                                            capsys):
+    # S3 permuting Z^3, conjugated by u = [[1, k, 0], [0, 1, k], [0, 0, 1]]
+    # with k = 10^40: generator entries of up to 81 digits
+    k = 10 ** 40
+    u = IntMatrix([[1, k, 0], [0, 1, k], [0, 0, 1]])
+    u_inv = IntMatrix([[1, -k, k * k], [0, 1, -k], [0, 0, 1]])
+    gens = [IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+            IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])]
+    path = write_doc(tmp_path, generator_doc([u * g * u_inv for g in gens]))
+    start = time.perf_counter()
+    for command in ("analyze", "verdict", "invariants", "hilbert-basis",
+                    "classgroup"):
+        code, out, err = run(capsys, [command, path, "--json"])
+        assert (code, err) == (0, "")
+        if command == "analyze":
+            report = json.loads(out)
+            assert (report["group_order"], report["reflection_count"],
+                    report["fixed_rank"]) == (6, 3, 1)
+            assert report["verdict"]["rule"] == "reflection-invariants"
+    assert run(capsys, ["singular-locus", path]) == (
+        2, "", "error: every element must be diagonal with +-1 entries\n")
+    # about 0.02 s in all; the bound only catches a blow-up
+    assert time.perf_counter() - start < 10
+
+
 def test_an_oversized_weight_box_exits_2_before_it_is_listed(tmp_path, capsys):
     # A10 on its root lattice: the fundamental weights have order 11
     # modulo the root lattice, so the half-open box prod([0, 11)) holds

@@ -217,7 +217,11 @@ def test_integral_coefficients_are_ints():
     assert (p * p).terms[(2, 0)] == 4
     g, rd, wm = rank2_invariants()
     for inv in fundamental_invariants_detailed(g, rd, wm):
-        assert all(type(c) is int for c in inv.polynomial.terms.values())
+        p = inv.polynomial
+        assert all(type(c) is int and c for c in p.terms.values())
+        # the terms are taken as they are: the checking constructor keeps
+        # every one of them
+        assert LaurentPolynomial(p.rank, p.terms) == p
 
 
 def test_fundamental_invariants_make_no_matrix_application(monkeypatch):

@@ -101,6 +101,25 @@ def test_trace_n_minus_2_without_order_2_is_no_reflection():
     assert roots._reflection_pair(quarter) is None
 
 
+def test_a_non_reflection_generator_builds_no_row(monkeypatch):
+    # -1 on Z^5 has trace -5, not 3, and ends the walk before the
+    # reflection after it is read: no row of 1 - g is built
+    built = []
+
+    def counted(g):
+        built.append(g)
+        return groups._one_minus_rows(g)
+
+    monkeypatch.setattr(roots, "_one_minus_rows", counted)
+    minus = IntMatrix([[-int(i == j) for j in range(5)] for i in range(5)])
+    swap = weyl_generators("S", 5)[0]
+    assert roots._reflection_pair(minus) is None
+    assert roots._root_walk(groups.GroupAction(5, [minus, swap])) is None
+    assert built == []
+    assert roots._root_walk(groups.GroupAction(5, [swap, minus])) is None
+    assert built == [swap]
+
+
 def test_coroot_pairing_weights_against_chosen_base():
     g = s3_action()
     refls = {r.root: r for r in find_reflections(g)}
@@ -617,7 +636,7 @@ def test_axioms_reject_a_weight_with_a_fixed_component(monkeypatch):
         roots._verify_axioms(*args)
 
 
-def test_verdict_on_b5_takes_one_smith_form(monkeypatch):
+def test_verdict_on_b5_takes_no_smith_form(monkeypatch):
     group = close_group(weyl_generators("B", 5))
     taken = []
     smith_normal_form = lattice.smith_normal_form
@@ -630,7 +649,11 @@ def test_verdict_on_b5_takes_one_smith_form(monkeypatch):
         monkeypatch.setattr(module, "smith_normal_form", counted,
                             raising=False)
     assert verdict(group).rule == "reflection-invariants"
-    monkeypatch.undo()
-    # the fundamental group; the fixed sublattice and the weights' check
-    # take none
-    assert taken == [build_root_system(group).cartan]
+    # the fixed sublattice and the weights' check take none, and the
+    # fundamental group is taken on first read, once
+    assert taken == []
+    rd = build_root_system(group)
+    assert taken == []
+    assert str(rd.fundamental_group) == "Z/2"
+    assert str(rd.fundamental_group) == "Z/2"
+    assert taken == [rd.cartan]

@@ -172,24 +172,34 @@ def test_infinite_groups_take_the_closure(gens):
 
 def test_e8_axioms_walk_the_reflections_once_per_simple_root(no_closure,
                                                              monkeypatch):
-    group = close_group(root_lattice_generators("E", 8), cap=696729600)
-    calls = {"inside": False, "pairs": 0}
-    reflected_pair, verify = roots._reflected_pair, roots._verify_axioms
+    # a move of `_walk_pairs` takes its two products by `sum`, so the
+    # moves are counted as the calls to `sum` made by the walk itself,
+    # and put down to the walk of `_root_walk` or of `_verify_axioms`
+    stack, products = [], {"walk": 0, "axioms": 0}
 
-    def counted_pair(*args):
-        calls["pairs"] += calls["inside"]
-        return reflected_pair(*args)
+    def flagged(name, compute):
+        def run(*args):
+            stack.append(name)
+            try:
+                return compute(*args)
+            finally:
+                stack.pop()
+        return run
 
-    def flagged_verify(*args):
-        calls["inside"] = True
-        try:
-            return verify(*args)
-        finally:
-            calls["inside"] = False
+    def counted_sum(*args):
+        if stack[-1:] == ["pairs"]:
+            products[stack[-2]] += 1
+        return sum(*args)
 
-    monkeypatch.setattr(roots, "_reflected_pair", counted_pair)
-    monkeypatch.setattr(roots, "_verify_axioms", flagged_verify)
+    for name, fn in (("walk", "_root_walk"), ("axioms", "_verify_axioms"),
+                     ("pairs", "_walk_pairs")):
+        monkeypatch.setattr(roots, fn, flagged(name, getattr(roots, fn)))
+    monkeypatch.setattr(roots, "sum", counted_sum, raising=False)
+    gens = root_lattice_generators("E", 8)
+    group = close_group(gens, cap=696729600)
     build_root_system(group)
+    moves = {name: count // 2 for name, count in products.items()}
     # one step per simple reflection and positive root, not one check per
     # reflection and root
-    assert 0 < calls["pairs"] <= 8 * 120
+    assert 0 < moves["axioms"] <= 8 * 120
+    assert 0 < moves["walk"] <= len(gens) * 120
