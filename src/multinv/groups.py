@@ -7,8 +7,9 @@ Every orbit, the group itself as the orbit of the identity included, is
 found by one breadth-first search over the generators, `_search`.
 
 When every generator is a reflection, `close_group` takes |G| from the
-root system the generators' roots walk out (see `roots._walked_order`)
-and lists no element; the element list is then closed on first read.
+root system the generators' roots walk out (see `roots._root_walk`),
+stopped at the cap, and lists no element; the element list is then
+closed on first read.
 
 The closure enumerates a group on row orbits: row i of an element m is
 the lattice point e_i * m, and inside the search an element is the
@@ -118,9 +119,10 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
 
     When every generator is a reflection and the walk of their roots
     certifies a finite root system, |G| is the order of its Weyl group,
-    read off the root heights, and no element is listed (see
-    `roots._walked_order`).  Otherwise the elements are closed here, as
-    `_close` describes.
+    read off the root heights (`roots._weyl_order`), and no element is
+    listed; a walk of more than `cap` reflections raises GroupTooLarge
+    (see `roots._root_walk`).  Otherwise the elements are closed here,
+    as `_close` describes.
     """
     gens = list(generators)
     if rank is None:
@@ -134,11 +136,10 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
             raise NotUnimodular(
                 f"generators[{i}] has determinant {det}, not +-1")
     action = GroupAction(rank, gens, cap)
-    from .roots import _walked_order  # roots imports this module
-    order = _walked_order(action)
-    if order is None:
+    from .roots import _root_walk, _weyl_order  # roots imports this module
+    if _root_walk(action) is None:
         order = len(action.elements)  # closed under the cap
-    elif order > cap:
+    elif (order := _weyl_order(action)) > cap:
         raise GroupTooLarge(_too_large(cap))
     action._order = order
     return action

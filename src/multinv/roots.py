@@ -16,9 +16,11 @@ generators' roots (Humphreys, Section 1.14), and h^-1 s_alpha h is the
 reflection with root alpha * h and coroot h^-1 . coroot, so the
 reflections are walked out as (root, coroot) pairs over the generators
 (`_root_walk`), in one loop that skips the moves fixing a pair
-(`_walk_pairs`).  The counts of positive roots by height form the
-partition dual to the exponents m_i, and |W| = prod (m_i + 1)
-(Humphreys, Sections 3.9 and 3.20, after Kostant; `_walked_order`).
+(`_walk_pairs`).  Each pair walked is a distinct reflection of G, so
+the walk stops at the group cap.  The counts of positive roots by
+height form the partition dual to the exponents m_i, and
+|W| = prod (m_i + 1) (Humphreys, Sections 3.9 and 3.20, after Kostant;
+`_weyl_order`).
 
 Whether the reflections generate the group is decided from two orders.
 The group W' they generate fixes the lattice modulo the root span V,
@@ -27,7 +29,9 @@ roots; an element trivial on both V and the quotient is unipotent of
 finite order, so it is 1.  Hence |W'| is the Kostant product over the
 root heights (`_weyl_order`), and G = W' exactly when |G| equals it.
 The heights are read off the coordinates of the roots over a base, all
-from one fraction-free elimination.
+from one fraction-free elimination.  The base is the first independent
+positive roots in the order of a generic functional, the pivot columns
+of one more elimination (Humphreys, Section 1.3).
 
 A base of simple roots fixes the rest through the coroots of its
 reflections, the columns of the n x r coroot matrix.  A vector v has
@@ -69,9 +73,10 @@ from itertools import count, takewhile
 from math import gcd
 from operator import index, mul, neg
 
-from .errors import AxiomFailure, InvalidBase, NotReflectionGroup
-from .groups import (GroupAction, _one_minus_rows, fixed_sublattice,
-                     memoised)
+from .errors import (AxiomFailure, GroupTooLarge, InvalidBase,
+                     NotReflectionGroup)
+from .groups import (GroupAction, _one_minus_rows, _too_large,
+                     fixed_sublattice, memoised)
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
@@ -132,9 +137,7 @@ def _reflection_pair(g: IntMatrix):
     if sum(row[i] for i, row in enumerate(g.entries)) != g.nrows - 2:
         return None  # by the trace, before a row of 1 - g is built
     moved = _one_minus_rows(g)
-    row = next((r for r in moved if any(r)), None)
-    if row is None:
-        return None
+    row = next(r for r in moved if any(r))  # trace(1 - g) = 2
     k = next(j for j, x in enumerate(row) if x)
     scale = gcd(*row) if row[k] > 0 else -gcd(*row)
     root = tuple(x // scale for x in row)
@@ -153,24 +156,6 @@ def _reflection_matrix(root, coroot) -> IntMatrix:
     return IntMatrix._from_checked_rows(tuple(map(tuple, rows)), len(root))
 
 
-# Most roots of an irreducible reduced crystallographic root system of
-# rank k, for k = 1..8 (A1, G2, B3, F4, B5, E6, E7, E8); beyond that B_k
-# and C_k, with 2k^2.
-_MOST_IRREDUCIBLE_ROOTS = (0, 2, 12, 18, 48, 50, 72, 126, 240)
-
-
-def _most_roots(rank: int) -> int:
-    """The most roots a reduced crystallographic root system of the given
-    rank has: the largest sum of irreducible maxima over ranks adding up
-    to `rank` (E8 x A1 has 242 roots at rank 9)."""
-    best = [0]
-    for r in range(1, rank + 1):
-        best.append(max(
-            (_MOST_IRREDUCIBLE_ROOTS[k] if k <= 8 else 2 * k * k)
-            + best[r - k] for k in range(1, r + 1)))
-    return best[rank]
-
-
 @memoised
 def _root_walk(action: GroupAction):
     """The (root, coroot) pair of every reflection of G, walked out from
@@ -185,7 +170,7 @@ def _root_walk(action: GroupAction):
     (v * g - v is a multiple of a, so every root lies in their span, and
     likewise every coroot in the span of theirs), the walk is trusted when
     - the generators' coroots also have rank r,
-    - it finds at most `_most_roots(r)` roots, and
+    - it ends, and
     - each root has one coroot.
     Then G permutes the finitely many roots, which span the root span
     V, so it acts on V through a finite group, orthogonal for some
@@ -194,8 +179,10 @@ def _root_walk(action: GroupAction):
     element h fixing every root fixes every coroot (a root has one), so
     v * h - v, which lies in V, pairs to zero with every coroot: h = 1.
     So G embeds in the permutations of the roots and is their Weyl
-    group.  Otherwise, as for the infinite group of one root with
-    coroots (2, 0) and (2, 1), the caller closes G.
+    group.  Each pair walked is a distinct reflection of G, so a walk of
+    more than `action.cap` pairs raises GroupTooLarge, with the message
+    of the closure.  Otherwise, as for the infinite group of one root
+    with coroots (2, 0) and (2, 1), the caller closes G.
     """
     # up to the first generator that is no reflection (None)
     pairs = list(takewhile(bool, map(_reflection_pair, action.generators)))
@@ -205,9 +192,10 @@ def _root_walk(action: GroupAction):
     rank = IntMatrix._from_checked_rows(roots, action.rank).rank()
     if IntMatrix._from_checked_rows(coroots, action.rank).rank() != rank:
         return None
-    # a pair stands for the roots +-a
-    found = _walk_pairs(pairs, _most_roots(rank) // 2)
-    if found is None or len({a for a, _ in found}) != len(found):
+    found = _walk_pairs(pairs, action.cap)
+    if found is None:
+        raise GroupTooLarge(_too_large(action.cap))
+    if len({a for a, _ in found}) != len(found):
         return None
     return found, rank
 
@@ -236,12 +224,6 @@ def _walk_pairs(pairs, cap):
                     found.add(pair)
                     queue.append(pair)
     return tuple(queue)  # each pair added was walked, after the check
-
-
-def _walked_order(action: GroupAction):
-    """|G| from the root heights when `_root_walk` certifies the walk,
-    else None."""
-    return None if _root_walk(action) is None else _weyl_order(action)
 
 
 def _weyl_order(action: GroupAction) -> int:
@@ -288,7 +270,7 @@ def _base_coordinates(action: GroupAction) -> tuple[tuple, dict]:
     """The base `_generic_base` picks from the roots, and the coordinates
     of every root over it, checked by `_check_base`."""
     roots, rank = _root_span(action)
-    base = _generic_base(roots, rank)
+    base = _generic_base(roots)
     return base, _check_base(roots, base, rank, strict=False)
 
 
@@ -345,28 +327,23 @@ class RootDatum:
                                         for i in range(self.rank)))
 
 
-def _generic_base(roots: frozenset, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Positive system from a generic linear functional, then the
-    indecomposable positive roots."""
+def _generic_base(roots: frozenset) -> tuple[tuple[int, ...], ...]:
+    """The base of the positive system of a generic linear functional: the
+    pivot columns of one forward elimination over the positive roots in
+    the order of their values.  A positive root that is not simple is a
+    positive combination of simple roots of smaller value, so it is never
+    a pivot, and each simple root is one (Humphreys, Section 1.3)."""
     n = len(next(iter(roots)))
     for t in count(1):
         functional = tuple(t**k for k in range(n))
         values = {r: _dot(functional, r) for r in roots}
         if any(v == 0 for v in values.values()):
             continue
-        # a decomposable r is s + t for positive s and t, both of
-        # smaller value, so r - s is tried only for s before r here
-        positive = sorted((v, r) for r, v in values.items() if v > 0)
-        positive_set = {r for _, r in positive}
-        base = [
-            r
-            for k, (_, r) in enumerate(positive)
-            if not any(tuple(a - b for a, b in zip(r, s)) in positive_set
-                       for _, s in positive[:k])
-        ]
-        if len(base) != rank:
-            raise AxiomFailure("indecomposable positive roots do not form a base")
-        return tuple(sorted(base))
+        positive = [r for _, r in sorted((v, r) for r, v in values.items()
+                                         if v > 0)]
+        # the positive roots as columns
+        _, pivots, _, _ = _echelon(zip(*positive), len(positive))
+        return tuple(sorted(positive[j] for j in pivots))
 
 
 def _check_base(roots: frozenset, base, rank: int, strict: bool) -> dict:

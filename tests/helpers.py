@@ -4,7 +4,8 @@ oracles used across the test suite."""
 import random
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, count,
+                       product)
 from math import factorial, gcd, lcm, prod
 
 from hypothesis import strategies as st
@@ -232,13 +233,19 @@ def z3_action():
     return close_group([mat([[0, 1], [-1, -1]])])
 
 
+def companion_action(coefficients):
+    """The group generated by the companion matrix of the monic
+    polynomial x^n + c_(n-1) x^(n-1) + ... + c_0, given (c_0, ..., c_(n-1))."""
+    n = len(coefficients)
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    rows.append([-c for c in coefficients])
+    return close_group([IntMatrix(rows)])
+
+
 def cyclotomic_action(p):
     """Companion matrix of 1 + x + ... + x^(p-1); a faithful effective
     action of the cyclic group of order p on a rank p-1 lattice."""
-    n = p - 1
-    rows = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
-    rows.append([-1] * n)
-    return close_group([IntMatrix(rows)])
+    return companion_action([1] * (p - 1))
 
 
 def sign_sl_action(n):
@@ -555,6 +562,27 @@ def oracle_find_reflections(action):
         out.append(Reflection(g, root, coroot,
                               all(c % 2 == 0 for c in coroot)))
     return tuple(out)
+
+
+def oracle_indecomposable_base(roots):
+    """The base the pairwise scan picked, for the first functional
+    (1, t, t^2, ...) that is zero on no root: the positive roots that are
+    no sum of two positive roots, sorted.  A decomposable r is s + t for
+    positive s and t, both of smaller value, so r - s is tried only for
+    s before r."""
+    n = len(next(iter(roots)))
+    for t in count(1):
+        functional = tuple(t ** k for k in range(n))
+        values = {r: sum(f * x for f, x in zip(functional, r))
+                  for r in roots}
+        if 0 not in values.values():
+            break
+    positive = sorted((v, r) for r, v in values.items() if v > 0)
+    positive_set = {r for _, r in positive}
+    return tuple(sorted(
+        r for k, (_, r) in enumerate(positive)
+        if not any(tuple(a - b for a, b in zip(r, s)) in positive_set
+                   for _, s in positive[:k])))
 
 
 def oracle_is_fixed_point_free(action):

@@ -1,0 +1,96 @@
+"""Mutation runs: break the package on purpose, one patch at a time, and
+check that the tests chosen for each patch notice.
+
+Each entry of MUTANTS is (file, exact old text, new text, test
+selection, reason).  For every entry the script copies `src/`, `tests/`
+and `pyproject.toml` to a temporary directory, replaces the old text in
+the copy of the file (it must occur there exactly once), runs the
+selected tests there under a timeout of TIMEOUT_S seconds, and reports
+the mutant as killed, survived or timed out.  A timeout counts as
+caught, but is listed apart.  An entry whose old text is not found
+once, or whose selection names no test, is reported stale.
+A reason that starts with "equivalent:" marks a mutant that changes no
+result, so it is expected to survive.
+
+    python tests/mutants.py            # every mutant, one at a time
+
+Pytest does not collect this file as tests.  The exit status is 1 when
+an entry is stale or a mutant not marked equivalent survives, else 0.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+MUTANTS = [
+    ("src/multinv/roots.py",
+     "        if len(queue) > cap:\n",
+     "        if len(queue) >= cap:\n",
+     ["tests/test_weyl.py"],
+     "a walk of exactly `cap` pairs is cut short, so the axiom walk, "
+     "capped at the number of reflections, fails on every root system"),
+    ("src/multinv/roots.py",
+     "        raise GroupTooLarge(_too_large(action.cap))\n",
+     "        return None\n",
+     ["tests/test_weyl.py::test_an_infinite_walk_stops_at_the_cap"],
+     "an infinite walk hands the group to the closure instead of "
+     "raising at the cap"),
+    ("src/multinv/roots.py",
+     "        return tuple(sorted(positive[j] for j in pivots))\n",
+     "        return tuple(positive[j] for j in pivots)\n",
+     ["tests/test_weyl.py"],
+     "the base comes out in the functional's order, not sorted"),
+    ("src/multinv/roots.py",
+     "_echelon(zip(*positive), len(positive))\n",
+     "_echelon(zip(*positive), len(positive), reduced=True)\n",
+     ["tests/test_weyl.py"],
+     "equivalent: the rows at and below the next pivot row are the same "
+     "in a reduced pass as in a forward one, so the pivot columns are "
+     "too; only the rows above them cost more"),
+]
+
+
+def run_mutant(file, old, new, selection):
+    """'killed', 'survived', 'timed out' or 'stale' for one patch."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "stale"
+        target.write_text(text.replace(old, new))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x",
+                 "-p", "no:cacheprovider", *selection],
+                cwd=work, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timed out"
+    # pytest exits 4 on an unknown test id and 5 when it collects none
+    return {0: "survived", 4: "stale", 5: "stale"}.get(done.returncode,
+                                                      "killed")
+
+
+def main() -> int:
+    bad = 0
+    for i, (file, old, new, selection, reason) in enumerate(MUTANTS):
+        outcome = run_mutant(file, old, new, selection)
+        if outcome == "stale" or outcome == "survived" and \
+                not reason.startswith("equivalent:"):
+            bad += 1
+        print(f"{i}: {outcome} ({file}; {reason})", flush=True)
+    return int(bad > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,6 +32,7 @@ from helpers import (
     a1a1_action,
     b2_action,
     block_diagonal,
+    companion_action,
     conjugate,
     conjugated_block_sums,
     cyclotomic_action,
@@ -248,12 +249,20 @@ def test_verdict_odd_prime_rotation():
 
 
 def test_verdict_cyclotomic_actions():
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 11):
         action = cyclotomic_action(p)
         assert action.order == p
         v = verdict(action)
         assert v.status == NOT_SEMIGROUP_ALGEBRA
         assert v.rule == "odd-prime-order"
+
+
+def test_verdict_on_order_9_is_fixed_point_free():
+    # C9 through x^6 + x^3 + 1 on Z^6: 9 = 3 * 3 is odd but no prime
+    action = companion_action([1, 0, 0, 1, 0, 0])
+    v = verdict(action)
+    assert (action.order, v.status, v.rule) == (
+        9, NOT_SEMIGROUP_ALGEBRA, "fixed-point-free")
 
 
 def test_verdict_minus_identity_is_fixed_point_free():

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from multinv import classify, cli, groups, monoid, roots
 from multinv.cli import main
 from multinv.lattice import IntMatrix
@@ -263,6 +265,54 @@ def test_invalid_input_exits_2(tmp_path, capsys):
 
     missing = run(capsys, ["analyze", str(tmp_path / "nope.json")])
     assert missing[0] == 2
+
+
+MALFORMED = [
+    ([1, 2], [], "top-level document must be a JSON object"),
+    ({"rank": 2, "generators": {}}, [],
+     "'generators' must be a list of matrices"),
+    ({"rank": 2, "generators": [[[1, 0], [0]]]}, [],
+     "generators[0][1] must have 2 entries"),
+    ({"rank": 2, "generators": [[[1, True], [0, 1]]]}, [],
+     "generators[0][0][1] must be an integer"),
+    ({"rank": 2, "generators": [[[1, 0.5], [0, 1]]]}, [],
+     "generators[0][0][1] must be an integer"),
+    (dict(RANK2_DOC, base_override={"0": [1, 0]}), [],
+     "base override must be a list of root vectors"),
+    (dict(RANK2_DOC, base_override=[[1, 0, 0]]), [],
+     "base_override[0] must be an integer vector of length 2"),
+    ([RANK2_DOC], ["--base-override", "[[1, 0], [0, 1]]"],
+     "top-level document must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("doc, flags, message", MALFORMED, ids=[
+    "list-document", "generators-object", "short-row", "boolean-entry",
+    "float-entry", "base-object", "base-length", "override-on-list"])
+def test_malformed_document_exits_2(tmp_path, capsys, doc, flags, message):
+    path = write_doc(tmp_path, doc)
+    assert run(capsys, ["verdict", path, *flags]) == (
+        2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc", [
+    # roots e1 and e2 with coroots (2, -3) and (-3, 2): a hyperbolic pair
+    {"rank": 2, "generators": [[[-1, 0], [3, 1]], [[1, 3], [0, -1]]]},
+    # roots e1, e2 and e1 with coroots 2e1, 2e2 and 2e1 + e2
+    {"rank": 3, "generators": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                               [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+                               [[-1, 0, 0], [-1, 1, 0], [0, 0, 1]]]},
+], ids=["hyperbolic", "two-coroots"])
+def test_an_infinite_reflection_walk_exits_2_unclosed(tmp_path, capsys,
+                                                      monkeypatch, doc):
+    def no_closure(*args):
+        raise AssertionError("the element list was built")
+
+    monkeypatch.setattr(groups, "_close", no_closure)
+    path = write_doc(tmp_path, doc)
+    assert run(capsys, ["verdict", path]) == (
+        2, "", "error: closure exceeded 10000 elements; group is probably "
+               "infinite\n")
 
 
 def test_oversized_integer_exits_2(tmp_path, capsys):

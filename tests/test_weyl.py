@@ -27,6 +27,7 @@ from helpers import (
     conjugated_block_sums,
     mat,
     oracle_find_reflections,
+    oracle_indecomposable_base,
     orbit_sublattice_actions,
     root_lattice_generators,
     s3_action,
@@ -141,11 +142,6 @@ def test_orbit_sizes_over_a_chosen_base():
             assert size(pattern) == len(weight_orbit(rd, pattern))
 
 
-def test_most_roots_by_rank():
-    assert [roots._most_roots(r) for r in range(1, 10)] == \
-        [2, 12, 18, 48, 50, 72, 126, 240, 242]
-
-
 def test_e8_times_a1_walks_242_roots(no_closure):
     gens = block_diagonal([root_lattice_generators("E", 8),
                            root_lattice_generators("A", 1)])
@@ -168,6 +164,48 @@ def test_infinite_groups_take_the_closure(gens):
     assert str(exc.value) == ("closure exceeded 1000 elements; group is "
                               "probably infinite")
     assert roots._root_walk(GroupAction(2, gens)) is None
+
+
+@pytest.mark.parametrize("pairs", [
+    # roots e1 and e2 with coroots (2, -3) and (-3, 2): a hyperbolic pair
+    [((1, 0), (2, -3)), ((0, 1), (-3, 2))],
+    # roots e1, e2 and e1 again, with coroots 2e1, 2e2 and 2e1 + e2: the
+    # coroots have the roots' rank, but e1 has two
+    [((1, 0, 0), (2, 0, 0)), ((0, 1, 0), (0, 2, 0)),
+     ((1, 0, 0), (2, 1, 0))],
+], ids=["hyperbolic", "two-coroots"])
+def test_an_infinite_walk_stops_at_the_cap(no_closure, pairs):
+    # each pair walked is a reflection of G, so the walk raises at the
+    # cap with the closure's message, and G is never closed
+    gens = [roots._reflection_matrix(a, c) for a, c in pairs]
+    with pytest.raises(GroupTooLarge) as exc:
+        close_group(gens, cap=1000)
+    assert str(exc.value) == ("closure exceeded 1000 elements; group is "
+                              "probably infinite")
+
+
+def assert_pivot_base_is_indecomposable(group):
+    root_set, _ = roots._root_span(group)
+    assert roots._generic_base(root_set) == \
+        oracle_indecomposable_base(root_set)
+
+
+def test_pivot_base_is_the_indecomposable_roots_on_every_block_sum():
+    for blocks in BLOCK_SUMS:
+        assert_pivot_base_is_indecomposable(close_group(
+            block_diagonal([weyl_generators(*b) for b in blocks])))
+
+
+@PROPERTY
+@given(conjugated_block_sums(max_trivial=2))
+def test_pivot_base_is_the_indecomposable_roots_in_a_random_basis(gens):
+    assert_pivot_base_is_indecomposable(close_group(gens))
+
+
+@pytest.mark.parametrize("n", (6, 7, 8), ids=["E6", "E7", "E8"])
+def test_pivot_base_is_the_indecomposable_roots_of_e6_to_e8(no_closure, n):
+    assert_pivot_base_is_indecomposable(
+        close_group(root_lattice_generators("E", n), cap=696729600))
 
 
 def test_e8_axioms_walk_the_reflections_once_per_simple_root(no_closure,
