@@ -3,8 +3,10 @@
 Group elements are the matrices themselves (acting on the right on row
 vectors), so the action is faithful by construction.
 
-Every orbit, the group itself as the orbit of the identity included, is
-found by one breadth-first search over the generators, `_search`.
+Orbits are found by three breadth-first loops: the group, as the orbit
+of the identity, by `_search` over the generators; the reflections'
+(root, coroot) pairs by `roots._walk_pairs`; and a Weyl orbit of
+weights, down from its dominant one, by `roots._walk_down`.
 
 When every generator is a reflection, `close_group` takes |G| from the
 root system the generators' roots walk out (see `roots._root_walk`),
@@ -117,12 +119,12 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     almost certainly infinite).  An empty generator list needs an
     explicit `rank` and yields the trivial group.
 
-    When every generator is a reflection and the walk of their roots
-    certifies a finite root system, |G| is the order of its Weyl group,
-    read off the root heights (`roots._weyl_order`), and no element is
-    listed; a walk of more than `cap` reflections raises GroupTooLarge
-    (see `roots._root_walk`).  Otherwise the elements are closed here,
-    as `_close` describes.
+    When every generator is a reflection, G is finite exactly when the
+    walk of their roots ends with one coroot per root (`roots._root_walk`
+    raises GroupTooLarge otherwise, or past `cap` reflections); |G| is
+    then read off the root heights (`roots._weyl_order`), and no element
+    is listed.  Otherwise the elements are closed here, as `_close`
+    describes.
     """
     gens = list(generators)
     if rank is None:
@@ -172,7 +174,7 @@ def _close(rank: int, gens, cap: int) -> tuple:
                                     for m in found))
 
 
-def _search(start, moves, cap=None) -> list:
+def _search(start, moves, cap: int) -> list:
     """The orbit of `start` under the group the `moves` generate, in
     breadth-first order, at one move per orbit item and move; raises
     GroupTooLarge once more than `cap` items are found."""
@@ -184,7 +186,7 @@ def _search(start, moves, cap=None) -> list:
             if y not in seen:
                 seen.add(y)
                 found.append(y)
-                if cap is not None and len(found) > cap:
+                if len(found) > cap:
                     raise GroupTooLarge(_too_large(cap))
     return found
 

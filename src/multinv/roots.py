@@ -9,15 +9,15 @@ crystallographic root system spanning the moving subspace (the subspace
 the invariant functionals annihilate), and the group restricted to that
 subspace is the Weyl group.
 
-When every generator is a reflection, G is the Weyl group W of the
-roots, and neither the reflections nor |G| need the element list.  Every
-reflection of W is s_alpha for a root alpha in the W-orbit of the
-generators' roots (Humphreys, Section 1.14), and h^-1 s_alpha h is the
-reflection with root alpha * h and coroot h^-1 . coroot, so the
-reflections are walked out as (root, coroot) pairs over the generators
-(`_root_walk`), in one loop that skips the moves fixing a pair
-(`_walk_pairs`).  Each pair walked is a distinct reflection of G, so
-the walk stops at the group cap.  The counts of positive roots by
+When every generator is a reflection, neither the reflections nor |G|
+need the element list.  Every reflection of G is s_alpha for a root
+alpha in the G-orbit of the generators' roots (Humphreys, Section 1.14),
+and h^-1 s_alpha h is the reflection with root alpha * h and coroot
+h^-1 . coroot, so the reflections are walked out as (root, coroot) pairs
+over the generators, in one loop that skips the moves fixing a pair
+(`_walk_pairs`).  One condition decides finiteness: G is finite exactly
+when the walk ends with one coroot per root, and it is then the Weyl
+group W of the roots (`_root_walk`).  The counts of positive roots by
 height form the partition dual to the exponents m_i, and
 |W| = prod (m_i + 1) (Humphreys, Sections 3.9 and 3.20, after Kostant;
 `_weyl_order`).
@@ -29,9 +29,10 @@ roots; an element trivial on both V and the quotient is unipotent of
 finite order, so it is 1.  Hence |W'| is the Kostant product over the
 root heights (`_weyl_order`), and G = W' exactly when |G| equals it.
 The heights are read off the coordinates of the roots over a base, all
-from one fraction-free elimination.  The base is the first independent
-positive roots in the order of a generic functional, the pivot columns
-of one more elimination (Humphreys, Section 1.3).
+from one fraction-free elimination, which also proves that the base
+spans every root, so its size is their rank.  The base is the first
+independent positive roots in the order of a generic functional, the
+pivot columns of one more elimination (Humphreys, Section 1.3).
 
 A base of simple roots fixes the rest through the coroots of its
 reflections, the columns of the n x r coroot matrix.  A vector v has
@@ -115,10 +116,10 @@ def _negated(v) -> tuple:
 @memoised
 def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
     """All reflections of the action, in element order (sorted by
-    rows): walked out from the generators when `_root_walk` certifies
-    the walk, else found among the elements."""
+    rows): walked out from the generators when every generator is a
+    reflection (`_root_walk`), else found among the elements."""
     walk = _root_walk(action)
-    pairs = walk[0] if walk else [
+    pairs = walk.items() if walk else [
         pair for g in action.elements
         if (pair := _reflection_pair(g)) is not None]
     refls = (Reflection(_reflection_matrix(root, coroot), root, coroot,
@@ -158,57 +159,48 @@ def _reflection_matrix(root, coroot) -> IntMatrix:
 
 @memoised
 def _root_walk(action: GroupAction):
-    """The (root, coroot) pair of every reflection of G, walked out from
-    the generators, and the rank of the roots; None unless every
-    generator is a reflection and the walk certifies that G is a finite
-    Weyl group.  The generators are read up to the first that is no
-    reflection.
+    """{root: coroot} for every reflection of G, walked out from the
+    generators; None when there is no generator or one is no reflection
+    (the generators are read up to the first that is none).
 
     A reflection g (g^-1 = g) moves the pair of s_alpha to the pair of
     g s_alpha g: root -> root * g and coroot -> g . coroot
-    (`_walk_pairs`).  With r the rank of the generators' roots
-    (v * g - v is a multiple of a, so every root lies in their span, and
-    likewise every coroot in the span of theirs), the walk is trusted when
-    - the generators' coroots also have rank r,
-    - it ends, and
-    - each root has one coroot.
-    Then G permutes the finitely many roots, which span the root span
-    V, so it acts on V through a finite group, orthogonal for some
-    invariant inner product; there v . coroot = 2 (v, a) / (a, a), and
-    the only vector of V pairing to zero with every coroot is 0.  An
-    element h fixing every root fixes every coroot (a root has one), so
-    v * h - v, which lies in V, pairs to zero with every coroot: h = 1.
-    So G embeds in the permutations of the roots and is their Weyl
-    group.  Each pair walked is a distinct reflection of G, so a walk of
-    more than `action.cap` pairs raises GroupTooLarge, with the message
-    of the closure.  Otherwise, as for the infinite group of one root
-    with coroots (2, 0) and (2, 1), the caller closes G.
+    (`_walk_pairs`).  G is finite exactly when the walk ends with one
+    coroot per root.  A root a with coroots c1 != c2 gives
+    s1 s2 = 1 + (c1 - c2) (x) a, of infinite order, and each pair walked
+    is a distinct reflection of G, so a walk past `action.cap` pairs
+    means |G| > cap: both raise GroupTooLarge, with the closure's
+    message.  A walk that ends leaves G permuting the finitely many
+    roots, which span the root span V, so G acts on V through a finite
+    group, orthogonal for some invariant inner product; there
+    v . coroot = 2 (v, a) / (a, a), and the only vector of V pairing to
+    zero with every coroot is 0.  An element h fixing every root fixes
+    every coroot (a root has one), so v * h - v, which lies in V, pairs
+    to zero with every coroot: h = 1.  So G embeds in the permutations
+    of the roots and is their Weyl group.
     """
     # up to the first generator that is no reflection (None)
     pairs = list(takewhile(bool, map(_reflection_pair, action.generators)))
     if not pairs or len(pairs) < len(action.generators):
         return None
-    roots, coroots = zip(*pairs)
-    rank = IntMatrix._from_checked_rows(roots, action.rank).rank()
-    if IntMatrix._from_checked_rows(coroots, action.rank).rank() != rank:
-        return None
     found = _walk_pairs(pairs, action.cap)
     if found is None:
         raise GroupTooLarge(_too_large(action.cap))
-    if len({a for a, _ in found}) != len(found):
-        return None
-    return found, rank
+    return found
 
 
 def _walk_pairs(pairs, cap):
-    """The pairs walked out from the normalised (root, coroot) `pairs`
-    under the reflections 1 - c (x) a they stand for, by one breadth-first
-    loop, in the order found; None once more than `cap` are found.  The
-    move by (a, c) takes root to root - (root . c) a and coroot to
-    coroot - (a . coroot) c; it is skipped when both products are 0, as
-    it then fixes the pair, and its result is negated when the root's
-    first nonzero coordinate is negative."""
-    found, queue = set(pairs), list(pairs)  # `queue` grows while walked
+    """{root: coroot} walked out from the normalised (root, coroot)
+    `pairs` under the reflections 1 - c (x) a they stand for, by one
+    breadth-first loop, in the order found; None when a root has two
+    coroots, among the seeds or on a move, or more than `cap` pairs are
+    found.  The move by (a, c) takes root to root - (root . c) a and
+    coroot to coroot - (a . coroot) c; it is skipped when both products
+    are 0, as it then fixes the pair, and its result is negated when the
+    root's first nonzero coordinate is negative."""
+    found, queue = dict(pairs), list(pairs)  # `queue` grows while walked
+    if len(found) < len(queue):
+        return None
     for root, coroot in queue:
         if len(queue) > cap:
             return None
@@ -219,11 +211,13 @@ def _walk_pairs(pairs, cap):
                 s = [x - m * y for x, y in zip(coroot, c)]
                 if next(filter(None, r)) < 0:
                     r, s = map(neg, r), map(neg, s)
-                pair = tuple(r), tuple(s)
-                if pair not in found:
-                    found.add(pair)
-                    queue.append(pair)
-    return tuple(queue)  # each pair added was walked, after the check
+                r, s = tuple(r), tuple(s)
+                if r not in found:
+                    found[r] = s
+                    queue.append((r, s))
+                elif found[r] != s:
+                    return None
+    return found  # each pair found was walked, after the check
 
 
 def _weyl_order(action: GroupAction) -> int:
@@ -250,28 +244,28 @@ def _kostant_order(heights) -> int:
 
 
 @memoised
-def _root_span(action: GroupAction) -> tuple[frozenset, int]:
-    """The roots of the action's reflections, both signs of each, and the
-    rank of their span: the rank `_root_walk` took of the generators'
-    roots, which span every root, else that of one root per line."""
+def _root_span(action: GroupAction) -> frozenset:
+    """The roots of the action's reflections, both signs of each; the
+    rank of their span is the size of the base `_base_coordinates`
+    picks."""
     refls = find_reflections(action)
     roots = frozenset(r.root for r in refls) | frozenset(
         _negated(r.root) for r in refls
     )
     if len(roots) != 2 * len(refls):
         raise AxiomFailure("reflections do not have distinct root lines")
-    walk = _root_walk(action)
-    return roots, walk[1] if walk else IntMatrix._from_checked_rows(
-        tuple(r.root for r in refls), action.rank).rank()
+    return roots
 
 
 @memoised
 def _base_coordinates(action: GroupAction) -> tuple[tuple, dict]:
     """The base `_generic_base` picks from the roots, and the coordinates
-    of every root over it, checked by `_check_base`."""
-    roots, rank = _root_span(action)
+    of every root over it.  `_check_base` proves that every root is an
+    integer combination of the base, so its size is the rank of the
+    roots."""
+    roots = _root_span(action)
     base = _generic_base(roots)
-    return base, _check_base(roots, base, rank, strict=False)
+    return base, _check_base(roots, base, len(base), strict=False)
 
 
 @memoised
@@ -279,8 +273,8 @@ def is_reflection_group(action: GroupAction) -> bool:
     """True when the reflections generate the whole group (vacuously true
     for the trivial group).
 
-    When `_root_walk` certifies the walk, every generator is a
-    reflection.  Otherwise G was listed to find its reflections, and
+    When `_root_walk` walks the reflections, every generator is one.
+    Otherwise G was listed to find its reflections, and
     G = W', the subgroup they generate, exactly when |G| = |W'|
     (`_weyl_order`).  No subgroup is closed.
     """
@@ -397,12 +391,9 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             else "the group contains no reflections"
         )
 
-    roots, root_rank = _root_span(action)
+    roots = _root_span(action)
     rank = n - fixed_sublattice(action).rank
-    if root_rank != rank:
-        raise AxiomFailure("roots do not span the moving subspace")
-
-    if rank == 0:
+    if rank == 0:  # G is trivial, so it has no roots
         return RootDatum(
             rank=0,
             ambient_rank=n,
@@ -416,8 +407,11 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             coordinates={},
         )
 
+    generic, coordinates = _base_coordinates(action)
+    if len(generic) != rank:
+        raise AxiomFailure("roots do not span the moving subspace")
     if base is None:
-        base, coordinates = _base_coordinates(action)
+        base = generic
     else:
         try:
             base = tuple(
@@ -584,7 +578,7 @@ def _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
     walked = _walk_pairs([(a, c) if next(filter(None, a)) > 0
                           else (_negated(a), _negated(c)) for a, c in simple],
                          len(refls))
-    if walked is None or set(walked) != {(r.root, r.coroot) for r in refls}:
+    if walked != {r.root: r.coroot for r in refls}:
         raise AxiomFailure("a reflection does not permute the roots")
     # defining property of the weights, as exact identities: they pair to
     # the Kronecker delta against the base coroots, and they lie in the

@@ -8,7 +8,9 @@ the copy of the file (it must occur there exactly once), runs the
 selected tests there under a timeout of TIMEOUT_S seconds, and reports
 the mutant as killed, survived or timed out.  A timeout counts as
 caught, but is listed apart.  An entry whose old text is not found
-once, or whose selection names no test, is reported stale.
+once, or whose selection names no test, is reported stale;
+`tests/test_mutants.py` checks the same in the test suite without
+running any mutant.
 A reason that starts with "equivalent:" marks a mutant that changes no
 result, so it is expected to survive.
 
@@ -52,6 +54,52 @@ MUTANTS = [
      "equivalent: the rows at and below the next pivot row are the same "
      "in a reduced pass as in a forward one, so the pivot columns are "
      "too; only the rows above them cost more"),
+    ("src/multinv/roots.py",
+     "                elif found[r] != s:\n                    return None\n",
+     "",
+     ["tests/test_weyl.py::"
+      "test_a_root_with_two_coroots_stops_the_walk_at_once"],
+     "a root met again with a second coroot no longer ends the walk, "
+     "which runs on to the cap"),
+    ("src/multinv/roots.py",
+     "    if len(found) < len(queue):\n        return None\n",
+     "",
+     ["tests/test_weyl.py::"
+      "test_a_root_with_two_coroots_stops_the_walk_at_once"],
+     "a repeated seed root is found only on its first move, by the "
+     "mid-walk comparison"),
+    ("src/multinv/roots.py",
+     "                if next(filter(None, r)) < 0:\n"
+     "                    r, s = map(neg, r), map(neg, s)\n",
+     "",
+     ["tests/test_weyl.py"],
+     "the walk keeps a root and its negative apart, so every reflection "
+     "is found twice"),
+    ("src/multinv/roots.py",
+     " != g.nrows - 2:\n",
+     " != g.nrows - 1:\n",
+     ["tests/test_weyl.py"],
+     "the trace test is off by one and no element is a reflection"),
+    ("src/multinv/roots.py",
+     "list(takewhile(bool, map(_reflection_pair, action.generators)))",
+     "list(takewhile(bool, [*map(_reflection_pair, action.generators)]))",
+     ["tests/test_roots.py::test_a_non_reflection_generator_builds_no_row"],
+     "every generator is paired before the first that is no reflection "
+     "ends the walk"),
+    ("src/multinv/roots.py",
+     "        for r in refls:\n            beta = r.root\n",
+     "        for r in refls[:1]:\n            beta = r.root\n",
+     ["tests/test_roots.py::"
+      "test_axioms_reject_roots_a_simple_reflection_does_not_keep"],
+     "the simple reflections map only one root each"),
+    ("src/multinv/roots.py",
+     "            if k or m:\n",
+     "            if k:\n",
+     ["tests/test_weyl.py::"
+      "test_a_root_with_two_coroots_stops_the_walk_at_once"],
+     "a move is skipped when only root . c is 0: in a finite group the "
+     "two products vanish together, but on the mid-walk input the move "
+     "that meets the second coroot of e1 is skipped"),
 ]
 
 

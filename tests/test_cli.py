@@ -302,7 +302,12 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc, flags, message):
     {"rank": 3, "generators": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
                                [[-1, 0, 0], [-1, 1, 0], [0, 0, 1]]]},
-], ids=["hyperbolic", "two-coroots"])
+    # root e1 with coroots (2, 0) and (2, 1)
+    {"rank": 2, "generators": [[[-1, 0], [0, 1]], [[-1, 0], [-1, 1]]]},
+    # roots e1 and e2 with coroots (2, 1) and (0, 2): e1 meets its second
+    # coroot, (2, -1), in the walk
+    {"rank": 2, "generators": [[[-1, 0], [-1, 1]], [[1, 0], [0, -1]]]},
+], ids=["hyperbolic", "two-coroots", "e1", "mid-walk"])
 def test_an_infinite_reflection_walk_exits_2_unclosed(tmp_path, capsys,
                                                       monkeypatch, doc):
     def no_closure(*args):

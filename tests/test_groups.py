@@ -77,7 +77,8 @@ def test_close_group_uses_the_given_rank():
 def orbit(action, point):
     """The orbit search every layer runs: breadth-first over the
     generators."""
-    return _search(point, [g.apply for g in action.generators])
+    return _search(point, [g.apply for g in action.generators],
+                   DEFAULT_CLOSURE_CAP)
 
 
 def test_orbit_of_zero():

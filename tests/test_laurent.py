@@ -21,7 +21,7 @@ from multinv import (
     reflection_monoid,
     weight_orbit,
 )
-from multinv.groups import _search
+from multinv.groups import DEFAULT_CLOSURE_CAP, _search
 from multinv.lattice import common_denominator
 from helpers import (
     BASE_RANK2,
@@ -266,7 +266,8 @@ def test_integer_orbits_match_the_fraction_oracle():
                           for _ in range(n))
             den = common_denominator(point)
             found = _search(tuple(int(x * den) for x in point),
-                            [g.apply for g in action.generators])
+                            [g.apply for g in action.generators],
+                            DEFAULT_CLOSURE_CAP)
             assert len(set(found)) == len(found)
             assert {tuple(Fraction(x, den) for x in e)
                     for e in found} == oracle_orbit(action, point)

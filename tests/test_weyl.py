@@ -153,11 +153,9 @@ def test_e8_times_a1_walks_242_roots(no_closure):
 
 
 @pytest.mark.parametrize("gens", [
-    # one root, (1, 0), with coroots (2, 0) and (2, 1): infinite
-    [mat([[-1, 0], [0, 1]]), mat([[-1, 0], [-1, 1]])],
     # no reflection
     [mat([[1, 1], [0, 1]])],
-], ids=["e1", "shear"])
+], ids=["shear"])
 def test_infinite_groups_take_the_closure(gens):
     with pytest.raises(GroupTooLarge) as exc:
         close_group(gens, cap=1000)
@@ -166,17 +164,31 @@ def test_infinite_groups_take_the_closure(gens):
     assert roots._root_walk(GroupAction(2, gens)) is None
 
 
+# a root with two coroots c1 != c2 makes s1 s2 = 1 + (c1 - c2) (x) a, of
+# infinite order; each input comes with the moves (at most 4) that the
+# walk makes before it stops
+TWO_COROOTS = {
+    # one root, (1, 0), with coroots (2, 0) and (2, 1)
+    "e1": ([((1, 0), (2, 0)), ((1, 0), (2, 1))], 0),
+    # roots e1, e2 and e1 again, with coroots 2e1, 2e2 and 2e1 + e2: the
+    # coroots have the roots' rank, but e1 has two
+    "two-coroots": ([((1, 0, 0), (2, 0, 0)), ((0, 1, 0), (0, 2, 0)),
+                     ((1, 0, 0), (2, 1, 0))], 0),
+    # roots e1 and e2 with coroots (2, 1) and (0, 2): the reflection of e2
+    # takes the pair of e1 to (e1, (2, -1)) on the second move
+    "mid-walk": ([((1, 0), (2, 1)), ((0, 1), (0, 2))], 2),
+}
+
+
 @pytest.mark.parametrize("pairs", [
     # roots e1 and e2 with coroots (2, -3) and (-3, 2): a hyperbolic pair
     [((1, 0), (2, -3)), ((0, 1), (-3, 2))],
-    # roots e1, e2 and e1 again, with coroots 2e1, 2e2 and 2e1 + e2: the
-    # coroots have the roots' rank, but e1 has two
-    [((1, 0, 0), (2, 0, 0)), ((0, 1, 0), (0, 2, 0)),
-     ((1, 0, 0), (2, 1, 0))],
-], ids=["hyperbolic", "two-coroots"])
+    *(pairs for pairs, _ in TWO_COROOTS.values()),
+], ids=["hyperbolic", *TWO_COROOTS])
 def test_an_infinite_walk_stops_at_the_cap(no_closure, pairs):
-    # each pair walked is a reflection of G, so the walk raises at the
-    # cap with the closure's message, and G is never closed
+    # each pair walked is a reflection of G, and a root with two coroots
+    # proves G infinite, so the walk raises with the closure's message,
+    # and G is never closed
     gens = [roots._reflection_matrix(a, c) for a, c in pairs]
     with pytest.raises(GroupTooLarge) as exc:
         close_group(gens, cap=1000)
@@ -184,8 +196,49 @@ def test_an_infinite_walk_stops_at_the_cap(no_closure, pairs):
                               "probably infinite")
 
 
+def count_walk_products(monkeypatch) -> dict:
+    """{"walk": ..., "axioms": ...}, filled in as the walks run: the
+    products a move of `_walk_pairs` takes by `sum`, two per move, put
+    down to the walk of `_root_walk` or of `_verify_axioms`."""
+    stack, products = [], {"walk": 0, "axioms": 0}
+
+    def flagged(name, compute):
+        def run(*args):
+            stack.append(name)
+            try:
+                return compute(*args)
+            finally:
+                stack.pop()
+        return run
+
+    def counted_sum(*args):
+        if stack[-1:] == ["pairs"]:
+            products[stack[-2]] += 1
+        return sum(*args)
+
+    for name, fn in (("walk", "_root_walk"), ("axioms", "_verify_axioms"),
+                     ("pairs", "_walk_pairs")):
+        monkeypatch.setattr(roots, fn, flagged(name, getattr(roots, fn)))
+    monkeypatch.setattr(roots, "sum", counted_sum, raising=False)
+    return products
+
+
+@pytest.mark.parametrize("pairs, moves", TWO_COROOTS.values(),
+                         ids=TWO_COROOTS)
+def test_a_root_with_two_coroots_stops_the_walk_at_once(no_closure,
+                                                        monkeypatch, pairs,
+                                                        moves):
+    # a repeated seed root ends the walk before any move, and a second
+    # coroot met later ends it on the move that meets it, not at the cap
+    products = count_walk_products(monkeypatch)
+    gens = [roots._reflection_matrix(a, c) for a, c in pairs]
+    with pytest.raises(GroupTooLarge):
+        close_group(gens, cap=1000)
+    assert products["walk"] // 2 == moves
+
+
 def assert_pivot_base_is_indecomposable(group):
-    root_set, _ = roots._root_span(group)
+    root_set = roots._root_span(group)
     assert roots._generic_base(root_set) == \
         oracle_indecomposable_base(root_set)
 
@@ -210,29 +263,7 @@ def test_pivot_base_is_the_indecomposable_roots_of_e6_to_e8(no_closure, n):
 
 def test_e8_axioms_walk_the_reflections_once_per_simple_root(no_closure,
                                                              monkeypatch):
-    # a move of `_walk_pairs` takes its two products by `sum`, so the
-    # moves are counted as the calls to `sum` made by the walk itself,
-    # and put down to the walk of `_root_walk` or of `_verify_axioms`
-    stack, products = [], {"walk": 0, "axioms": 0}
-
-    def flagged(name, compute):
-        def run(*args):
-            stack.append(name)
-            try:
-                return compute(*args)
-            finally:
-                stack.pop()
-        return run
-
-    def counted_sum(*args):
-        if stack[-1:] == ["pairs"]:
-            products[stack[-2]] += 1
-        return sum(*args)
-
-    for name, fn in (("walk", "_root_walk"), ("axioms", "_verify_axioms"),
-                     ("pairs", "_walk_pairs")):
-        monkeypatch.setattr(roots, fn, flagged(name, getattr(roots, fn)))
-    monkeypatch.setattr(roots, "sum", counted_sum, raising=False)
+    products = count_walk_products(monkeypatch)
     gens = root_lattice_generators("E", 8)
     group = close_group(gens, cap=696729600)
     build_root_system(group)
