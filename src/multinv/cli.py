@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Reads a JSON action description, runs the requested pipeline, and prints
-a human-readable or machine-readable (--json) report.  Exit codes:
-0 success, 2 invalid input or unmet precondition, 3 when --require-verdict
-is set and the verdict is Unknown.
+Reads a JSON action description, closes its group once, runs the
+requested command on it, and prints a human-readable or machine-readable
+(--json) report.  Exit codes: 0 success, 2 invalid input or unmet
+precondition, 3 when --require-verdict is set and the report's verdict
+is Unknown.
 """
 
 from __future__ import annotations
@@ -100,10 +101,6 @@ def _validate_base(base, rank):
     return tuple(out)
 
 
-def _build_group(desc: ActionDescription, cap: int):
-    return close_group(desc.generators, cap=cap, rank=desc.rank)
-
-
 def frac_json(x) -> object:
     """Exact value for JSON: plain int when integral, 'p/q' otherwise."""
     x = Fraction(x)
@@ -124,23 +121,23 @@ def _verdict_json(v):
 
 
 def _verdict_lines(v):
-    lines = [f"verdict: {v.status} [{v.rule}]", f"  {v.detail}"]
-    if v.monoid is not None and not v.monoid.is_group:
-        basis = [list(m) for m in v.monoid.positive.hilbert_basis]
+    """The text of the verdict report `_verdict_json` made."""
+    lines = [f"verdict: {v['status']} [{v['rule']}]", f"  {v['detail']}"]
+    monoid = v["monoid"]
+    if monoid is not None and monoid["hilbert_basis"]:
         lines.append(
-            f"  units rank {v.monoid.units_rank}; generators in weight "
-            f"coordinates: {basis}"
+            f"  units rank {monoid['units_rank']}; generators in weight "
+            f"coordinates: {monoid['hilbert_basis']}"
         )
     return lines
 
 
-def cmd_analyze(desc: ActionDescription, cap: int):
-    action = _build_group(desc, cap)
+def cmd_analyze(action, desc: ActionDescription):
     fixed_rank = fixed_sublattice(action).rank
     effective_rank = action.rank - fixed_rank
     refls = find_reflections(action)
     height = None if action.order == 1 else min_displacement_rank(action)
-    v = verdict(action, base=desc.base_override)
+    v = _verdict_json(verdict(action, base=desc.base_override))
     report = {
         "command": "analyze",
         "rank": action.rank,
@@ -154,7 +151,7 @@ def cmd_analyze(desc: ActionDescription, cap: int):
         # lattice (see classify.verdict)
         "fixed_point_free_on_quotient": (action.order == 1
                                          or height == effective_rank),
-        "verdict": _verdict_json(v),
+        "verdict": v,
     }
     lines = [
         f"rank:                {action.rank}",
@@ -167,7 +164,7 @@ def cmd_analyze(desc: ActionDescription, cap: int):
         f"fixed point free:    {report['fixed_point_free_on_quotient']}"
         " (on the effective quotient)",
     ] + _verdict_lines(v)
-    return report, lines, v
+    return report, lines
 
 
 def _factored_label(inv, labels, weight_names):
@@ -186,8 +183,7 @@ def _factored_label(inv, labels, weight_names):
     return " * ".join(parts) if parts else "1"
 
 
-def cmd_invariants(desc: ActionDescription, cap: int):
-    action = _build_group(desc, cap)
+def cmd_invariants(action, desc: ActionDescription):
     pipe = reflection_monoid(action, base=desc.base_override)
     rd = pipe.root_datum
     invs = fundamental_invariants_detailed(action, rd, pipe.weight_monoid)
@@ -210,25 +206,22 @@ def cmd_invariants(desc: ActionDescription, cap: int):
         "hilbert_basis": [list(m) for m in pipe.weight_monoid.hilbert_basis],
         "invariants": entries,
     }
-    lines = [f"base:        {list(map(list, rd.base))}"]
+    lines = [f"base:        {report['base']}"]
     for i, w in enumerate(rd.fundamental_weights):
         lines.append(
             f"weight {weight_names[i]}:   ("
             + ", ".join(str(Fraction(x)) for x in w)
             + ")"
         )
-    lines.append(f"multipliers: {list(pipe.weight_monoid.multipliers)}")
-    lines.append(
-        f"hilbert basis: {[list(m) for m in pipe.weight_monoid.hilbert_basis]}"
-    )
+    lines.append(f"multipliers: {report['multipliers']}")
+    lines.append(f"hilbert basis: {report['hilbert_basis']}")
     for i, e in enumerate(entries):
         lines.append(f"mu{i + 1} = {e['factored']}")
         lines.append(f"    = {e['expanded']}")
-    return report, lines, None
+    return report, lines
 
 
-def cmd_classgroup(desc: ActionDescription, cap: int):
-    action = _build_group(desc, cap)
+def cmd_classgroup(action, desc: ActionDescription):
     cl = class_group(action)
     fg = build_root_system(action, base=desc.base_override).fundamental_group
     report = {
@@ -243,11 +236,10 @@ def cmd_classgroup(desc: ActionDescription, cap: int):
         f"class group:       {cl}",
         f"fundamental group: {fg} (weight lattice / root lattice)",
     ]
-    return report, lines, None
+    return report, lines
 
 
-def cmd_hilbert_basis(desc: ActionDescription, cap: int):
-    action = _build_group(desc, cap)
+def cmd_hilbert_basis(action, desc: ActionDescription):
     pipe = reflection_monoid(action, base=desc.base_override)
     wm = pipe.weight_monoid
     # the closed box prod([0, z_i]), listed for this report only
@@ -262,22 +254,20 @@ def cmd_hilbert_basis(desc: ActionDescription, cap: int):
         "units_rank": pipe.monoid.units_rank,
     }
     lines = [
-        f"multipliers:   {list(wm.multipliers)}",
+        f"multipliers:   {report['multipliers']}",
         f"box points:    {box}",
-        f"hilbert basis: {[list(m) for m in wm.hilbert_basis]}",
-        f"units rank:    {pipe.monoid.units_rank}",
+        f"hilbert basis: {report['hilbert_basis']}",
+        f"units rank:    {report['units_rank']}",
     ]
-    return report, lines, None
+    return report, lines
 
 
-def cmd_verdict(desc: ActionDescription, cap: int):
-    action = _build_group(desc, cap)
-    v = verdict(action, base=desc.base_override)
-    return {"command": "verdict", "verdict": _verdict_json(v)}, _verdict_lines(v), v
+def cmd_verdict(action, desc: ActionDescription):
+    v = _verdict_json(verdict(action, base=desc.base_override))
+    return {"command": "verdict", "verdict": v}, _verdict_lines(v)
 
 
-def cmd_singular_locus(desc: ActionDescription, cap: int):
-    action = _build_group(desc, cap)
+def cmd_singular_locus(action, desc: ActionDescription):
     rep = sign_group_singular_locus(action)
     components = [
         {"coordinates": [i + 1 for i in coords], "signs": list(signs)}
@@ -301,7 +291,7 @@ def cmd_singular_locus(desc: ActionDescription, cap: int):
             for i, s in zip(coords, signs)
         )
         lines.append(f"  component: ({gens})")
-    return report, lines, None
+    return report, lines
 
 
 COMMANDS = {
@@ -405,7 +395,9 @@ def main(argv=None) -> int:
             doc = dict(doc)
             doc["base_override"] = _parse_base_override(args.base_override)
         desc = load_action(doc)
-        report, lines, vd = COMMANDS[args.command](desc, args.group_cap)
+        action = close_group(desc.generators, cap=args.group_cap,
+                             rank=desc.rank)
+        report, lines = COMMANDS[args.command](action, desc)
     except MultInvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -413,7 +405,8 @@ def main(argv=None) -> int:
         print(render_json(report))
     else:
         print("\n".join(lines))
-    if args.require_verdict and vd is not None and vd.status == UNKNOWN:
+    if (args.require_verdict
+            and report.get("verdict", {}).get("status") == UNKNOWN):
         return 3
     return 0
 

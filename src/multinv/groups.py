@@ -8,10 +8,10 @@ of the identity, by `_search` over the generators; the reflections'
 (root, coroot) pairs by `roots._walk_pairs`; and a Weyl orbit of
 weights, down from its dominant one, by `roots._walk_down`.
 
-When every generator is a reflection, `close_group` takes |G| from the
-root system the generators' roots walk out (see `roots._root_walk`),
-stopped at the cap, and lists no element; the element list is then
-closed on first read.
+|G| is decided in one place, `GroupAction.order`: when every generator
+is a reflection, it is read off the root system the generators' roots
+walk out (see `roots._root_walk`), stopped at the cap, and no element is
+listed; otherwise it is the length of the element list.
 
 The closure enumerates a group on row orbits: row i of an element m is
 the lattice point e_i * m, and inside the search an element is the
@@ -40,8 +40,9 @@ class GroupAction:
     `generators` are the given ones without repeats, which orbits are
     searched over.  `elements` is the complete, canonically sorted
     element list (identity included), closed under `cap` on first read;
-    `order` is |G|, read off the root heights when `close_group` found G
-    generated by reflections, else the length of the element list.
+    `order` is |G|, decided on first read: the Kostant product of the
+    root heights (`roots._weyl_order`) when `roots._root_walk` walks the
+    generators, else the length of the element list.
 
     Facts derived from the group (fixed sublattice, least displacement
     rank, reflections, whether the reflections generate) are memoised on
@@ -69,7 +70,9 @@ class GroupAction:
     @property
     def order(self) -> int:
         if self._order is None:
-            self._order = len(self.elements)
+            from .roots import _root_walk, _weyl_order  # roots imports groups
+            self._order = (len(self.elements) if _root_walk(self) is None
+                           else _weyl_order(self))
         return self._order
 
     def __repr__(self):
@@ -119,11 +122,11 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     almost certainly infinite).  An empty generator list needs an
     explicit `rank` and yields the trivial group.
 
+    |G| is decided by `GroupAction.order`, read here against `cap`.
     When every generator is a reflection, G is finite exactly when the
     walk of their roots ends with one coroot per root (`roots._root_walk`
-    raises GroupTooLarge otherwise, or past `cap` reflections); |G| is
-    then read off the root heights (`roots._weyl_order`), and no element
-    is listed.  Otherwise the elements are closed here, as `_close`
+    raises GroupTooLarge otherwise, or past `cap` reflections), and no
+    element is listed.  Otherwise the elements are closed, as `_close`
     describes.
     """
     gens = list(generators)
@@ -138,12 +141,8 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
             raise NotUnimodular(
                 f"generators[{i}] has determinant {det}, not +-1")
     action = GroupAction(rank, gens, cap)
-    from .roots import _root_walk, _weyl_order  # roots imports this module
-    if _root_walk(action) is None:
-        order = len(action.elements)  # closed under the cap
-    elif (order := _weyl_order(action)) > cap:
+    if action.order > cap:
         raise GroupTooLarge(_too_large(cap))
-    action._order = order
     return action
 
 

@@ -100,6 +100,80 @@ MUTANTS = [
      "a move is skipped when only root . c is 0: in a finite group the "
      "two products vanish together, but on the mid-walk input the move "
      "that meets the second coroot of e1 is skipped"),
+    ("src/multinv/cli.py",
+     '            and report.get("verdict", {}).get("status") == UNKNOWN):\n',
+     '            and report.get("status") == UNKNOWN):\n',
+     ["tests/test_cli.py::"
+      "test_require_verdict_reads_the_verdict_of_every_command_kind"],
+     "--require-verdict looks for the status at the top of the report, "
+     "where no command puts it, and never exits 3"),
+    ("src/multinv/groups.py",
+     "(len(self.elements) if _root_walk(self) is None\n"
+     "                           else _weyl_order(self))\n",
+     "(_weyl_order(self) if _root_walk(self) is None\n"
+     "                           else len(self.elements))\n",
+     ["tests/test_groups.py"],
+     "|G| is the Kostant product when a generator is no reflection, and "
+     "the closure length when the walk has the roots"),
+    ("src/multinv/groups.py",
+     "    if action.order > cap:\n",
+     "    if action.order >= cap:\n",
+     ["tests/test_groups.py::"
+      "test_close_group_admits_a_group_of_exactly_cap_elements"],
+     "a group of exactly `cap` elements is refused"),
+    ("src/multinv/lattice.py",
+     "                rows[i] = [(p * a - f * b) // tags[i]\n",
+     "                rows[i] = [(p * a - f * b) // last\n",
+     ["tests/test_lattice.py"],
+     "a row last written at an older pivot is divided by the current "
+     "one, which is not exact"),
+    ("src/multinv/lattice.py",
+     "        if tags[r] != last:\n"
+     "            top = rows[r] = [x * last // tags[r] for x in top]\n",
+     "",
+     ["tests/test_lattice.py"],
+     "a pivot row that lags behind the last pivot is used without being "
+     "brought up to it"),
+    ("src/multinv/lattice.py",
+     "            sign = -sign\n",
+     "",
+     ["tests/test_lattice.py"],
+     "a row swap no longer flips the sign of the determinant"),
+    ("src/multinv/lattice.py",
+     "        tags[r] = last = p\n",
+     "        last = p\n",
+     ["tests/test_lattice.py"],
+     "a pivot row keeps the tag of the pivot it was written at before, "
+     "so the reduced pass divides it by the wrong pivot"),
+    ("src/multinv/lattice.py",
+     "    if reduced:\n"
+     "        rows = [row if t == last else [x * last // t for x in row]\n"
+     "                for row, t in zip(rows, tags)]\n",
+     "",
+     ["tests/test_lattice.py"],
+     "the reduced rows are not brought to the last pivot, so dividing "
+     "them by it is wrong"),
+    ("src/multinv/lattice.py",
+     "        if row[p] < 0:\n            row = rows[k] = [-x for x in row]\n",
+     "",
+     ["tests/test_lattice.py"],
+     "a Hermite row keeps a negative pivot, so equal spans can get "
+     "different bases"),
+    ("src/multinv/lattice.py",
+     "        for i in range(k):\n"
+     "            q = rows[i][p] // row[p]\n"
+     "            if q:\n"
+     "                rows[i] = [a - q * b for a, b in zip(rows[i], row)]\n",
+     "",
+     ["tests/test_lattice.py"],
+     "entries above a Hermite pivot are not reduced into [0, pivot)"),
+    ("src/multinv/lattice.py",
+     "        for row, p in zip(self.basis, self._pivots):\n",
+     "        for row, p in zip(self.basis[::-1], self._pivots[::-1]):\n",
+     ["tests/test_lattice.py::"
+      "test_contains_agrees_with_integral_coefficients"],
+     "membership is substituted from the bottom row of the triangular "
+     "basis, where the rows above still add to the pivot entry"),
 ]
 
 

@@ -186,6 +186,49 @@ def test_require_verdict_exits_3_on_unknown(tmp_path, capsys):
     assert code == 0
 
 
+# the rank-4 sign group of diag(-1, -1, 1, 1) and diag(1, -1, -1, 1):
+# fixed rank 1, ideal height 2, no reflection, and an Unknown verdict
+SIGN4_DOC = {
+    "rank": 4,
+    "generators": [
+        [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
+    ],
+}
+
+
+def test_require_verdict_reads_the_verdict_of_every_command_kind(
+        tmp_path, capsys):
+    # only analyze and verdict report a verdict; singular-locus answers
+    # without one, and the reflection-group commands refuse the group
+    sign4 = write_doc(tmp_path, SIGN4_DOC, "sign4.json")
+    code, out, err = run(capsys, ["analyze", sign4, "--require-verdict"])
+    assert (code, err) == (3, "")
+    assert "fixed rank:          1\n" in out
+    assert "ideal height:        2\n" in out
+    assert "verdict: Unknown [unclassified]\n" in out
+    code, out, err = run(capsys, ["verdict", sign4, "--json",
+                                  "--require-verdict"])
+    assert (code, err) == (3, "")
+    assert json.loads(out)["verdict"]["status"] == classify.UNKNOWN
+    code, out, err = run(capsys, ["singular-locus", sign4,
+                                  "--require-verdict"])
+    assert (code, err) == (0, "")
+    assert out.startswith("components:          12\n")
+    assert out.count("  component: (") == 12
+    for command, message in (
+            ("invariants", "the group contains no reflections"),
+            ("classgroup", "class group formula needs a reflection group"),
+            ("hilbert-basis", "the group contains no reflections")):
+        assert run(capsys, [command, sign4, "--require-verdict"]) == (
+            2, "", f"error: {message}\n")
+    # a decided verdict, and the commands that report none, exit 0
+    a2 = write_doc(tmp_path, RANK2_DOC, "a2.json")
+    for command in ("analyze", "verdict", "invariants", "classgroup",
+                    "hilbert-basis"):
+        assert run(capsys, [command, a2, "--require-verdict"])[0] == 0
+
+
 def test_singular_locus_command(tmp_path, capsys):
     path = write_doc(tmp_path, SIGN3_DOC)
     code, out, _ = run(capsys, ["singular-locus", path, "--json"])
@@ -283,12 +326,16 @@ MALFORMED = [
      "base_override[0] must be an integer vector of length 2"),
     ([RANK2_DOC], ["--base-override", "[[1, 0], [0, 1]]"],
      "top-level document must be a JSON object"),
+    # well formed, but A2 has a base of 2 roots
+    (RANK2_DOC, ["--base-override", "[[1, 0]]"],
+     "base must have 2 roots, got 1"),
 ]
 
 
 @pytest.mark.parametrize("doc, flags, message", MALFORMED, ids=[
     "list-document", "generators-object", "short-row", "boolean-entry",
-    "float-entry", "base-object", "base-length", "override-on-list"])
+    "float-entry", "base-object", "base-length", "override-on-list",
+    "short-base"])
 def test_malformed_document_exits_2(tmp_path, capsys, doc, flags, message):
     path = write_doc(tmp_path, doc)
     assert run(capsys, ["verdict", path, *flags]) == (

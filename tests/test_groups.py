@@ -43,6 +43,24 @@ def test_close_group_s4():
     assert s4_action().order == 24
 
 
+# S3 on Z^2 from a rotation of order 3 and a reflection: G is closed
+ROT3_S3 = [mat([[0, 1], [-1, -1]]), R2]
+
+
+def test_close_group_admits_a_group_of_exactly_cap_elements():
+    # S3 from two reflections (the root walk) and from ROT3_S3 (the
+    # closure): |G| = 6 passes cap 6 and fails cap 5
+    for gens in ([R2, S2], ROT3_S3):
+        assert close_group(gens, cap=6).order == 6
+        with pytest.raises(GroupTooLarge):
+            close_group(gens, cap=5)
+
+
+def test_repr_names_rank_and_order():
+    assert repr(s3_action()) == "GroupAction(rank=2, order=6)"
+    assert repr(close_group(ROT3_S3)) == "GroupAction(rank=2, order=6)"
+
+
 def test_close_group_infinite_raises():
     with pytest.raises(GroupTooLarge):
         close_group([mat([[1, 1], [0, 1]])], cap=1000)

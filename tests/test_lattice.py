@@ -321,6 +321,25 @@ def test_matrix_basics():
         IntMatrix([[1.5]])
 
 
+def test_malformed_matrices_and_vectors_are_refused():
+    for rows, ncols, message in (
+            ([[1, 2], [3]], None, "ragged matrix"),
+            ([[1]], 2, "ncols does not match row length"),
+            ([], None, "a matrix with no rows needs an explicit ncols")):
+        with pytest.raises(ValueError) as raised:
+            IntMatrix(rows, ncols)
+        assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        hermite_basis(2, [(1, 2, 3)])
+    assert str(raised.value) == "vector length does not match ambient rank"
+    with pytest.raises(TypeError) as raised:
+        hermite_basis(2, [(1, 0.5)])
+    assert str(raised.value) == "integer vector expected"
+    with pytest.raises(ValueError) as raised:
+        ElementaryDivisors((-1,))
+    assert str(raised.value) == "negative divisor"
+
+
 def test_matrices_without_rows_or_columns():
     empty = IntMatrix([], ncols=3)
     assert (empty.transpose().nrows, empty.transpose().ncols) == (3, 0)

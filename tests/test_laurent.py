@@ -23,6 +23,7 @@ from multinv import (
 )
 from multinv.groups import DEFAULT_CLOSURE_CAP, _search
 from multinv.lattice import common_denominator
+from multinv.laurent import variable_labels
 from helpers import (
     BASE_RANK2,
     a1a1_action,
@@ -70,6 +71,18 @@ def test_constructor_checks_coefficients_and_exponent_lengths():
     p = LaurentPolynomial(2, {(1, 0): 0, (0, 1): 2, (1, 1): 0})
     assert p.terms == {(0, 1): 2}
     assert LaurentPolynomial(2, {(1, 0): 0}).terms == {}
+
+
+def test_repr_renders_the_polynomial():
+    assert repr(LaurentPolynomial(2, {(1, -1): 3, (0, 2): -1})) == (
+        "LaurentPolynomial('-b^2 + 3*a*b^-1')")
+    assert repr(LaurentPolynomial(2, {})) == "LaurentPolynomial('0')"
+
+
+def test_default_labels_are_letters_up_to_rank_26_then_numbered():
+    assert variable_labels(3) == ("a", "b", "c")
+    assert variable_labels(26)[-1] == "z"
+    assert variable_labels(27) == tuple(f"x{i}" for i in range(1, 28))
 
 
 def test_copies_and_pickles_rebuild_an_equal_immutable_polynomial():
@@ -162,6 +175,14 @@ def test_invariance_checks_every_generator():
     b = poly(2, {(0, 1): 1})
     assert b.transform(first) == b and b.transform(second) != b
     assert not is_invariant(g, b)
+
+
+def test_invariance_skips_an_identity_generator():
+    # the identity moves no column, and the generator after it still counts
+    g = close_group([IntMatrix.identity(2), S2])
+    assert g.generators[0] == IntMatrix.identity(2)
+    assert is_invariant(g, poly(2, {(1, 1): 1, (1, -2): 1}))
+    assert not is_invariant(g, poly(2, {(1, 1): 1}))
 
 
 def test_invariance_rejects_one_coefficient_off_by_one():

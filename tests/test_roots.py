@@ -377,6 +377,12 @@ def test_build_root_system_rejects_bad_base():
         build_root_system(s3_action(), base=[(1, 0), (0, 1)])
 
 
+def test_a_base_of_non_integers_is_refused():
+    with pytest.raises(InvalidBase) as exc:
+        build_root_system(s3_action(), base=[(0.5, 1), (1, 0)])
+    assert str(exc.value) == "base vectors must be integral"
+
+
 BAD_BASES = [
     (s3_action, [(1, 0), (0, 1)],
      "root (-1, 1) has mixed signs over the base"),
