@@ -26,7 +26,6 @@ from .groups import GroupAction, _one_minus_rows, fixed_sublattice, memoised
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
-    Sublattice,
     kernel_lattice,
     smith_normal_form,
 )
@@ -90,21 +89,15 @@ def class_group(action: GroupAction) -> ElementaryDivisors:
     """
     if not is_reflection_group(action):
         raise NotReflectionGroup("class group formula needs a reflection group")
-    if action.order == 1:
-        return ElementaryDivisors(())
     n = action.rank
-    checked = IntMatrix._from_checked_rows
     coroots = [r.coroot for r in find_reflections(action) if r.diagonalizable]
-    residual = (kernel_lattice(checked(tuple(zip(*coroots)), len(coroots)))
-                if coroots else Sublattice.full(n))
-    if residual.rank == 0:
-        return ElementaryDivisors(())
+    residual = kernel_lattice(IntMatrix(coroots, ncols=n).transpose())
     coboundaries = [
         sum((tuple(map(sub, b, h.apply(b))) for h in action.generators), ())
         for b in residual.basis]
-    _, d, _ = smith_normal_form(
-        checked(tuple(coboundaries), n * len(action.generators)))
-    diagonal = (d.entries[i][i] for i in range(residual.rank))
+    _, d, _ = smith_normal_form(IntMatrix._from_checked_rows(
+        tuple(coboundaries), n * len(action.generators)))
+    diagonal = (d.entries[i][i] for i in range(min(d.nrows, d.ncols)))
     return ElementaryDivisors(tuple(x for x in diagonal if x))
 
 

@@ -194,12 +194,10 @@ def _search(start, moves, cap: int) -> list:
 def fixed_sublattice(action: GroupAction) -> Sublattice:
     """The saturated sublattice of vectors fixed by the whole group: the
     kernel of the rows of 1 - g over the generators g, side by side."""
-    gens = action.generators
-    if not gens:
-        return Sublattice.full(action.rank)
-    blocks = zip(*map(_one_minus_rows, gens))
+    blocks = [_one_minus_rows(g) for g in action.generators]
     return kernel_lattice(IntMatrix._from_checked_rows(
-        tuple(sum(rows, ()) for rows in blocks), action.rank * len(gens)))
+        tuple(sum((b[i] for b in blocks), ()) for i in range(action.rank)),
+        action.rank * len(blocks)))
 
 
 def _one_minus_rows(g: IntMatrix) -> tuple:

@@ -474,7 +474,7 @@ def solve_integer(m: IntMatrix, b):
 
 def common_denominator(v) -> int:
     """Least common multiple of the denominators of a rational vector."""
-    return lcm(*(Fraction(x).denominator for x in v)) if len(v) else 1
+    return lcm(*(Fraction(x).denominator for x in v))
 
 
 __all__ = [

@@ -148,11 +148,8 @@ def is_invariant(action: GroupAction, p: LaurentPolynomial) -> bool:
     coefficients = list(p.terms.values())
     coords = list(zip(*p.terms)) if p.terms else [()] * p.rank
     for g in action.generators:
-        moved = _moved_columns(g)
-        if not moved:  # g fixes every exponent
-            continue
         images = list(coords)
-        for k, column in moved:
+        for k, column in _moved_columns(g):
             images[k] = _combination(coords, column)
         if list(map(p.terms.get, zip(*images))) != coefficients:
             return False

@@ -44,7 +44,7 @@ def minimal_multipliers(rd: RootDatum, pi_lattice: Sublattice) -> tuple[int, ...
         if coeffs is None:
             raise AxiomFailure("weight outside the span of the projected "
                                "lattice")
-        out.append(lcm(*(c.denominator for c in coeffs)) if coeffs else 1)
+        out.append(lcm(*(c.denominator for c in coeffs)))
     return tuple(out)
 
 

@@ -119,7 +119,7 @@ def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
     rows): walked out from the generators when every generator is a
     reflection (`_root_walk`), else found among the elements."""
     walk = _root_walk(action)
-    pairs = walk.items() if walk else [
+    pairs = walk.items() if walk is not None else [
         pair for g in action.elements
         if (pair := _reflection_pair(g)) is not None]
     refls = (Reflection(_reflection_matrix(root, coroot), root, coroot,
@@ -160,28 +160,29 @@ def _reflection_matrix(root, coroot) -> IntMatrix:
 @memoised
 def _root_walk(action: GroupAction):
     """{root: coroot} for every reflection of G, walked out from the
-    generators; None when there is no generator or one is no reflection
+    generators ({} for none); None when a generator is no reflection
     (the generators are read up to the first that is none).
 
     A reflection g (g^-1 = g) moves the pair of s_alpha to the pair of
     g s_alpha g: root -> root * g and coroot -> g . coroot
     (`_walk_pairs`).  G is finite exactly when the walk ends with one
     coroot per root.  A root a with coroots c1 != c2 gives
-    s1 s2 = 1 + (c1 - c2) (x) a, of infinite order, and each pair walked
-    is a distinct reflection of G, so a walk past `action.cap` pairs
-    means |G| > cap: both raise GroupTooLarge, with the closure's
-    message.  A walk that ends leaves G permuting the finitely many
-    roots, which span the root span V, so G acts on V through a finite
-    group, orthogonal for some invariant inner product; there
-    v . coroot = 2 (v, a) / (a, a), and the only vector of V pairing to
-    zero with every coroot is 0.  An element h fixing every root fixes
-    every coroot (a root has one), so v * h - v, which lies in V, pairs
-    to zero with every coroot: h = 1.  So G embeds in the permutations
-    of the roots and is their Weyl group.
+    s1 s2 = 1 + (c1 - c2) (x) a, of infinite order, as is a product of
+    two reflections that the dihedral rule of `_walk_pairs` refuses, and
+    each pair walked is a distinct reflection of G, so a walk past
+    `action.cap` pairs means |G| > cap: all raise GroupTooLarge, with
+    the closure's message.  A walk that ends leaves G permuting the
+    finitely many roots, which span the root span V, so G acts on V
+    through a finite group, orthogonal for some invariant inner product;
+    there v . coroot = 2 (v, a) / (a, a), and the only vector of V
+    pairing to zero with every coroot is 0.  An element h fixing every
+    root fixes every coroot (a root has one), so v * h - v, which lies
+    in V, pairs to zero with every coroot: h = 1.  So G embeds in the
+    permutations of the roots and is their Weyl group.
     """
     # up to the first generator that is no reflection (None)
     pairs = list(takewhile(bool, map(_reflection_pair, action.generators)))
-    if not pairs or len(pairs) < len(action.generators):
+    if len(pairs) < len(action.generators):
         return None
     found = _walk_pairs(pairs, action.cap)
     if found is None:
@@ -193,11 +194,15 @@ def _walk_pairs(pairs, cap):
     """{root: coroot} walked out from the normalised (root, coroot)
     `pairs` under the reflections 1 - c (x) a they stand for, by one
     breadth-first loop, in the order found; None when a root has two
-    coroots, among the seeds or on a move, or more than `cap` pairs are
-    found.  The move by (a, c) takes root to root - (root . c) a and
-    coroot to coroot - (a . coroot) c; it is skipped when both products
-    are 0, as it then fixes the pair, and its result is negated when the
-    root's first nonzero coordinate is negative."""
+    coroots, among the seeds or on a move, when a move's two reflections
+    generate an infinite group, or when more than `cap` pairs are found.
+    The move by (a, c) takes root to root - (root . c) a and coroot to
+    coroot - (a . coroot) c; it is skipped when both products are 0, as
+    it then fixes the pair, and its result is negated when the root's
+    first nonzero coordinate is negative.  Dihedral rule: for root != a,
+    the two reflections keep span(root, a), where their product has trace
+    k m - 2, k and m the two products, so it has finite order only when
+    k m is 1, 2 or 3 (or both are 0)."""
     found, queue = dict(pairs), list(pairs)  # `queue` grows while walked
     if len(found) < len(queue):
         return None
@@ -207,6 +212,8 @@ def _walk_pairs(pairs, cap):
         for a, c in pairs:
             k, m = sum(map(mul, root, c)), sum(map(mul, a, coroot))
             if k or m:
+                if not 0 < k * m < 4 and root != a:
+                    return None
                 r = [x - k * y for x, y in zip(root, a)]
                 s = [x - m * y for x, y in zip(coroot, c)]
                 if next(filter(None, r)) < 0:
@@ -280,7 +287,7 @@ def is_reflection_group(action: GroupAction) -> bool:
     """
     if _root_walk(action) is not None:
         return True
-    if not find_reflections(action):
+    if not find_reflections(action):  # |W'| = 1, without an empty base
         return action.order == 1
     return action.order == _weyl_order(action)
 
@@ -327,7 +334,7 @@ def _generic_base(roots: frozenset) -> tuple[tuple[int, ...], ...]:
     the order of their values.  A positive root that is not simple is a
     positive combination of simple roots of smaller value, so it is never
     a pivot, and each simple root is one (Humphreys, Section 1.3)."""
-    n = len(next(iter(roots)))
+    n = len(next(iter(roots), ()))
     for t in count(1):
         functional = tuple(t**k for k in range(n))
         values = {r: _dot(functional, r) for r in roots}
@@ -357,9 +364,7 @@ def _check_base(roots: frozenset, base, rank: int, strict: bool) -> dict:
             raise exc(f"base vector {b} is not a root")
     order = list(roots)
     columns = [*base, *order]
-    rows, pivots, scale, _ = _echelon(
-        [[v[k] for v in columns] for k in range(len(base[0]))], rank,
-        reduced=True)
+    rows, pivots, scale, _ = _echelon(zip(*columns), rank, reduced=True)
     if len(pivots) != rank:
         raise exc("base vectors are linearly dependent")
     coordinates = {}
@@ -393,20 +398,6 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
 
     roots = _root_span(action)
     rank = n - fixed_sublattice(action).rank
-    if rank == 0:  # G is trivial, so it has no roots
-        return RootDatum(
-            rank=0,
-            ambient_rank=n,
-            roots=frozenset(),
-            base=(),
-            base_reflections=(),
-            coroots=IntMatrix([()] * n, ncols=0),
-            cartan=IntMatrix([], ncols=0),
-            fundamental_weights=(),
-            pi_lattice=Sublattice(0),
-            coordinates={},
-        )
-
     generic, coordinates = _base_coordinates(action)
     if len(generic) != rank:
         raise AxiomFailure("roots do not span the moving subspace")
@@ -426,9 +417,9 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     by_line = {r.root: r for r in refls}
     base_reflections = tuple(by_line[a if a in by_line else _negated(a)]
                              for a in base)
-    coroots = IntMatrix(zip(*(r.coroot if a == r.root else _negated(r.coroot)
-                              for a, r in zip(base, base_reflections))),
-                        ncols=rank)
+    coroots = IntMatrix((r.coroot if a == r.root else _negated(r.coroot)
+                         for a, r in zip(base, base_reflections)),
+                        ncols=n).transpose()
     cartan = IntMatrix(base, ncols=n) * coroots
     # Cartan^-1 . base: Gauss-Jordan on the rows [Cartan | base] leaves
     # scale * [1 | Cartan^-1 . base]

@@ -60,7 +60,8 @@ MUTANTS = [
      ["tests/test_weyl.py::"
       "test_a_root_with_two_coroots_stops_the_walk_at_once"],
      "a root met again with a second coroot no longer ends the walk, "
-     "which runs on to the cap"),
+     "which on the second-coroot input ends with four roots, as if the "
+     "group were finite"),
     ("src/multinv/roots.py",
      "    if len(found) < len(queue):\n        return None\n",
      "",
@@ -174,6 +175,317 @@ MUTANTS = [
       "test_contains_agrees_with_integral_coefficients"],
      "membership is substituted from the bottom row of the triangular "
      "basis, where the rows above still add to the pivot entry"),
+    # the trivial group through the general root, class-group and
+    # fixed-lattice code
+    ("src/multinv/roots.py",
+     "    pairs = walk.items() if walk is not None else [\n",
+     "    pairs = walk.items() if walk else [\n",
+     ["tests/test_cli.py::test_the_trivial_group_lists_no_element"],
+     "an empty walk reads as no walk, so the trivial group's one element is "
+     "listed to find no reflection"),
+    ("src/multinv/roots.py",
+     "    if len(pairs) < len(action.generators):\n",
+     "    if not pairs or len(pairs) < len(action.generators):\n",
+     ["tests/test_cli.py::test_the_trivial_group_lists_no_element"],
+     "no generator is not walked, so the trivial group's order is read off "
+     "its element list"),
+    ("src/multinv/roots.py",
+     "    n = len(next(iter(roots), ()))\n",
+     "    n = len(next(iter(roots)))\n",
+     ["tests/test_roots.py::test_build_root_system_trivial_group"],
+     "the generic base needs a root to read the rank from"),
+    ("src/multinv/roots.py",
+     "_echelon(zip(*columns), rank, reduced=True)",
+     "_echelon([[v[k] for v in columns] for k in range(len(base[0]))], "
+     "rank, reduced=True)",
+     ["tests/test_roots.py::test_build_root_system_trivial_group"],
+     "the base check reads the rows' length off the first base root"),
+    ("src/multinv/roots.py",
+     "    coroots = IntMatrix((r.coroot if a == r.root else "
+     "_negated(r.coroot)\n"
+     "                         for a, r in zip(base, base_reflections)),\n"
+     "                        ncols=n).transpose()\n",
+     "    coroots = IntMatrix(zip(*(r.coroot if a == r.root else "
+     "_negated(r.coroot)\n"
+     "                              for a, r in zip(base, "
+     "base_reflections))),\n"
+     "                        ncols=rank)\n",
+     ["tests/test_roots.py::test_build_root_system_trivial_group"],
+     "the coroot matrix is built from its columns by zip, so no base root "
+     "gives no rows, not n empty ones"),
+    ("src/multinv/classify.py",
+     "range(min(d.nrows, d.ncols))",
+     "range(residual.rank)",
+     ["tests/test_roots.py::test_build_root_system_trivial_group"],
+     "the diagonal is read over the rank of L^D, past the columns of a "
+     "Smith form with no generator"),
+    ("src/multinv/classify.py",
+     "kernel_lattice(IntMatrix(coroots, ncols=n).transpose())",
+     "kernel_lattice(IntMatrix(tuple(zip(*coroots)), ncols=len(coroots)))",
+     ["tests/test_classify.py", "tests/test_cli.py"],
+     "no diagonalizable coroot gives a matrix with no rows, whose kernel is "
+     "0, not L"),
+    ("src/multinv/groups.py",
+     "        tuple(sum((b[i] for b in blocks), ()) for i in "
+     "range(action.rank)),\n",
+     "        tuple(sum(rows, ()) for rows in zip(*blocks)),\n",
+     ["tests/test_roots.py::test_build_root_system_trivial_group"],
+     "the rows are stacked by zip over the generators, so no generator "
+     "gives no rows and a fixed sublattice of rank 0"),
+    ("src/multinv/laurent.py",
+     "        images = list(coords)\n",
+     "        if not _moved_columns(g):\n"
+     "            continue\n"
+     "        images = list(coords)\n",
+     ["tests/test_laurent.py"],
+     "equivalent: a generator that moves no column maps every term to "
+     "itself, so skipping it changes no answer"),
+    ("src/multinv/monoid.py",
+     "        out.append(lcm(*(c.denominator for c in coeffs)))\n",
+     "        out.append(lcm(*(c.denominator for c in coeffs)) if coeffs "
+     "else 1)\n",
+     ["tests/test_monoid.py"],
+     "equivalent: lcm() is 1, so the guard changes nothing"),
+    ("src/multinv/lattice.py",
+     "    return lcm(*(Fraction(x).denominator for x in v))\n",
+     "    return lcm(*(Fraction(x).denominator for x in v)) if len(v) else "
+     "1\n",
+     ["tests/test_lattice.py"],
+     "equivalent: lcm() is 1, so the guard changes nothing"),
+    # the dihedral rule of the root walk
+    ("src/multinv/roots.py",
+     "                if not 0 < k * m < 4 and root != a:\n",
+     "                if not 0 < k * m <= 4 and root != a:\n",
+     ["tests/test_weyl.py::"
+       "test_an_infinite_dihedral_pair_stops_the_walk_at_once"],
+     "k m = 4 passes as finite, so the affine A1 pair walks to the cap"),
+    ("src/multinv/roots.py",
+     "                if not 0 < k * m < 4 and root != a:\n"
+     "                    return None\n",
+     "",
+     ["tests/test_weyl.py::"
+       "test_an_infinite_dihedral_pair_stops_the_walk_at_once"],
+     "no dihedral rule: an infinite pair walks to the cap"),
+    ("src/multinv/roots.py",
+     "                if not 0 < k * m < 4 and root != a:\n",
+     "                if not 0 < k * m < 4:\n",
+     ["tests/test_weyl.py"],
+     "a reflection's move on its own pair (k m = 4) ends every walk"),
+    # mutation checks recorded before tests/mutants.py existed, whose code is
+    # still there
+    ("src/multinv/lattice.py",
+     "        return not any(rem)\n",
+     "        return True\n",
+     ["tests/test_lattice.py"],
+     "membership ignores what is left after the substitution"),
+    ("src/multinv/lattice.py",
+     "        if any(rem):\n"
+     "            return None\n",
+     "",
+     ["tests/test_lattice.py"],
+     "coefficients are returned for a vector outside the span"),
+    ("src/multinv/lattice.py",
+     "        return sign * last if len(pivots) == self.nrows else 0\n",
+     "        return sign * last\n",
+     ["tests/test_lattice.py"],
+     "a singular matrix gets the last pivot as its determinant"),
+    ("src/multinv/groups.py",
+     "             tuple(map(image, m)) for g in gens]\n",
+     "             tuple(map(image, m[::-1])) for g in gens]\n",
+     ["tests/test_groups.py"],
+     "a product maps the rows in reverse order"),
+    ("src/multinv/groups.py",
+     "_RowImages(g, points, ids).__getitem__:",
+     "_RowImages(gens[0], points, ids).__getitem__:",
+     ["tests/test_groups.py"],
+     "every generator reads the first generator's image table"),
+    ("src/multinv/groups.py",
+     "                if len(found) > cap:\n"
+     "                    raise GroupTooLarge(_too_large(cap))\n",
+     "",
+     ["tests/test_groups.py"],
+     "the closure is not stopped at the cap"),
+    ("src/multinv/roots.py",
+     "all(c % 2 == 0 for c in coroot)",
+     "all(c % 2 == 1 for c in coroot)",
+     ["tests/test_roots.py"],
+     "the diagonalizable test is inverted"),
+    ("src/multinv/roots.py",
+     "    coroots = IntMatrix((r.coroot if a == r.root else "
+     "_negated(r.coroot)\n",
+     "    coroots = IntMatrix((r.coroot if a == r.root else r.coroot\n",
+     ["tests/test_roots.py"],
+     "the coroot of a base root that is a negated reflection root keeps its "
+     "sign"),
+    ("src/multinv/roots.py",
+     "    if _dot(root, coroot) != 2 or any(\n",
+     "    if _dot(root, coroot) != 2 and any(\n",
+     ["tests/test_roots.py"],
+     "an element of the right trace is a reflection without 1 - g factoring "
+     "as coroot times root"),
+    ("src/multinv/roots.py",
+     "    scale = gcd(*row) if row[k] > 0 else -gcd(*row)\n",
+     "    scale = 1 if row[k] > 0 else -1\n",
+     ["tests/test_roots.py"],
+     "the root is left non-primitive"),
+    ("src/multinv/roots.py",
+     "    cartan = _sparse(rd.cartan.entries)\n"
+     "    walk = _walk_down(",
+     "    cartan = _sparse(rd.cartan.transpose().entries)\n"
+     "    walk = _walk_down(",
+     ["tests/test_roots.py"],
+     "`weight_orbit` walks with the transposed Cartan matrix"),
+    ("src/multinv/laurent.py",
+     "        prefix = tuple(Fraction(s, den) for s in shift)\n",
+     "        prefix = tuple(Fraction(0) for s in shift)\n",
+     ["tests/test_laurent.py"],
+     "the unit prefix is dropped, so a non-effective action's invariant "
+     "keeps support outside the lattice"),
+    ("src/multinv/cli.py",
+     "        if power == 1:\n",
+     "        if power:\n",
+     ["tests/test_cli.py"],
+     "a power above 1 is printed as the first power"),
+    ("src/multinv/roots.py",
+     " or any(m for _, m in split):\n",
+     ":\n",
+     ["tests/test_roots.py"],
+     "a root with non-integral coordinates over the base passes the base "
+     "check"),
+    ("src/multinv/classify.py",
+     "kernel_lattice(IntMatrix(coroots, ncols=n).transpose())",
+     "kernel_lattice(IntMatrix([], ncols=n).transpose())",
+     ["tests/test_classify.py"],
+     "L in place of L^D"),
+    ("src/multinv/classify.py",
+     "    return ElementaryDivisors(tuple(x for x in diagonal if x))\n",
+     "    return ElementaryDivisors(tuple(diagonal))\n",
+     ["tests/test_classify.py"],
+     "the zero divisors are kept"),
+    ("src/multinv/monoid.py",
+     "range(-(c // p), (b - c) // p + 1)",
+     "range(0, (b - c) // p + 1)",
+     ["tests/test_monoid.py"],
+     "the box scan starts each residue at 0, not at the first multiple that "
+     "brings the coordinate into the box"),
+    ("src/multinv/monoid.py",
+     "        if any(m) and not reduce(and_, map(getitem, masks, m), -1):\n",
+     "        if not reduce(and_, map(getitem, masks, m), -1):\n",
+     ["tests/test_monoid.py"],
+     "the origin is kept in the Hilbert basis"),
+    ("src/multinv/classify.py",
+     "    if find_reflections(action):\n"
+     "        return 1\n",
+     "",
+     ["tests/test_cli.py::test_reflection_group_commands_list_no_element"],
+     "a group with reflections is listed to find its least displacement rank"),
+    ("src/multinv/classify.py",
+     "    for g in action.generators:\n"
+     "        for i, row in enumerate(g.entries):\n",
+     "    for g in action.elements:\n"
+     "        for i, row in enumerate(g.entries):\n",
+     ["tests/test_classify.py"],
+     "the sign-group test reads every element, not the generators"),
+    ("src/multinv/roots.py",
+     "        order *= (k + 1) ** exponents\n",
+     "        order *= k ** exponents + 1\n",
+     ["tests/test_weyl.py"],
+     "a wrong Kostant product"),
+    ("src/multinv/roots.py",
+     "    return tuple(sorted(refls, key=lambda r: r.matrix.entries))\n",
+     "    return tuple(refls)\n",
+     ["tests/test_weyl.py"],
+     "the reflections come out in walk order, not sorted"),
+    ("src/multinv/roots.py",
+     "                r = [x - k * y for x, y in zip(root, a)]\n",
+     "                r = [x + k * y for x, y in zip(root, a)]\n",
+     ["tests/test_weyl.py"],
+     "a wrong root move"),
+    ("src/multinv/laurent.py",
+     "(i, a) for i, a in enumerate(column) if a))",
+     "(i, a) for i, a in enumerate(column) if a)[:1])",
+     ["tests/test_laurent.py"],
+     "`is_invariant` reads one entry per moved column"),
+    ("src/multinv/laurent.py",
+     "        for k, column in _moved_columns(g):\n",
+     "        for k, column in _moved_columns(g)[:1]:\n",
+     ["tests/test_laurent.py"],
+     "`is_invariant` reads only the first moved column"),
+    ("src/multinv/laurent.py",
+     "        term = coords[i] if a == 1 else map(mul, coords[i], "
+     "repeat(a))\n",
+     "        term = coords[i]\n",
+     ["tests/test_laurent.py"],
+     "`is_invariant` reads every entry as 1"),
+    ("src/multinv/laurent.py",
+     "    for g in action.generators:\n",
+     "    for g in action.generators[:-1]:\n",
+     ["tests/test_laurent.py"],
+     "`is_invariant` skips the last generator"),
+    ("src/multinv/roots.py",
+     "h for support, h in supports if not support & ~zeros))",
+     "h for support, h in supports if not support & zeros))",
+     ["tests/test_roots.py", "tests/test_weyl.py"],
+     "a wrong parabolic support mask"),
+    ("src/multinv/roots.py",
+     "_walk_down(cartan, [()] * rd.rank, _dominant(cartan, weight), ())",
+     "_walk_down(cartan, [()] * rd.rank, tuple(weight), ())",
+     ["tests/test_roots.py"],
+     "`weight_orbit` walks from the weight itself, not its dominant "
+     "representative"),
+    ("src/multinv/laurent.py",
+     "            k = size(kappa)\n",
+     "            k = 1\n",
+     ["tests/test_laurent.py"],
+     "the product ignores |W kappa|"),
+    ("src/multinv/laurent.py",
+     "((unit, kappa) if size(kappa) < size(unit)",
+     "((unit, kappa) if size(kappa) > size(unit)",
+     ["tests/test_laurent.py"],
+     "equivalent: the product is symmetric in kappa and mu, so a sum over "
+     "the larger orbit gives the same counts, only more slowly"),
+    ("src/multinv/roots.py",
+     "    if walked != {r.root: r.coroot for r in refls}:\n",
+     "    if len(walked) != len(refls):\n",
+     ["tests/test_roots.py"],
+     "the axiom walk is compared by size"),
+    ("src/multinv/roots.py",
+     "    if walked != {r.root: r.coroot for r in refls}:\n",
+     "    if walked.keys() != {r.root for r in refls}:\n",
+     ["tests/test_roots.py"],
+     "the axiom walk is compared by roots only"),
+    ("src/multinv/roots.py",
+     "_echelon(moved + scaled_weights, action.rank)",
+     "_echelon(moved, action.rank)",
+     ["tests/test_roots.py"],
+     "the fixed-component check leaves out the weights"),
+    ("src/multinv/roots.py",
+     "        if coroots.apply(w) != tuple(scale * (i == j)\n",
+     "        if False and coroots.apply(w) != tuple(scale * (i == j)\n",
+     ["tests/test_roots.py"],
+     "no pairing check"),
+    ("src/multinv/lattice.py",
+     "u[_unimodular_echelon(rows, m.ncols, u):]",
+     "u[_unimodular_echelon(rows, m.ncols, u):-1]",
+     ["tests/test_lattice.py"],
+     "the kernel misses its last row"),
+    ("src/multinv/lattice.py",
+     "u[_unimodular_echelon(rows, m.ncols, u):]",
+     "u[:_unimodular_echelon(rows, m.ncols, u)]",
+     ["tests/test_lattice.py"],
+     "the kernel is read from the pivot rows"),
+    ("src/multinv/lattice.py",
+     "u[_unimodular_echelon(rows, m.ncols, u):]",
+     "u[_unimodular_echelon(rows, m.ncols - 1, u):]",
+     ["tests/test_lattice.py"],
+     "the kernel ignores the last column"),
+    ("src/multinv/cli.py",
+     "@cache\n"
+     "def build_parser()",
+     "def build_parser()",
+     ["tests/test_cli.py::"
+       "test_parser_is_built_once_and_answers_as_a_fresh_one"],
+     "the parser is built per call"),
 ]
 
 

@@ -354,7 +354,16 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc, flags, message):
     # roots e1 and e2 with coroots (2, 1) and (0, 2): e1 meets its second
     # coroot, (2, -1), in the walk
     {"rank": 2, "generators": [[[-1, 0], [-1, 1]], [[1, 0], [0, -1]]]},
-], ids=["hyperbolic", "two-coroots", "e1", "mid-walk"])
+    # the affine Weyl group of A1: roots e1 and e2 with coroots (2, -2)
+    # and (-2, 2)
+    {"rank": 2, "generators": [[[-1, 0], [2, 1]], [[1, 2], [0, -1]]]},
+    # the affine Weyl group of A2: roots e1, e2 and e3 with coroots the
+    # columns of its Cartan matrix
+    {"rank": 3, "generators": [[[-1, 0, 0], [1, 1, 0], [1, 0, 1]],
+                               [[1, 1, 0], [0, -1, 0], [0, 1, 1]],
+                               [[1, 0, 1], [0, 1, 1], [0, 0, -1]]]},
+], ids=["hyperbolic", "two-coroots", "e1", "mid-walk", "affine-A1",
+        "affine-A2"])
 def test_an_infinite_reflection_walk_exits_2_unclosed(tmp_path, capsys,
                                                       monkeypatch, doc):
     def no_closure(*args):
@@ -421,6 +430,20 @@ def test_group_cap_bounds_a_reflection_group(tmp_path, capsys):
                    "infinite\n")
         code, out, _ = run(capsys, ["analyze", path, "--group-cap", "6"])
         assert code == 0 and "group order:         6" in out
+
+
+def test_group_cap_stops_the_walk_of_a_finite_reflection_group(
+        tmp_path, capsys, monkeypatch):
+    # S6 has 15 reflections, more than the cap of 10, so the root walk
+    # itself raises, and no element is listed
+    def no_closure(*args):
+        raise AssertionError("the element list was built")
+
+    monkeypatch.setattr(groups, "_close", no_closure)
+    path = write_doc(tmp_path, generator_doc(weyl_generators("S", 6)))
+    assert run(capsys, ["verdict", path, "--group-cap", "10"]) == (
+        2, "", "error: closure exceeded 10 elements; group is probably "
+               "infinite\n")
 
 
 def test_s3_in_a_basis_with_40_digit_entries_answers_at_once(tmp_path,
@@ -659,3 +682,112 @@ def test_parser_is_built_once_and_answers_as_a_fresh_one(tmp_path, capsys,
                                                  ("exit", 0), 0]
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert memoised == outcomes()
+
+
+TRIVIAL_DOCS = {
+    "rank3": {"rank": 3, "generators": []},
+    "rank0": {"rank": 0, "generators": []},
+    "identity": {"rank": 2, "generators": [[[1, 0], [0, 1]]]},
+    "identity-twice": {"rank": 2,
+                       "generators": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]},
+}
+
+
+def trivial_group_runs(rank: int) -> dict:
+    """{(command, flags): (exit code, stdout, stderr)} for the trivial
+    group on Z^rank, as the commands answered before the trivial group
+    went through the general root, class-group and fixed-lattice code."""
+    detail = ("the action is trivial, so the invariants form the group "
+              "algebra of the full lattice")
+    verdict = {"detail": detail,
+               "monoid": {"generator_count": 0, "hilbert_basis": [],
+                          "multipliers": [], "units_rank": rank},
+               "rule": "group-algebra", "status": "SemigroupAlgebra"}
+    verdict_text = f"verdict: SemigroupAlgebra [group-algebra]\n  {detail}\n"
+    reports = {
+        "analyze": (
+            f"rank:                {rank}\n"
+            "group order:         1\n"
+            "reflections:         0\n"
+            "reflection group:    True\n"
+            f"fixed rank:          {rank}\n"
+            "effective rank:      0\n"
+            "ideal height:        -\n"
+            "fixed point free:    True (on the effective quotient)\n"
+            + verdict_text,
+            {"command": "analyze", "effective_rank": 0,
+             "fixed_point_free_on_quotient": True, "fixed_rank": rank,
+             "group_order": 1, "ideal_height": None,
+             "is_reflection_group": True, "rank": rank,
+             "reflection_count": 0, "verdict": verdict}),
+        "invariants": (
+            "base:        []\nmultipliers: []\nhilbert basis: []\n",
+            {"base": [], "command": "invariants", "hilbert_basis": [],
+             "invariants": [], "labels": list("abc"[:rank]),
+             "multipliers": [], "weights": []}),
+        "classgroup": (
+            "class group:       trivial\n"
+            "fundamental group: trivial (weight lattice / root lattice)\n",
+            {"class_group": {"description": "trivial", "divisors": []},
+             "command": "classgroup",
+             "fundamental_group": {"description": "trivial",
+                                   "divisors": []}}),
+        "hilbert-basis": (
+            "multipliers:   []\nbox points:    [[]]\nhilbert basis: []\n"
+            f"units rank:    {rank}\n",
+            {"box_points": [[]], "command": "hilbert-basis",
+             "cone_rays": [], "hilbert_basis": [], "multipliers": [],
+             "units_rank": rank}),
+        "verdict": (verdict_text,
+                    {"command": "verdict", "verdict": verdict}),
+    }
+    runs = {}
+    for command, (text, report) in reports.items():
+        runs[command, ()] = (0, text, "")
+        runs[command, ("--json",)] = (
+            0, json.dumps(report, sort_keys=True, indent=2) + "\n", "")
+    error = "error: sign-group analysis needs a nontrivial group\n"
+    for flags in ((), ("--json",)):
+        runs["singular-locus", flags] = (2, "", error)
+    return runs
+
+
+@pytest.mark.parametrize("doc", TRIVIAL_DOCS.values(), ids=TRIVIAL_DOCS)
+def test_trivial_group_answers_every_command_as_before(tmp_path, capsys,
+                                                       doc):
+    path = write_doc(tmp_path, doc)
+    runs = trivial_group_runs(doc["rank"])
+    assert {command for command, _ in runs} == set(cli.COMMANDS)
+    for (command, flags), expected in runs.items():
+        assert run(capsys, [command, path, *flags]) == expected, \
+            (command, flags)
+
+
+@pytest.mark.parametrize("rank", (0, 3))
+def test_the_trivial_group_lists_no_element(tmp_path, capsys, monkeypatch,
+                                            rank):
+    # no generator walks to no root: |G| is the Kostant product of no
+    # roots, and every command but singular-locus answers from the walk
+    def no_closure(*args):
+        raise AssertionError("the element list was built")
+
+    monkeypatch.setattr(groups, "_close", no_closure)
+    assert groups.close_group([], rank=rank).order == 1
+    path = write_doc(tmp_path, {"rank": rank, "generators": []})
+    runs = trivial_group_runs(rank)
+    for command in ("analyze", "verdict", "invariants", "hilbert-basis",
+                    "classgroup"):
+        for flags in ((), ("--json",)):
+            assert run(capsys, [command, path, *flags]) == \
+                runs[command, flags], (command, flags)
+
+
+def test_a_base_override_on_the_trivial_group_is_checked(tmp_path, capsys):
+    # the trivial group has no roots, so its base is empty, and a base of
+    # one vector is refused as it is for any group of another rank
+    path = write_doc(tmp_path, TRIVIAL_DOCS["identity"])
+    for command in ("invariants", "classgroup", "hilbert-basis"):
+        assert run(capsys, [command, path, "--base-override", "[]"]) == \
+            trivial_group_runs(2)[command, ()]
+        assert run(capsys, [command, path, "--base-override", "[[1, 0]]"]) \
+            == (2, "", "error: base must have 0 roots, got 1\n")

@@ -56,6 +56,15 @@ def test_close_group_admits_a_group_of_exactly_cap_elements():
             close_group(gens, cap=5)
 
 
+def test_a_group_with_no_reflection_takes_its_order_from_the_closure():
+    # the subgroup the reflections generate is trivial here, so its
+    # Kostant product, 1, is not |G|
+    for gens, order in (([ROT3_S3[0]], 3), ([mat([[-1, 0], [0, -1]])], 2),
+                        ([mat([[0, -1], [1, 0]])], 4)):
+        group = close_group(gens)
+        assert group.order == len(group.elements) == order
+
+
 def test_repr_names_rank_and_order():
     assert repr(s3_action()) == "GroupAction(rank=2, order=6)"
     assert repr(close_group(ROT3_S3)) == "GroupAction(rank=2, order=6)"

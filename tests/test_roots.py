@@ -315,9 +315,28 @@ def test_build_root_system_default_base_is_weyl_equivalent():
 
 
 def test_build_root_system_trivial_group():
-    rd = build_root_system(close_group([], rank=2))
-    assert rd.rank == 0
-    assert rd.base == ()
+    # no generator, or the identity alone, walks to no root: the datum is
+    # the empty one on Z^n, its class group is trivial and it fixes Z^n
+    for n, gens in ((0, []), (2, []), (3, []), (2, [IntMatrix.identity(2)])):
+        group = close_group(gens, rank=n)
+        rd = build_root_system(group)
+        assert rd == roots.RootDatum(
+            rank=0,
+            ambient_rank=n,
+            roots=frozenset(),
+            base=(),
+            base_reflections=(),
+            coroots=IntMatrix([()] * n, ncols=0),
+            cartan=IntMatrix([], ncols=0),
+            fundamental_weights=(),
+            pi_lattice=Sublattice(0),
+            coordinates={},
+        )
+        assert rd.coordinates == {}  # equality leaves it out
+        assert (rd.coroots.nrows, rd.coroots.ncols) == (n, 0)
+        assert rd.fundamental_group == ElementaryDivisors(())
+        assert classify.class_group(group) == ElementaryDivisors(())
+        assert groups.fixed_sublattice(group) == Sublattice.full(n)
 
 
 def test_weight_orbit_of_the_rank2_golden_group():

@@ -175,16 +175,36 @@ TWO_COROOTS = {
     "two-coroots": ([((1, 0, 0), (2, 0, 0)), ((0, 1, 0), (0, 2, 0)),
                      ((1, 0, 0), (2, 1, 0))], 0),
     # roots e1 and e2 with coroots (2, 1) and (0, 2): the reflection of e2
-    # takes the pair of e1 to (e1, (2, -1)) on the second move
+    # would take the pair of e1 to (e1, (2, -1)) on the second move, where
+    # the dihedral rule (k = 0, m = 1) now ends the walk first
     "mid-walk": ([((1, 0), (2, 1)), ((0, 1), (0, 2))], 2),
+    # roots e3, e1 + e2 and e1 + e2 + e3 with coroots 2e3, e1 + e2 and
+    # e1 + e3: the third reflection takes the pair of e3 to
+    # (e1 + e2, 2e1) on the third move, before any move breaks the
+    # dihedral rule; unchecked, the walk would end with four roots
+    "second-coroot": ([((0, 0, 1), (0, 0, 2)), ((1, 1, 0), (1, 1, 0)),
+                       ((1, 1, 1), (1, 0, 1))], 3),
+}
+
+# two reflections with roots a != b, k = b . c_a and m = a . c_b generate
+# an infinite dihedral group unless k = m = 0 or k m is 1, 2 or 3; each
+# input comes with the moves the walk makes before it meets such a pair
+DIHEDRAL = {
+    # roots e1 and e2 with coroots (2, -3) and (-3, 2): k m = 9
+    "hyperbolic": ([((1, 0), (2, -3)), ((0, 1), (-3, 2))], 2),
+    # the affine Weyl group of A1: k m = 4
+    "affine-A1": ([((1, 0), (2, -2)), ((0, 1), (-2, 2))], 2),
+    # the affine Weyl group of A2, coroots the columns of its Cartan
+    # matrix: each pair of simple reflections has k m = 1, and the walk
+    # meets a pair with k m = 4 on its 12th move
+    "affine-A2": ([((1, 0, 0), (2, -1, -1)), ((0, 1, 0), (-1, 2, -1)),
+                   ((0, 0, 1), (-1, -1, 2))], 12),
 }
 
 
 @pytest.mark.parametrize("pairs", [
-    # roots e1 and e2 with coroots (2, -3) and (-3, 2): a hyperbolic pair
-    [((1, 0), (2, -3)), ((0, 1), (-3, 2))],
-    *(pairs for pairs, _ in TWO_COROOTS.values()),
-], ids=["hyperbolic", *TWO_COROOTS])
+    pairs for pairs, _ in (*DIHEDRAL.values(), *TWO_COROOTS.values())
+], ids=[*DIHEDRAL, *TWO_COROOTS])
 def test_an_infinite_walk_stops_at_the_cap(no_closure, pairs):
     # each pair walked is a reflection of G, and a root with two coroots
     # proves G infinite, so the walk raises with the closure's message,
@@ -230,11 +250,26 @@ def test_a_root_with_two_coroots_stops_the_walk_at_once(no_closure,
                                                         moves):
     # a repeated seed root ends the walk before any move, and a second
     # coroot met later ends it on the move that meets it, not at the cap
+    assert walk_moves_before_it_stops(monkeypatch, pairs) == moves
+
+
+@pytest.mark.parametrize("pairs, moves", DIHEDRAL.values(), ids=DIHEDRAL)
+def test_an_infinite_dihedral_pair_stops_the_walk_at_once(no_closure,
+                                                          monkeypatch, pairs,
+                                                          moves):
+    # the first move by a pair of reflections with k m outside {1, 2, 3}
+    # ends the walk, long before the cap
+    assert walk_moves_before_it_stops(monkeypatch, pairs) == moves
+
+
+def walk_moves_before_it_stops(monkeypatch, pairs) -> int:
+    """The moves `_root_walk` makes on the reflections of `pairs` before
+    it raises GroupTooLarge."""
     products = count_walk_products(monkeypatch)
     gens = [roots._reflection_matrix(a, c) for a, c in pairs]
     with pytest.raises(GroupTooLarge):
         close_group(gens, cap=1000)
-    assert products["walk"] // 2 == moves
+    return products["walk"] // 2
 
 
 def assert_pivot_base_is_indecomposable(group):
