@@ -31,6 +31,10 @@ from .laurent import fundamental_invariants_detailed, variable_labels
 from .monoid import enumerate_box
 from .roots import build_root_system, find_reflections, is_reflection_group
 
+# `kernel_lattice` builds the n x n basis of Z^n, so a short document with
+# a huge rank would take time and memory quadratic in it
+MAX_RANK = 256
+
 
 @dataclass(frozen=True)
 class ActionDescription:
@@ -47,6 +51,8 @@ def load_action(doc) -> ActionDescription:
     rank = doc.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
         raise InvalidInput("'rank' must be a nonnegative integer")
+    if rank > MAX_RANK:
+        raise InvalidInput(f"'rank' must be at most {MAX_RANK}")
     raw_gens = doc.get("generators", [])
     if not isinstance(raw_gens, list):
         raise InvalidInput("'generators' must be a list of matrices")

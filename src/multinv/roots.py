@@ -55,13 +55,13 @@ bad input.  `_verify_axioms` proves that the roots are reduced, that
 every reflection permutes them, that the weights pair to the Kronecker
 delta with the base coroots and lie in the moving subspace, and that
 the root lattice lies in the projected lattice.  It does so in
-O(r * |R|) steps, not one check per reflection and root: each simple
-reflection s_i maps the roots into themselves, and the (root, coroot)
-pairs of all reflections are walked out from the simple pairs by the
-loop `_root_walk` uses.  Every reflection is then w s_i w^-1 with w in
-the group the s_i generate, which permutes the roots, so every
-reflection does (Humphreys, Sections 1.5 and 1.14).  The weights are
-checked in the integers scale * weights that the elimination gives.
+O(r * |R|) steps, not one check per reflection and root: the
+(root, coroot) pairs walked out from the simple pairs by the loop
+`_root_walk` uses must be exactly the reflections' pairs.  Then each
+simple reflection s_i maps the roots into themselves, and every
+reflection is w s_i w^-1 with w in the group the s_i generate, so it
+permutes the roots too (Humphreys, Sections 1.5 and 1.14).  The weights
+are checked in the integers scale * weights that the elimination gives.
 """
 
 from __future__ import annotations
@@ -429,7 +429,7 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         raise AxiomFailure("the Cartan matrix is singular")
     scaled_weights = [row[rank:] for row in rows]
     pi_lattice = Sublattice(rank, coroots.entries)
-    _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
+    _verify_axioms(action, refls, base, coroots, scaled_weights, scale,
                    pi_lattice)
     return RootDatum(
         rank=rank,
@@ -540,7 +540,7 @@ def _orbit_sizes(rd: RootDatum):
     return size
 
 
-def _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
+def _verify_axioms(action, refls, base, coroots, scaled_weights, scale,
                    pi_lattice):
     """Check the root-system axioms and the defining identities of the
     weights, given as the integer rows scale * weights; AxiomFailure on
@@ -548,26 +548,19 @@ def _verify_axioms(action, refls, roots, base, coroots, scaled_weights, scale,
     # reduced: the only roots proportional to a root are itself and its
     # negative.  `_root_span` found one root line per reflection, and two
     # proportional primitive integer vectors are equal or opposite, so
-    # this is the same as every root being primitive
-    for a in roots:
-        if gcd(*a) != 1:
-            raise AxiomFailure(f"root {a} is not primitive")
-    # each reflection permutes the root set: each simple reflection maps
-    # the roots into themselves, and the pairs of all reflections are
-    # walked out from the simple pairs, so every reflection is
-    # w s_i w^-1 with w in the group the s_i generate.  The roots are
-    # +-(the reflections' roots), and s(-beta) = -s(beta), so one root
-    # per line is mapped
-    simple = list(zip(base, zip(*coroots.entries)))
-    for alpha, c in simple:
-        for r in refls:
-            beta = r.root
-            k = sum(map(mul, beta, c))
-            if k and tuple([b - k * a for a, b in zip(alpha, beta)]) \
-                    not in roots:
-                raise AxiomFailure("a reflection does not permute the roots")
+    # this is the same as every root being primitive.  The roots are
+    # +-(the reflections' roots), and -a has a's gcd
+    for r in refls:
+        if gcd(*r.root) != 1:
+            raise AxiomFailure(f"root {r.root} is not primitive")
+    # each reflection permutes the roots: the walk from the simple pairs
+    # maps each root it walks by each s_i to one it walks (a skipped
+    # move fixes the root), and s(-beta) = -s(beta), so when it walks
+    # exactly the reflections' pairs, each s_i, and so each w s_i w^-1,
+    # maps the roots into themselves
     walked = _walk_pairs([(a, c) if next(filter(None, a)) > 0
-                          else (_negated(a), _negated(c)) for a, c in simple],
+                          else (_negated(a), _negated(c))
+                          for a, c in zip(base, zip(*coroots.entries))],
                          len(refls))
     if walked != {r.root: r.coroot for r in refls}:
         raise AxiomFailure("a reflection does not permute the roots")

@@ -88,11 +88,12 @@ MUTANTS = [
      "every generator is paired before the first that is no reflection "
      "ends the walk"),
     ("src/multinv/roots.py",
-     "        for r in refls:\n            beta = r.root\n",
-     "        for r in refls[:1]:\n            beta = r.root\n",
+     "        if gcd(*r.root) != 1:\n",
+     "        if gcd(*r.root) == 0:\n",
      ["tests/test_roots.py::"
-      "test_axioms_reject_roots_a_simple_reflection_does_not_keep"],
-     "the simple reflections map only one root each"),
+      "test_axioms_reject_a_root_that_is_not_primitive"],
+     "no root fails the primitive check, and a doubled root is caught "
+     "only later, by the walk, with another message"),
     ("src/multinv/roots.py",
      "            if k or m:\n",
      "            if k:\n",
@@ -447,12 +448,14 @@ MUTANTS = [
     ("src/multinv/roots.py",
      "    if walked != {r.root: r.coroot for r in refls}:\n",
      "    if len(walked) != len(refls):\n",
-     ["tests/test_roots.py"],
+     ["tests/test_roots.py::"
+      "test_axioms_reject_every_single_corruption_of_the_reflections"],
      "the axiom walk is compared by size"),
     ("src/multinv/roots.py",
      "    if walked != {r.root: r.coroot for r in refls}:\n",
      "    if walked.keys() != {r.root for r in refls}:\n",
-     ["tests/test_roots.py"],
+     ["tests/test_roots.py::"
+      "test_axioms_reject_every_single_corruption_of_the_reflections"],
      "the axiom walk is compared by roots only"),
     ("src/multinv/roots.py",
      "_echelon(moved + scaled_weights, action.rank)",
@@ -486,6 +489,12 @@ MUTANTS = [
      ["tests/test_cli.py::"
        "test_parser_is_built_once_and_answers_as_a_fresh_one"],
      "the parser is built per call"),
+    ("src/multinv/cli.py",
+     "    if rank > MAX_RANK:\n",
+     "    if rank >= MAX_RANK:\n",
+     ["tests/test_cli.py::"
+      "test_a_huge_rank_exits_2_before_any_basis_is_built"],
+     "the rank bound refuses the bound itself"),
 ]
 
 

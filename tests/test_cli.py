@@ -408,6 +408,17 @@ def test_deep_nesting_and_undecodable_bytes_exit_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error: cannot read")
 
 
+def test_a_huge_rank_exits_2_before_any_basis_is_built(tmp_path, capsys):
+    # the basis of Z^n alone would exhaust memory at this rank
+    path = write_doc(tmp_path, {"rank": 10**6, "generators": []})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", path])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: 'rank' must be at most 256\n")
+    path = write_doc(tmp_path, {"rank": 256, "generators": []})
+    assert run(capsys, ["analyze", path])[0] == 0
+
+
 def test_group_cap_flag(tmp_path, capsys):
     path = write_doc(tmp_path, RANK2_DOC)
     code, _, err = run(capsys, ["analyze", path, "--group-cap", "3"])

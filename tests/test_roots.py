@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ from helpers import (
     oracle_solve_linear,
     oracle_weight_orbit,
     random_unimodular,
+    root_lattice_generators,
     s3_action,
     s4_action,
     swap_action,
@@ -575,24 +577,24 @@ def test_root_datum_matches_the_average_and_kernel_oracles(gens):
                                             for j in range(rd.rank))
 
 
-def verified_arguments(gens, monkeypatch):
+def verified_arguments(gens, monkeypatch, cap=10000):
     """The arguments `build_root_system` passes to `_verify_axioms`, for
-    the group the generators close to."""
+    the group the generators close to under the cap."""
     seen = []
     verify = roots._verify_axioms
     monkeypatch.setattr(roots, "_verify_axioms",
                         lambda *args: seen.append(args) or verify(*args))
-    build_root_system(close_group(gens))
+    build_root_system(close_group(gens, cap=cap))
     monkeypatch.undo()
     (args,) = seen
     return list(args)
 
 
 def non_simple(args):
-    """A reflection whose root is no base root, up to sign."""
-    _, refls, _, base, *_ = args
+    """The reflections whose roots are no base roots, up to sign."""
+    _, refls, base, *_ = args
     lines = set(base) | {tuple(-x for x in a) for a in base}
-    return next(r for r in refls if r.root not in lines)
+    return [r for r in refls if r.root not in lines]
 
 
 PERMUTES = "a reflection does not permute the roots"
@@ -601,7 +603,7 @@ PERMUTES = "a reflection does not permute the roots"
 def test_axioms_reject_a_reflection_off_the_simple_walk(monkeypatch):
     args = verified_arguments(weyl_generators("A", 3), monkeypatch)
     roots._verify_axioms(*args)
-    bad = non_simple(args)
+    bad = non_simple(args)[0]
     coroot = tuple(2 * c for c in bad.coroot)
     args[1] = tuple(r if r is not bad else
                     roots.Reflection(bad.matrix, bad.root, coroot, True)
@@ -610,19 +612,50 @@ def test_axioms_reject_a_reflection_off_the_simple_walk(monkeypatch):
         roots._verify_axioms(*args)
 
 
-def test_axioms_reject_roots_a_simple_reflection_does_not_keep(monkeypatch):
-    # the reflections still walk out from the simple ones, but the root
-    # set lacks one of their roots
-    args = verified_arguments(weyl_generators("A", 3), monkeypatch)
-    gone = non_simple(args).root
-    args[2] = args[2] - {gone, tuple(-x for x in gone)}
-    with pytest.raises(AxiomFailure, match=PERMUTES):
+def test_axioms_reject_a_root_that_is_not_primitive(monkeypatch):
+    args = verified_arguments(weyl_generators("B", 3), monkeypatch)
+    bad = non_simple(args)[0]
+    root = tuple(2 * x for x in bad.root)
+    args[1] = tuple(r if r is not bad else
+                    roots.Reflection(bad.matrix, root, bad.coroot, False)
+                    for r in args[1])
+    with pytest.raises(AxiomFailure,
+                       match=re.escape(f"root {root} is not primitive")):
         roots._verify_axioms(*args)
+
+
+def corrupted_reflections(args):
+    """The reflections with one corruption each: a non-simple pair
+    dropped, or one coroot doubled or negated."""
+    refls, dropped = args[1], non_simple(args)
+    for i, r in enumerate(refls):
+        if r in dropped:
+            yield refls[:i] + refls[i + 1:]
+        for k in (2, -1):
+            coroot = tuple(k * c for c in r.coroot)
+            yield refls[:i] + (roots.Reflection(r.matrix, r.root, coroot,
+                                                r.diagonalizable),) \
+                + refls[i + 1:]
+
+
+@pytest.mark.parametrize("gens", [
+    *(root_lattice_generators("E", n) for n in (6, 7, 8)),
+    weyl_generators("B", 6),
+], ids=["E6", "E7", "E8", "B6"])
+def test_axioms_reject_every_single_corruption_of_the_reflections(
+        monkeypatch, gens):
+    # the walk from the simple pairs is the one proof that the
+    # reflections permute the roots
+    args = verified_arguments(gens, monkeypatch, cap=696729600)
+    for refls in corrupted_reflections(args):
+        args[1] = refls
+        with pytest.raises(AxiomFailure, match=PERMUTES):
+            roots._verify_axioms(*args)
 
 
 def test_axioms_reject_a_walk_past_the_reflection_count(monkeypatch):
     args = verified_arguments(weyl_generators("B", 3), monkeypatch)
-    bad = non_simple(args)
+    bad = non_simple(args)[0]
     args[1] = tuple(r for r in args[1] if r is not bad)
     with pytest.raises(AxiomFailure, match=PERMUTES):
         roots._verify_axioms(*args)
@@ -634,17 +667,17 @@ def test_axioms_stop_an_endless_walk_at_the_reflection_count(monkeypatch):
     # keep the roots, but conjugating the second pair by the first adds
     # (1, 1, 1) to its coroot again and again
     args = verified_arguments(weyl_generators("S", 3), monkeypatch)
-    columns = list(zip(*args[4].entries))
+    columns = list(zip(*args[3].entries))
     columns[0] = (1, 1, 1)
-    args[4] = IntMatrix(list(zip(*columns)), ncols=len(columns))
+    args[3] = IntMatrix(list(zip(*columns)), ncols=len(columns))
     with pytest.raises(AxiomFailure, match=PERMUTES):
         roots._verify_axioms(*args)
 
 
 def test_axioms_reject_a_weight_off_the_delta(monkeypatch):
     args = verified_arguments(weyl_generators("B", 3), monkeypatch)
-    weights = args[5]
-    args[5] = [[a + b for a, b in zip(weights[0], weights[1])],
+    weights = args[4]
+    args[4] = [[a + b for a, b in zip(weights[0], weights[1])],
                *weights[1:]]
     with pytest.raises(AxiomFailure, match="weight pairing identity failed"):
         roots._verify_axioms(*args)
@@ -654,8 +687,8 @@ def test_axioms_reject_a_weight_with_a_fixed_component(monkeypatch):
     # S4 permuting Z^4 fixes (1, 1, 1, 1), which pairs to zero with every
     # coroot, so only the fixed-component check sees the shift
     args = verified_arguments(weyl_generators("S", 4), monkeypatch)
-    weights = args[5]
-    args[5] = [tuple(x + 1 for x in weights[0]), *weights[1:]]
+    weights = args[4]
+    args[4] = [tuple(x + 1 for x in weights[0]), *weights[1:]]
     with pytest.raises(AxiomFailure,
                        match="fundamental weight has a fixed component"):
         roots._verify_axioms(*args)
