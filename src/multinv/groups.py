@@ -8,10 +8,13 @@ of the identity, by `_search` over the generators; the reflections'
 (root, coroot) pairs by `roots._walk_pairs`; and a Weyl orbit of
 weights, down from its dominant one, by `roots._walk_down`.
 
-|G| is decided in one place, `GroupAction.order`: when every generator
-is a reflection, it is read off the root system the generators' roots
-walk out (see `roots._root_walk`), stopped at the cap, and no element is
-listed; otherwise it is the length of the element list.
+|G| is decided in one place, `GroupAction.order`, by
+`roots._root_walk`: the reflections conjugate to a reflection among the
+generators generate a normal subgroup W_N whose order is read off its
+roots, and |G| = |W_N| |Omega|, Omega a complement listed by
+`_complement`, stopped at the cap.  Only Omega is listed: nothing when
+every generator descends into W_N, all of G when no generator is a
+reflection (W_N = 1).
 
 The closure enumerates a group on row orbits: row i of an element m is
 the lattice point e_i * m, and inside the search an element is the
@@ -40,9 +43,9 @@ class GroupAction:
     `generators` are the given ones without repeats, which orbits are
     searched over.  `elements` is the complete, canonically sorted
     element list (identity included), closed under `cap` on first read;
-    `order` is |G|, decided on first read: the Kostant product of the
-    root heights (`roots._weyl_order`) when `roots._root_walk` walks the
-    generators, else the length of the element list.
+    `order` is |G|, decided on first read by `roots._root_walk`, which
+    lists no more than a complement Omega to the normal subgroup W_N its
+    walked reflections generate: |G| = |W_N| |Omega|.
 
     Facts derived from the group (fixed sublattice, least displacement
     rank, reflections, whether the reflections generate) are memoised on
@@ -70,9 +73,8 @@ class GroupAction:
     @property
     def order(self) -> int:
         if self._order is None:
-            from .roots import _root_walk, _weyl_order  # roots imports groups
-            self._order = (len(self.elements) if _root_walk(self) is None
-                           else _weyl_order(self))
+            from .roots import _root_walk  # roots imports groups
+            self._order = _root_walk(self).order
         return self._order
 
     def __repr__(self):
@@ -122,12 +124,12 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     almost certainly infinite).  An empty generator list needs an
     explicit `rank` and yields the trivial group.
 
-    |G| is decided by `GroupAction.order`, read here against `cap`.
-    When every generator is a reflection, G is finite exactly when the
-    walk of their roots ends with one coroot per root (`roots._root_walk`
-    raises GroupTooLarge otherwise, or past `cap` reflections), and no
-    element is listed.  Otherwise the elements are closed, as `_close`
-    describes.
+    |G| is decided by `GroupAction.order`, read here against `cap`:
+    `roots._root_walk` walks the reflections' roots under every
+    generator, raising GroupTooLarge when the walk proves G infinite or
+    passes `cap` reflections, and lists only the complement Omega, under
+    cap // |W_N| elements (`_complement`, which closes as `_close`
+    describes).
     """
     gens = list(generators)
     if rank is None:
@@ -171,6 +173,22 @@ def _close(rank: int, gens, cap: int) -> tuple:
     return tuple(checked(rows, rank)
                  for rows in sorted(tuple(map(points.__getitem__, m))
                                     for m in found))
+
+
+def _complement(action: GroupAction, gens, unit: int) -> tuple:
+    """The elements of the group `gens` generate, a complement in G to a
+    normal subgroup of order `unit`: the identity alone for no
+    generator, G's own element list when `unit` is 1, else the closure
+    of `gens` under cap // unit elements.  Past those, G has more than
+    `action.cap` elements, and GroupTooLarge says so."""
+    if not gens:
+        return (IntMatrix.identity(action.rank),)
+    if unit == 1:
+        return action.elements
+    try:
+        return _close(action.rank, gens, action.cap // unit)
+    except GroupTooLarge:
+        raise GroupTooLarge(_too_large(action.cap)) from None
 
 
 def _search(start, moves, cap: int) -> list:

@@ -9,30 +9,31 @@ crystallographic root system spanning the moving subspace (the subspace
 the invariant functionals annihilate), and the group restricted to that
 subspace is the Weyl group.
 
-When every generator is a reflection, neither the reflections nor |G|
-need the element list.  Every reflection of G is s_alpha for a root
-alpha in the G-orbit of the generators' roots (Humphreys, Section 1.14),
-and h^-1 s_alpha h is the reflection with root alpha * h and coroot
-h^-1 . coroot, so the reflections are walked out as (root, coroot) pairs
-over the generators, in one loop that skips the moves fixing a pair
-(`_walk_pairs`).  One condition decides finiteness: G is finite exactly
-when the walk ends with one coroot per root, and it is then the Weyl
-group W of the roots (`_root_walk`).  The counts of positive roots by
-height form the partition dual to the exponents m_i, and
-|W| = prod (m_i + 1) (Humphreys, Sections 3.9 and 3.20, after Kostant;
-`_weyl_order`).
+Neither the reflections nor |G| need the element list
+(`_root_walk`).  h^-1 s_alpha h is the reflection with root alpha * h
+and coroot h^-1 . coroot, so the reflections conjugate to those among
+the generators are walked out as (root, coroot) pairs under every
+generator, in one loop that skips the moves fixing a pair
+(`_walk_pairs`).  They generate a normal subgroup W_N, the Weyl group of
+their roots; it is finite exactly when the walk ends with one coroot per
+root.  The counts of positive roots by height form the partition dual
+to the exponents m_i, and |W_N| = prod (m_i + 1) (Humphreys, Sections
+3.9 and 3.20, after Kostant; `_kostant_order`).  The heights are read
+off the coordinates of the roots over a base, all from one
+fraction-free elimination, which also proves that the base spans every
+root, so its size is their rank.  The base is the first independent
+positive roots in the order of a generic functional, the pivot columns
+of one more elimination (Humphreys, Section 1.3).
 
-Whether the reflections generate the group is decided from two orders.
-The group W' they generate fixes the lattice modulo the root span V,
-since v * s - v lies in Q alpha, and acts on V as the Weyl group of the
-roots; an element trivial on both V and the quotient is unipotent of
-finite order, so it is 1.  Hence |W'| is the Kostant product over the
-root heights (`_weyl_order`), and G = W' exactly when |G| equals it.
-The heights are read off the coordinates of the roots over a base, all
-from one fraction-free elimination, which also proves that the base
-spans every root, so its size is their rank.  The base is the first
-independent positive roots in the order of a generic functional, the
-pivot columns of one more elimination (Humphreys, Section 1.3).
+W_N acts simply transitively on the positive systems, so
+G = W_N x| Omega, Omega the stabilizer of the generic positive system,
+and |G| = |W_N| |Omega|.  Each generator that is no reflection descends
+into Omega by simple reflections (`_descend`; Humphreys, Sections
+1.6-1.8), and only Omega is listed.  A reflection of G outside W_N has
+a conjugate in Omega, so the reflections found in Omega are walked too,
+until Omega holds none; then the walk has every reflection of G
+(Humphreys, Section 1.14), and the reflections generate G exactly when
+Omega = 1.
 
 A base of simple roots fixes the rest through the coroots of its
 reflections, the columns of the n x r coroot matrix.  A vector v has
@@ -66,18 +67,18 @@ are checked in the integers scale * weights that the elimination gives.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, takewhile
+from itertools import count
 from math import gcd
 from operator import index, mul, neg
 
 from .errors import (AxiomFailure, GroupTooLarge, InvalidBase,
                      NotReflectionGroup)
-from .groups import (GroupAction, _one_minus_rows, _too_large,
-                     fixed_sublattice, memoised)
+from .groups import (GroupAction, _complement, _one_minus_rows,
+                     _too_large, fixed_sublattice, memoised)
 from .lattice import (
     ElementaryDivisors,
     IntMatrix,
@@ -116,15 +117,10 @@ def _negated(v) -> tuple:
 @memoised
 def find_reflections(action: GroupAction) -> tuple[Reflection, ...]:
     """All reflections of the action, in element order (sorted by
-    rows): walked out from the generators when every generator is a
-    reflection (`_root_walk`), else found among the elements."""
-    walk = _root_walk(action)
-    pairs = walk.items() if walk is not None else [
-        pair for g in action.elements
-        if (pair := _reflection_pair(g)) is not None]
+    rows), from the pairs `_root_walk` walks out."""
     refls = (Reflection(_reflection_matrix(root, coroot), root, coroot,
                         all(c % 2 == 0 for c in coroot))
-             for root, coroot in pairs)
+             for root, coroot in _root_walk(action).pairs.items())
     return tuple(sorted(refls, key=lambda r: r.matrix.entries))
 
 
@@ -157,89 +153,191 @@ def _reflection_matrix(root, coroot) -> IntMatrix:
     return IntMatrix._from_checked_rows(tuple(map(tuple, rows)), len(root))
 
 
-@memoised
-def _root_walk(action: GroupAction):
-    """{root: coroot} for every reflection of G, walked out from the
-    generators ({} for none); None when a generator is no reflection
-    (the generators are read up to the first that is none).
+# `_root_walk`'s answer: {root: coroot} of every reflection of G; the
+# roots, both signs of each; the base of a generic functional and each
+# root's coordinates over it; Omega, listed; and |G|
+_Walk = namedtuple("_Walk", "pairs roots base coordinates omega order")
 
-    A reflection g (g^-1 = g) moves the pair of s_alpha to the pair of
-    g s_alpha g: root -> root * g and coroot -> g . coroot
-    (`_walk_pairs`).  G is finite exactly when the walk ends with one
-    coroot per root.  A root a with coroots c1 != c2 gives
+
+@memoised
+def _root_walk(action: GroupAction) -> _Walk:
+    """The reflections of G, their root data and |G|, listing no more of
+    G than a complement Omega to the normal subgroup W_N they generate.
+
+    The (root, coroot) pairs of the generators that are reflections are
+    walked out under every generator (`_walk_pairs`): a reflection g
+    takes the pair of s_alpha to that of g s_alpha g, and any other
+    generator h to that of h^-1 s_alpha h, (alpha * h, h^-1 . coroot).
+    The pairs walked are the reflections of G conjugate to a walked
+    one, so they generate a normal subgroup W_N, the Weyl group of their
+    roots (see below), of order the Kostant product over the root
+    heights (Humphreys, Sections 3.9 and 3.20; `_kostant_order`).  W_N
+    acts simply transitively on the positive systems (Humphreys,
+    Sections 1.6-1.8), so G = W_N x| Omega, Omega the stabilizer of the
+    positive system of the generic functional (`_generic_base`), and
+    |G| = |W_N| |Omega|.  Each other generator descends to its
+    representative in Omega (`_descend`); these generate Omega, which is
+    listed under cap // |W_N| (`_complement`).  With no reflection among
+    the generators, W_N = 1 and Omega = G, `action.elements`, and the
+    reflections listed there are the seeds.
+
+    A reflection r of G outside W_N has a conjugate in Omega: its root
+    is no root of W_N (else r = s_alpha, or G is infinite), so some
+    functional fixed by r is nonzero on every root, and r keeps its
+    positive system, the image of the generic one under some w in W_N;
+    then w r w^-1 is a reflection in Omega.  So when Omega holds
+    reflections, their pairs are walked too, Omega's elements descend
+    again, and this repeats until Omega holds none: then every
+    reflection of G is walked, and G is generated by reflections exactly
+    when Omega = 1.
+
+    G is finite exactly when the walk ends with one coroot per root and
+    Omega is finite.  A root a with coroots c1 != c2 gives
     s1 s2 = 1 + (c1 - c2) (x) a, of infinite order, as is a product of
     two reflections that the dihedral rule of `_walk_pairs` refuses, and
     each pair walked is a distinct reflection of G, so a walk past
     `action.cap` pairs means |G| > cap: all raise GroupTooLarge, with
-    the closure's message.  A walk that ends leaves G permuting the
-    finitely many roots, which span the root span V, so G acts on V
-    through a finite group, orthogonal for some invariant inner product;
-    there v . coroot = 2 (v, a) / (a, a), and the only vector of V
-    pairing to zero with every coroot is 0.  An element h fixing every
-    root fixes every coroot (a root has one), so v * h - v, which lies
-    in V, pairs to zero with every coroot: h = 1.  So G embeds in the
-    permutations of the roots and is their Weyl group.
+    the closure's message, as does Omega past cap // |W_N| elements.  A
+    walk that ends leaves W_N permuting the finitely many roots, which
+    span the root span V, so W_N acts on V through a finite group,
+    orthogonal for some invariant inner product; there
+    v . coroot = 2 (v, a) / (a, a), and the only vector of V pairing to
+    zero with every coroot is 0.  An element w fixing every root fixes
+    every coroot (a root has one), so v * w - v, which lies in V, pairs
+    to zero with every coroot: w = 1.  So W_N embeds in the permutations
+    of the roots and is their Weyl group.
     """
-    # up to the first generator that is no reflection (None)
-    pairs = list(takewhile(bool, map(_reflection_pair, action.generators)))
-    if len(pairs) < len(action.generators):
-        return None
-    found = _walk_pairs(pairs, action.cap)
-    if found is None:
-        raise GroupTooLarge(_too_large(action.cap))
-    return found
+    pairs, others = [], []
+    for g in action.generators:
+        pair = _reflection_pair(g)
+        if pair:
+            pairs.append(pair)
+        else:
+            others.append(g)
+    omega = None
+    if not pairs:  # W_N = 1, so Omega = G; a reflection in it is a seed
+        omega = _complement(action, others, 1)
+        pairs = [pair for w in omega if (pair := _reflection_pair(w))]
+        if not pairs:
+            return _Walk({}, frozenset(), (), {}, omega, len(omega))
+    conjugations = [(tuple(zip(*h.entries)), _inverse_rows(h))
+                    for h in others]
+    identity = IntMatrix.identity(action.rank)
+    while True:
+        found = _walk_pairs(pairs, action.cap, conjugations)
+        if found is None:
+            raise GroupTooLarge(_too_large(action.cap))
+        roots = frozenset(found) | frozenset(map(_negated, found))
+        base = _generic_base(roots)
+        coordinates = _check_base(roots, base, len(base), strict=False)
+        weyl_order = _kostant_order(sum(c) for c in coordinates.values()
+                                    if min(c) >= 0)
+        simple = [(a, found[a]) if a in found
+                  else (a, _negated(found[_negated(a)])) for a in base]
+        if omega is None:
+            omega = _complement(action, [
+                w for h in others
+                if (w := _descend(h, simple, coordinates)) != identity],
+                weyl_order)
+        else:
+            omega = tuple(dict.fromkeys(_descend(w, simple, coordinates)
+                                        for w in omega))
+        absorbed = [pair for w in omega if (pair := _reflection_pair(w))]
+        if not absorbed:
+            return _Walk(found, roots, base, coordinates, omega,
+                         weyl_order * len(omega))
+        pairs += absorbed
 
 
-def _walk_pairs(pairs, cap):
+def _inverse_rows(h: IntMatrix) -> tuple:
+    """The rows of h^-1, for h of determinant +-1: Gauss-Jordan on the
+    rows [h | 1] leaves last * [1 | h^-1], with last = +-1."""
+    n = h.nrows
+    rows, _, last, _ = _echelon(
+        [row + tuple(int(i == j) for j in range(n))
+         for i, row in enumerate(h.entries)], n, reduced=True)
+    return tuple(tuple(x // last for x in row[n:]) for row in rows)
+
+
+def _descend(h: IntMatrix, simple, coordinates) -> IntMatrix:
+    """w h for the w in W_N with w h in Omega, the stabilizer of the
+    positive system: while a simple root alpha_i has alpha_i * h
+    negative, h becomes s_i h = h - coroot_i (x) (alpha_i * h) on the
+    rows.  s_i h sends one positive root fewer than h to a negative one
+    (s_i permutes the positive roots other than alpha_i), so this ends
+    within |R+| steps (Humphreys, Sections 1.6-1.8); AxiomFailure past
+    them.  `simple` holds the (simple root, coroot) pairs, and
+    `coordinates` the roots' coordinates over them."""
+    rows = h.entries
+    for _ in range(len(coordinates) // 2 + 1):
+        for a, c in simple:
+            image = tuple(sum(map(mul, a, col)) for col in zip(*rows))
+            if min(coordinates[image]) < 0:
+                rows = tuple(tuple(x - k * y for x, y in zip(row, image))
+                             for row, k in zip(rows, c))
+                break
+        else:
+            return IntMatrix._from_checked_rows(rows, h.ncols)
+    raise AxiomFailure("a descent did not end within |R+| steps")
+
+
+def _walk_pairs(pairs, cap, conjugations=()):
     """{root: coroot} walked out from the normalised (root, coroot)
-    `pairs` under the reflections 1 - c (x) a they stand for, by one
-    breadth-first loop, in the order found; None when a root has two
-    coroots, among the seeds or on a move, when a move's two reflections
-    generate an infinite group, or when more than `cap` pairs are found.
-    The move by (a, c) takes root to root - (root . c) a and coroot to
-    coroot - (a . coroot) c; it is skipped when both products are 0, as
-    it then fixes the pair, and its result is negated when the root's
-    first nonzero coordinate is negative.  Dihedral rule: for root != a,
-    the two reflections keep span(root, a), where their product has trace
-    k m - 2, k and m the two products, so it has finite order only when
-    k m is 1, 2 or 3 (or both are 0)."""
+    `pairs` under the reflections 1 - c (x) a they stand for and under
+    the `conjugations`, by one breadth-first loop, in the order found;
+    None when a root has two coroots, among the seeds or on a move, when
+    a move's two reflections generate an infinite group, or when more
+    than `cap` pairs are found.  Each move's result is negated when the
+    root's first nonzero coordinate is negative (`_moves`)."""
     found, queue = dict(pairs), list(pairs)  # `queue` grows while walked
     if len(found) < len(queue):
         return None
     for root, coroot in queue:
         if len(queue) > cap:
             return None
-        for a, c in pairs:
-            k, m = sum(map(mul, root, c)), sum(map(mul, a, coroot))
-            if k or m:
-                if not 0 < k * m < 4 and root != a:
-                    return None
-                r = [x - k * y for x, y in zip(root, a)]
-                s = [x - m * y for x, y in zip(coroot, c)]
-                if next(filter(None, r)) < 0:
-                    r, s = map(neg, r), map(neg, s)
-                r, s = tuple(r), tuple(s)
-                if r not in found:
-                    found[r] = s
-                    queue.append((r, s))
-                elif found[r] != s:
-                    return None
+        for move in _moves(root, coroot, pairs, conjugations):
+            if move is None:
+                return None
+            r, s = move
+            if next(filter(None, r)) < 0:
+                r, s = map(neg, r), map(neg, s)
+            r, s = tuple(r), tuple(s)
+            if r not in found:
+                found[r] = s
+                queue.append((r, s))
+            elif found[r] != s:
+                return None
     return found  # each pair found was walked, after the check
 
 
-def _weyl_order(action: GroupAction) -> int:
-    """|W'|, the order of the group the reflections generate.
+def _moves(root, coroot, pairs, conjugations):
+    """The images of the pair (root, coroot), one at a time, or None
+    for a move that proves the group infinite.
 
-    The counts n_k of positive roots of height k form the partition dual
-    to the exponents: n_k - n_(k+1) exponents equal k, and
-    |W'| = prod (m_i + 1) (Humphreys, Sections 3.9 and 3.20)."""
-    _, coordinates = _base_coordinates(action)
-    return _kostant_order(sum(c) for c in coordinates.values() if min(c) >= 0)
+    The move by (a, c) takes root to root - (root . c) a and coroot to
+    coroot - (a . coroot) c; it is skipped when both products are 0, as
+    it then fixes the pair.  Dihedral rule: for root != a, the two
+    reflections keep span(root, a), where their product has trace
+    k m - 2, k and m the two products, so it has finite order only when
+    k m is 1, 2 or 3 (or both are 0).  A conjugation, given as the
+    columns of h and the rows of h^-1, takes root to root * h and coroot
+    to h^-1 . coroot."""
+    for a, c in pairs:
+        k, m = sum(map(mul, root, c)), sum(map(mul, a, coroot))
+        if k or m:
+            yield (([x - k * y for x, y in zip(root, a)],
+                    [x - m * y for x, y in zip(coroot, c)])
+                   if 0 < k * m < 4 or root == a else None)
+    for columns, inverse in conjugations:
+        yield ([sum(map(mul, root, col)) for col in columns],
+               [sum(map(mul, row, coroot)) for row in inverse])
 
 
 def _kostant_order(heights) -> int:
     """The order of the Weyl group whose positive roots have these
-    heights: prod (k + 1) ** (n_k - n_(k+1)), n_k the number of height k."""
+    heights: prod (k + 1) ** (n_k - n_(k+1)), n_k the number of height k,
+    whose differences count the exponents (Humphreys, Sections 3.9 and
+    3.20, after Kostant)."""
     counts = Counter(heights)
     order = 1
     for k in range(1, max(counts, default=0) + 1):
@@ -251,45 +349,12 @@ def _kostant_order(heights) -> int:
 
 
 @memoised
-def _root_span(action: GroupAction) -> frozenset:
-    """The roots of the action's reflections, both signs of each; the
-    rank of their span is the size of the base `_base_coordinates`
-    picks."""
-    refls = find_reflections(action)
-    roots = frozenset(r.root for r in refls) | frozenset(
-        _negated(r.root) for r in refls
-    )
-    if len(roots) != 2 * len(refls):
-        raise AxiomFailure("reflections do not have distinct root lines")
-    return roots
-
-
-@memoised
-def _base_coordinates(action: GroupAction) -> tuple[tuple, dict]:
-    """The base `_generic_base` picks from the roots, and the coordinates
-    of every root over it.  `_check_base` proves that every root is an
-    integer combination of the base, so its size is the rank of the
-    roots."""
-    roots = _root_span(action)
-    base = _generic_base(roots)
-    return base, _check_base(roots, base, len(base), strict=False)
-
-
-@memoised
 def is_reflection_group(action: GroupAction) -> bool:
     """True when the reflections generate the whole group (vacuously true
-    for the trivial group).
-
-    When `_root_walk` walks the reflections, every generator is one.
-    Otherwise G was listed to find its reflections, and
-    G = W', the subgroup they generate, exactly when |G| = |W'|
-    (`_weyl_order`).  No subgroup is closed.
-    """
-    if _root_walk(action) is not None:
-        return True
-    if not find_reflections(action):  # |W'| = 1, without an empty base
-        return action.order == 1
-    return action.order == _weyl_order(action)
+    for the trivial group): when Omega, the complement of `_root_walk`,
+    is trivial, since Omega then holds no reflection and every
+    reflection of G lies in W_N.  No group is listed here."""
+    return len(_root_walk(action).omega) == 1
 
 
 @dataclass(frozen=True)
@@ -334,7 +399,7 @@ def _generic_base(roots: frozenset) -> tuple[tuple[int, ...], ...]:
     the order of their values.  A positive root that is not simple is a
     positive combination of simple roots of smaller value, so it is never
     a pivot, and each simple root is one (Humphreys, Section 1.3)."""
-    n = len(next(iter(roots), ()))
+    n = len(next(iter(roots)))
     for t in count(1):
         functional = tuple(t**k for k in range(n))
         values = {r: _dot(functional, r) for r in roots}
@@ -396,9 +461,9 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
             else "the group contains no reflections"
         )
 
-    roots = _root_span(action)
+    walk = _root_walk(action)
+    roots, generic, coordinates = walk.roots, walk.base, walk.coordinates
     rank = n - fixed_sublattice(action).rank
-    generic, coordinates = _base_coordinates(action)
     if len(generic) != rank:
         raise AxiomFailure("roots do not span the moving subspace")
     if base is None:
@@ -521,7 +586,7 @@ def _orbit_sizes(rd: RootDatum):
     (Humphreys, Section 1.12), so |W lambda| = |W| / |W_J|; the positive
     roots of W_J are the positive roots supported on J, read from the
     base coordinates `rd.coordinates`, and their heights give |W_J| as
-    in `_weyl_order`.  No orbit is listed."""
+    in `_root_walk`.  No orbit is listed."""
     supports = [(sum(1 << i for i, x in enumerate(c) if x), sum(c))
                 for c in rd.coordinates.values() if min(c) >= 0]
     order = _kostant_order(h for _, h in supports)
@@ -546,7 +611,7 @@ def _verify_axioms(action, refls, base, coroots, scaled_weights, scale,
     weights, given as the integer rows scale * weights; AxiomFailure on
     the first that fails."""
     # reduced: the only roots proportional to a root are itself and its
-    # negative.  `_root_span` found one root line per reflection, and two
+    # negative.  The walk found one root line per reflection, and two
     # proportional primitive integer vectors are equal or opposite, so
     # this is the same as every root being primitive.  The roots are
     # +-(the reflections' roots), and -a has a's gcd

@@ -216,9 +216,12 @@ def swap_action():
     return close_group([R2])
 
 
+def minus_identity(n):
+    return IntMatrix([[-int(i == j) for j in range(n)] for i in range(n)])
+
+
 def minus_identity_action(n=2):
-    return close_group([IntMatrix([[-(i == j) for j in range(n)]
-                                   for i in range(n)])])
+    return close_group([minus_identity(n)])
 
 
 def a1a1_action():

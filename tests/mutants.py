@@ -55,7 +55,7 @@ MUTANTS = [
      "in a reduced pass as in a forward one, so the pivot columns are "
      "too; only the rows above them cost more"),
     ("src/multinv/roots.py",
-     "                elif found[r] != s:\n                    return None\n",
+     "            elif found[r] != s:\n                return None\n",
      "",
      ["tests/test_weyl.py::"
       "test_a_root_with_two_coroots_stops_the_walk_at_once"],
@@ -70,8 +70,8 @@ MUTANTS = [
      "a repeated seed root is found only on its first move, by the "
      "mid-walk comparison"),
     ("src/multinv/roots.py",
-     "                if next(filter(None, r)) < 0:\n"
-     "                    r, s = map(neg, r), map(neg, s)\n",
+     "            if next(filter(None, r)) < 0:\n"
+     "                r, s = map(neg, r), map(neg, s)\n",
      "",
      ["tests/test_weyl.py"],
      "the walk keeps a root and its negative apart, so every reflection "
@@ -82,11 +82,10 @@ MUTANTS = [
      ["tests/test_weyl.py"],
      "the trace test is off by one and no element is a reflection"),
     ("src/multinv/roots.py",
-     "list(takewhile(bool, map(_reflection_pair, action.generators)))",
-     "list(takewhile(bool, [*map(_reflection_pair, action.generators)]))",
+     "        return None  # by the trace, before a row of 1 - g is built\n",
+     "        pass\n",
      ["tests/test_roots.py::test_a_non_reflection_generator_builds_no_row"],
-     "every generator is paired before the first that is no reflection "
-     "ends the walk"),
+     "the trace no longer rules -1 out before a row of 1 - g is built"),
     ("src/multinv/roots.py",
      "        if gcd(*r.root) != 1:\n",
      "        if gcd(*r.root) == 0:\n",
@@ -95,8 +94,8 @@ MUTANTS = [
      "no root fails the primitive check, and a doubled root is caught "
      "only later, by the walk, with another message"),
     ("src/multinv/roots.py",
-     "            if k or m:\n",
-     "            if k:\n",
+     "        if k or m:\n",
+     "        if k:\n",
      ["tests/test_weyl.py::"
       "test_a_root_with_two_coroots_stops_the_walk_at_once"],
      "a move is skipped when only root . c is 0: in a finite group the "
@@ -109,14 +108,11 @@ MUTANTS = [
       "test_require_verdict_reads_the_verdict_of_every_command_kind"],
      "--require-verdict looks for the status at the top of the report, "
      "where no command puts it, and never exits 3"),
-    ("src/multinv/groups.py",
-     "(len(self.elements) if _root_walk(self) is None\n"
-     "                           else _weyl_order(self))\n",
-     "(_weyl_order(self) if _root_walk(self) is None\n"
-     "                           else len(self.elements))\n",
-     ["tests/test_groups.py"],
-     "|G| is the Kostant product when a generator is no reflection, and "
-     "the closure length when the walk has the roots"),
+    ("src/multinv/roots.py",
+     "                         weyl_order * len(omega))\n",
+     "                         weyl_order)\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "|G| is |W_N|, without the complement: 120 for W(A4) x {+-1}"),
     ("src/multinv/groups.py",
      "    if action.order > cap:\n",
      "    if action.order >= cap:\n",
@@ -178,29 +174,35 @@ MUTANTS = [
      "basis, where the rows above still add to the pivot entry"),
     # the trivial group through the general root, class-group and
     # fixed-lattice code
-    ("src/multinv/roots.py",
-     "    pairs = walk.items() if walk is not None else [\n",
-     "    pairs = walk.items() if walk else [\n",
+    ("src/multinv/groups.py",
+     "    if not gens:\n"
+     "        return (IntMatrix.identity(action.rank),)\n",
+     "",
      ["tests/test_cli.py::test_the_trivial_group_lists_no_element"],
-     "an empty walk reads as no walk, so the trivial group's one element is "
-     "listed to find no reflection"),
+     "a complement with no generator is listed, so the trivial group's one "
+     "element is closed"),
+    ("src/multinv/groups.py",
+     "    if unit == 1:\n        return action.elements\n",
+     "",
+     ["tests/test_groups.py::"
+      "test_a_group_with_no_reflection_takes_its_order_from_the_closure"],
+     "a group with no reflection is listed as its own complement and "
+     "again as its element list"),
     ("src/multinv/roots.py",
-     "    if len(pairs) < len(action.generators):\n",
-     "    if not pairs or len(pairs) < len(action.generators):\n",
-     ["tests/test_cli.py::test_the_trivial_group_lists_no_element"],
-     "no generator is not walked, so the trivial group's order is read off "
-     "its element list"),
-    ("src/multinv/roots.py",
-     "    n = len(next(iter(roots), ()))\n",
-     "    n = len(next(iter(roots)))\n",
-     ["tests/test_roots.py::test_build_root_system_trivial_group"],
-     "the generic base needs a root to read the rank from"),
+     "    if not pairs:  # W_N = 1, so Omega = G; a reflection in it is a seed\n",
+     "    if False:\n",
+     ["tests/test_groups.py::"
+      "test_a_group_with_no_reflection_takes_its_order_from_the_closure"],
+     "a group with no reflection generator is walked as if it had one, and "
+     "the generic base of no roots has no rank to read"),
     ("src/multinv/roots.py",
      "_echelon(zip(*columns), rank, reduced=True)",
      "_echelon([[v[k] for v in columns] for k in range(len(base[0]))], "
      "rank, reduced=True)",
-     ["tests/test_roots.py::test_build_root_system_trivial_group"],
-     "the base check reads the rows' length off the first base root"),
+     ["tests/test_cli.py::"
+      "test_a_base_override_on_the_trivial_group_is_checked"],
+     "the base check reads the rows' length off the first base root, and "
+     "an empty base override on the trivial group has none"),
     ("src/multinv/roots.py",
      "    coroots = IntMatrix((r.coroot if a == r.root else "
      "_negated(r.coroot)\n"
@@ -255,21 +257,20 @@ MUTANTS = [
      "equivalent: lcm() is 1, so the guard changes nothing"),
     # the dihedral rule of the root walk
     ("src/multinv/roots.py",
-     "                if not 0 < k * m < 4 and root != a:\n",
-     "                if not 0 < k * m <= 4 and root != a:\n",
+     "                   if 0 < k * m < 4 or root == a else None)\n",
+     "                   if 0 < k * m <= 4 or root == a else None)\n",
      ["tests/test_weyl.py::"
        "test_an_infinite_dihedral_pair_stops_the_walk_at_once"],
      "k m = 4 passes as finite, so the affine A1 pair walks to the cap"),
     ("src/multinv/roots.py",
-     "                if not 0 < k * m < 4 and root != a:\n"
-     "                    return None\n",
-     "",
+     "                   if 0 < k * m < 4 or root == a else None)\n",
+     "                   )\n",
      ["tests/test_weyl.py::"
        "test_an_infinite_dihedral_pair_stops_the_walk_at_once"],
      "no dihedral rule: an infinite pair walks to the cap"),
     ("src/multinv/roots.py",
-     "                if not 0 < k * m < 4 and root != a:\n",
-     "                if not 0 < k * m < 4:\n",
+     "                   if 0 < k * m < 4 or root == a else None)\n",
+     "                   if 0 < k * m < 4 else None)\n",
      ["tests/test_weyl.py"],
      "a reflection's move on its own pair (k m = 4) ends every walk"),
     # mutation checks recorded before tests/mutants.py existed, whose code is
@@ -304,7 +305,8 @@ MUTANTS = [
      "                if len(found) > cap:\n"
      "                    raise GroupTooLarge(_too_large(cap))\n",
      "",
-     ["tests/test_groups.py"],
+     ["tests/test_groups.py::"
+      "test_the_closure_stops_at_the_cap_on_the_shear"],
      "the closure is not stopped at the cap"),
     ("src/multinv/roots.py",
      "all(c % 2 == 0 for c in coroot)",
@@ -398,8 +400,8 @@ MUTANTS = [
      ["tests/test_weyl.py"],
      "the reflections come out in walk order, not sorted"),
     ("src/multinv/roots.py",
-     "                r = [x - k * y for x, y in zip(root, a)]\n",
-     "                r = [x + k * y for x, y in zip(root, a)]\n",
+     "            yield (([x - k * y for x, y in zip(root, a)],\n",
+     "            yield (([x + k * y for x, y in zip(root, a)],\n",
      ["tests/test_weyl.py"],
      "a wrong root move"),
     ("src/multinv/laurent.py",
@@ -495,6 +497,55 @@ MUTANTS = [
      ["tests/test_cli.py::"
       "test_a_huge_rank_exits_2_before_any_basis_is_built"],
      "the rank bound refuses the bound itself"),
+    # the walk under every generator, the descent and the complement
+    ("src/multinv/roots.py",
+     "    for columns, inverse in conjugations:\n",
+     "    for columns, inverse in conjugations[:0]:\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "no pair is moved by a generator that is no reflection, so W_N misses "
+     "the reflections conjugate to the walked ones under it"),
+    ("src/multinv/roots.py",
+     "               [sum(map(mul, row, coroot)) for row in inverse])\n",
+     "               [sum(map(mul, col, coroot)) for col in columns])\n",
+     ["tests/test_roots.py"],
+     "a conjugation moves the coroot by the transpose of h, not by h^-1, "
+     "which differ off the orthogonal generators"),
+    ("src/multinv/roots.py",
+     "            if min(coordinates[image]) < 0:\n",
+     "            if max(coordinates[image]) < 0:\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "the descent takes a negative root with a zero coordinate for "
+     "positive, so it stops outside Omega"),
+    ("src/multinv/roots.py",
+     "    for _ in range(len(coordinates) // 2 + 1):\n",
+     "    for _ in range(len(coordinates) // 2):\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "the descent has no pass left to see that it ended after |R+| steps, "
+     "as -1 in W(B3) needs"),
+    ("src/multinv/roots.py",
+     "        absorbed = [pair for w in omega if (pair := _reflection_pair(w))]"
+     "\n",
+     "        absorbed = []\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "a reflection in Omega is not walked, so G2 given as W(A2) and -1 is "
+     "no reflection group"),
+    ("src/multinv/roots.py",
+     "            omega = tuple(dict.fromkeys(_descend(w, simple, coordinates)\n"
+     "                                        for w in omega))\n",
+     "            omega = omega\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "Omega keeps the reflections it had before they were walked"),
+    ("src/multinv/groups.py",
+     "        return _close(action.rank, gens, action.cap // unit)\n",
+     "        return _close(action.rank, gens, action.cap)\n",
+     ["tests/test_weyl.py::test_infinite_groups_take_the_closure"],
+     "the complement is closed to the whole cap, not cap // |W_N|"),
+    ("src/multinv/roots.py",
+     "        pairs = [pair for w in omega if (pair := _reflection_pair(w))]\n",
+     "        pairs = []\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "with no reflection generator, the reflections of G are not walked, so "
+     "the cube of -1 + C3 is missed"),
 ]
 
 

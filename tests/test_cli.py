@@ -7,7 +7,8 @@ from multinv import classify, cli, groups, monoid, roots
 from multinv.cli import main
 from multinv.lattice import IntMatrix
 from multinv.laurent import LaurentPolynomial
-from helpers import BASE_RANK2, root_lattice_generators, weyl_generators
+from helpers import (BASE_RANK2, minus_identity, root_lattice_generators,
+                     weyl_generators)
 
 RANK2_DOC = {
     "rank": 2,
@@ -521,6 +522,18 @@ def test_reflection_group_commands_list_no_element(tmp_path, capsys,
             ("verdict", weyl_generators("B", 5), []),
             ("verdict", root_lattice_generators("E", 8), e8_cap),
             ("analyze", weyl_generators("B", 4), [])]
+    # a generator that is no reflection moves the pairs by conjugation
+    # and descends to the identity: S9 from (1 2) and the 9-cycle, and
+    # -1, which lies in W(B7) and W(E8)
+    cycle = IntMatrix([[int(j == (i + 1) % 9) for j in range(9)]
+                       for i in range(9)])
+    runs += [(command, gens, ["--group-cap", str(cap)])
+             for gens, cap in (
+                 ([weyl_generators("S", 9)[0], cycle], 362880),
+                 (weyl_generators("B", 7) + [minus_identity(7)], 645120),
+                 (root_lattice_generators("E", 8) + [minus_identity(8)],
+                  696729600))
+             for command in ("verdict", "analyze")]
     for n in (6, 7, 8):
         runs += [(command, root_lattice_generators("E", n), e8_cap)
                  for command in ("verdict", "classgroup", "analyze")]
@@ -533,6 +546,27 @@ def test_reflection_group_commands_list_no_element(tmp_path, capsys,
     report = json.loads(out)  # analyze on E8
     assert (report["group_order"], report["reflection_count"],
             report["ideal_height"]) == (696729600, 120, 1)
+
+
+@pytest.mark.parametrize("gens", [
+    # s_e1 and a hyperbolic h: the walk meets h^-1 s_e1 h = s_(2, 1),
+    # which with s_e1 fails the dihedral rule
+    [[[-1, 0], [0, 1]], [[2, 1], [1, 1]]],
+    # s_e1 on Z^3 and a shear of e2 and e3: W_N = <s_e1> is finite, and
+    # the complement, the shear's powers, is closed to 10000 // 2
+    [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]],
+], ids=["reflection+hyperbolic", "reflection+shear"])
+def test_an_infinite_group_with_a_reflection_exits_2_at_once(tmp_path, capsys,
+                                                             gens):
+    path = write_doc(tmp_path, {"rank": len(gens[0]), "generators": gens})
+    for command in ("analyze", "verdict"):
+        start = time.perf_counter()
+        assert run(capsys, [command, path]) == (
+            2, "", "error: closure exceeded 10000 elements; group is "
+                   "probably infinite\n")
+        # about 0.03 s for the shear's 5,000 powers; the bound only
+        # catches a closure run to the whole cap or beyond
+        assert time.perf_counter() - start < 2.0
 
 
 def test_labels_are_used_in_rendering(tmp_path, capsys):
@@ -777,8 +811,8 @@ def test_trivial_group_answers_every_command_as_before(tmp_path, capsys,
 @pytest.mark.parametrize("rank", (0, 3))
 def test_the_trivial_group_lists_no_element(tmp_path, capsys, monkeypatch,
                                             rank):
-    # no generator walks to no root: |G| is the Kostant product of no
-    # roots, and every command but singular-locus answers from the walk
+    # no generator: the complement is the identity alone, listed without
+    # a closure, and every command but singular-locus answers from there
     def no_closure(*args):
         raise AssertionError("the element list was built")
 

@@ -10,6 +10,7 @@ from multinv import (
     Sublattice,
     close_group,
     fixed_sublattice,
+    groups,
 )
 from multinv.groups import DEFAULT_CLOSURE_CAP, _one_minus_rows, _search
 from helpers import (
@@ -56,13 +57,47 @@ def test_close_group_admits_a_group_of_exactly_cap_elements():
             close_group(gens, cap=5)
 
 
-def test_a_group_with_no_reflection_takes_its_order_from_the_closure():
+def test_a_group_with_no_reflection_takes_its_order_from_the_closure(
+        monkeypatch):
     # the subgroup the reflections generate is trivial here, so its
-    # Kostant product, 1, is not |G|
+    # Kostant product, 1, is not |G|; the list that gives |G| is the
+    # element list, made once
+    closed, close = [], groups._close
+
+    def recording_close(*args):
+        closed.append(args)
+        return close(*args)
+
+    monkeypatch.setattr(groups, "_close", recording_close)
     for gens, order in (([ROT3_S3[0]], 3), ([mat([[-1, 0], [0, -1]])], 2),
                         ([mat([[0, -1], [1, 0]])], 4)):
+        closed.clear()
         group = close_group(gens)
         assert group.order == len(group.elements) == order
+        assert len(closed) == 1
+
+
+def test_the_closure_stops_at_the_cap_on_the_shear(monkeypatch):
+    # the shear's powers are distinct, and each move finds the next: the
+    # closure makes `cap` moves, reaching cap + 1 elements, and raises;
+    # a closure that runs on is stopped by the count
+    moves, search = [], groups._search
+
+    def counting_search(start, steps, cap):
+        def counted(step):
+            def move(x):
+                moves.append(x)
+                assert len(moves) <= 2 * cap, "the closure ran past the cap"
+                return step(x)
+            return move
+        return search(start, [counted(step) for step in steps], cap)
+
+    monkeypatch.setattr(groups, "_search", counting_search)
+    with pytest.raises(GroupTooLarge) as exc:
+        close_group([mat([[1, 1], [0, 1]])], cap=1000)
+    assert str(exc.value) == ("closure exceeded 1000 elements; group is "
+                              "probably infinite")
+    assert len(moves) == 1000
 
 
 def test_repr_names_rank_and_order():

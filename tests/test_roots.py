@@ -37,12 +37,15 @@ from helpers import (
     conjugate,
     conjugated_block_sums,
     mat,
+    minus_identity,
     minus_identity_action,
     neg_rank1_action,
     one_minus,
     oracle_coroot_pairing,
     oracle_effective_quotient,
+    oracle_find_reflections,
     oracle_induced_matrix,
+    oracle_inverse_unimodular,
     oracle_is_reflection_group,
     oracle_solve_linear,
     oracle_weight_orbit,
@@ -101,11 +104,18 @@ def test_trace_n_minus_2_without_order_2_is_no_reflection():
     turn3 = mat([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
     assert find_reflections(close_group([turn3])) == ()
     assert roots._reflection_pair(quarter) is None
+    # g = [[1, 1], [-2, -1]] (g^2 = -1): the first row of 1 - g gives the
+    # root (0, 1) and the coroot (-1, 2), which pair to 2, but the second
+    # row, (2, 2), is no multiple of the root
+    turn = mat([[1, 1], [-2, -1]])
+    assert roots._reflection_pair(turn) is None
+    assert find_reflections(close_group([turn])) == ()
 
 
 def test_a_non_reflection_generator_builds_no_row(monkeypatch):
-    # -1 on Z^5 has trace -5, not 3, and ends the walk before the
-    # reflection after it is read: no row of 1 - g is built
+    # -1 on Z^5 has trace -5, not 3: the trace alone rules it out, and
+    # no row of 1 - g is built for it, nor for the complement it
+    # descends to, {1, -s} with s the swap (trace -3)
     built = []
 
     def counted(g):
@@ -116,9 +126,10 @@ def test_a_non_reflection_generator_builds_no_row(monkeypatch):
     minus = IntMatrix([[-int(i == j) for j in range(5)] for i in range(5)])
     swap = weyl_generators("S", 5)[0]
     assert roots._reflection_pair(minus) is None
-    assert roots._root_walk(groups.GroupAction(5, [minus, swap])) is None
     assert built == []
-    assert roots._root_walk(groups.GroupAction(5, [swap, minus])) is None
+    walk = roots._root_walk(groups.GroupAction(5, [minus, swap]))
+    assert walk.pairs == {(1, -1, 0, 0, 0): (1, -1, 0, 0, 0)}
+    assert (len(walk.omega), walk.order) == (2, 4)
     assert built == [swap]
 
 
@@ -200,8 +211,39 @@ def test_verdict_on_b4_computes_no_displacement_rank(monkeypatch):
     assert len(calls) == 0
 
 
-def minus_identity(n):
-    return mat([[-int(i == j) for j in range(n)] for i in range(n)])
+def assert_agrees_with_the_closure(gens) -> list:
+    """Order, reflections and `is_reflection_group` against the listed
+    group, and `_close` called at most once, on Omega: |G| / |W_N|
+    elements, W_N the group generated by the G-conjugates of the
+    generators that are reflections, closed here from those conjugates.
+    Returns the lengths of the lists `_close` made."""
+    listed, close = [], groups._close
+
+    def recording_close(*args):
+        elements = close(*args)
+        listed.append(len(elements))
+        return elements
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups, "_close", recording_close)
+        group = close_group(gens)
+        refls = find_reflections(group)
+        generated = is_reflection_group(group)
+    assert len(listed) <= 1
+    inverses = [oracle_inverse_unimodular(g) for g in group.generators]
+    conjugates = [g for g in group.generators
+                  if roots._reflection_pair(g) is not None]
+    for s in conjugates:  # `conjugates` grows while it is walked
+        for g, g_inv in zip(group.generators, inverses):
+            if (t := g_inv * s * g) not in conjugates:
+                conjugates.append(t)
+    normal = len(close(group.rank, conjugates, group.order))
+    assert listed == [] if group.order == normal else \
+        listed == [group.order // normal]
+    assert group.order == len(group.elements)
+    assert refls == oracle_find_reflections(group)
+    assert generated == oracle_is_reflection_group(group)
+    return listed
 
 
 @settings(max_examples=48, deadline=None, derandomize=True, database=None)
@@ -215,8 +257,7 @@ def test_descent_agrees_with_the_closure_oracle(gens, with_product,
         gens = gens + [gens[0] * gens[-1]]
     if with_minus:
         gens = gens + [minus_identity(gens[0].nrows)]
-    group = close_group(gens)
-    assert is_reflection_group(group) == oracle_is_reflection_group(group)
+    assert_agrees_with_the_closure(gens)
 
 
 ROT90_XM1 = mat([[0, 1, 0], [-1, 0, 0], [0, 0, -1]])
@@ -236,30 +277,56 @@ DESCENT_CASES = {
     "A2-by-coxeter": ([mat([[0, 1], [-1, -1]]), R2], True),
     "B3-by-minus": (weyl_generators("B", 3)[1:] + [
         minus_identity(3), weyl_generators("B", 3)[0]], True),
+    # Omega holds a reflection outside W_N, walked in a second pass
+    "G2-as-A2+-I": (weyl_generators("A", 2) + [minus_identity(2)], True),
+    "s_e1+-I": ([mat([[-1, 0], [0, 1]]), minus_identity(2)], True),
+    # no generator is a reflection, but the cube of -1 + C3 on Z + Z^2 is
+    "C6-cubed-reflects": ([mat([[-1, 0, 0], [0, 0, 1], [0, -1, -1]])],
+                          False),
+}
+
+# (|W'|, |G|, |Omega| as listed, |Omega| at the end): in G2 = W(A2) x
+# {+-1}, Omega = <-w0>, and -w0 is a reflection; with s_e1 and -I,
+# Omega = <s_e2>; in W(A4) x {+-1}, Omega = {1, -w0}, no reflection; with
+# no reflection generator, Omega = G is listed, and its reflection walked
+DESCENT_ORDERS = {
+    "S4x+-I": (24, 48, 2, 2),
+    "A4x+-1": (120, 240, 2, 2),
+    "B3-by-minus": (48, 48, 1, 1),
+    "G2-as-A2+-I": (12, 12, 2, 1),
+    "s_e1+-I": (4, 4, 2, 1),
+    "C6-cubed-reflects": (2, 6, 6, 3),
 }
 
 
-@pytest.mark.parametrize("gens, expected", DESCENT_CASES.values(),
+@pytest.mark.parametrize("name, case", DESCENT_CASES.items(),
                          ids=DESCENT_CASES.keys())
-def test_descent_on_groups_beyond_the_weyl_blocks(gens, expected):
+def test_descent_on_groups_beyond_the_weyl_blocks(name, case):
+    gens, expected = case
+    listed = assert_agrees_with_the_closure(gens)
     group = close_group(gens)
     assert oracle_is_reflection_group(group) == expected
     assert is_reflection_group(group) == expected
+    if name in DESCENT_ORDERS:
+        walk = roots._root_walk(group)
+        assert (group.order // len(walk.omega), group.order,
+                listed[0] if listed else 1, len(walk.omega)) == \
+            DESCENT_ORDERS[name]
 
 
 @pytest.mark.parametrize("name, case", DESCENT_CASES.items(),
                          ids=DESCENT_CASES.keys())
 def test_weyl_order_is_the_listed_order_of_the_reflection_subgroup(name,
                                                                    case):
-    # |W'| read off the root heights against the subgroup the reflections
-    # generate, listed; without reflections W' = 1 and no height is read
+    # |W'| = |G| / |Omega|, read off the root heights, against the
+    # subgroup the reflections generate, listed; without reflections
+    # W' = 1
     group = close_group(case[0])
     refls = [r.matrix for r in find_reflections(group)]
     listed = len(groups._close(group.rank, refls, group.order))
-    assert (roots._weyl_order(group) if refls else 1) == listed
-    orders = {"S4x+-I": (24, 48), "B3-by-minus": (48, 48)}
-    if name in orders:
-        assert (listed, group.order) == orders[name]
+    assert group.order // len(roots._root_walk(group).omega) == listed
+    if name in DESCENT_ORDERS:
+        assert (listed, group.order) == DESCENT_ORDERS[name][:2]
 
 
 def test_reflections_generating_a_proper_subgroup():
@@ -434,7 +501,8 @@ def test_base_coordinates_match_per_root_solves(gens):
     equations = [[b[k] for b in rd.base] for k in range(group.rank)]
     for r, c in coordinates.items():
         assert oracle_solve_linear(equations, r) == c
-    base, coordinates = roots._base_coordinates(group)
+    walk = roots._root_walk(group)
+    base, coordinates = walk.base, walk.coordinates
     positive = {r for r, c in coordinates.items() if min(c) >= 0}
     assert base == rd.base
     assert {tuple(-x for x in r) for r in positive} == rd.roots - positive

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 
 from multinv import (
-    GroupAction,
     GroupTooLarge,
     build_root_system,
     close_group,
@@ -152,16 +151,34 @@ def test_e8_times_a1_walks_242_roots(no_closure):
     assert group.order == order
 
 
-@pytest.mark.parametrize("gens", [
-    # no reflection
-    [mat([[1, 1], [0, 1]])],
-], ids=["shear"])
-def test_infinite_groups_take_the_closure(gens):
+# s_e1 on Z^3, and a shear of e2 and e3
+S_E1 = mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+SHEAR_23 = mat([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("gens, caps", [
+    # no reflection: W_N = 1, and Omega = G is closed to the cap
+    ([mat([[1, 1], [0, 1]])], [1000]),
+    # W_N = <s_e1> is finite, and Omega, the shear's powers, is closed
+    # to 1000 // |W_N|
+    ([S_E1, SHEAR_23], [500]),
+    # h^-1 s_e1 h = s_(2, 1) and s_e1 have k m = 8 (dihedral rule): the
+    # walk stops on its second pair, and nothing is closed
+    ([mat([[-1, 0], [0, 1]]), mat([[2, 1], [1, 1]])], []),
+], ids=["shear", "reflection+shear", "reflection+hyperbolic"])
+def test_infinite_groups_take_the_closure(monkeypatch, gens, caps):
+    closed, close = [], groups._close
+
+    def recording_close(rank, gens, cap):
+        closed.append(cap)
+        return close(rank, gens, cap)
+
+    monkeypatch.setattr(groups, "_close", recording_close)
     with pytest.raises(GroupTooLarge) as exc:
         close_group(gens, cap=1000)
     assert str(exc.value) == ("closure exceeded 1000 elements; group is "
                               "probably infinite")
-    assert roots._root_walk(GroupAction(2, gens)) is None
+    assert closed == caps
 
 
 # a root with two coroots c1 != c2 makes s1 s2 = 1 + (c1 - c2) (x) a, of
@@ -273,7 +290,7 @@ def walk_moves_before_it_stops(monkeypatch, pairs) -> int:
 
 
 def assert_pivot_base_is_indecomposable(group):
-    root_set = roots._root_span(group)
+    root_set = roots._root_walk(group).roots
     assert roots._generic_base(root_set) == \
         oracle_indecomposable_base(root_set)
 
