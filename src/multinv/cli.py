@@ -27,7 +27,8 @@ from .classify import (
 from .errors import InvalidInput, MultInvError
 from .groups import DEFAULT_CLOSURE_CAP, close_group, fixed_sublattice
 from .lattice import IntMatrix
-from .laurent import fundamental_invariants_detailed, variable_labels
+from .laurent import (fundamental_invariants_detailed, render_polynomials,
+                      variable_labels)
 from .monoid import enumerate_box
 from .roots import build_root_system, find_reflections, is_reflection_group
 
@@ -194,15 +195,16 @@ def cmd_invariants(action, desc: ActionDescription):
     rd = pipe.root_datum
     invs = fundamental_invariants_detailed(action, rd, pipe.weight_monoid)
     weight_names = [f"w{i + 1}" for i in range(rd.rank)]
-    entries = []
-    for inv in invs:
-        entries.append(
-            {
-                "powers": list(inv.powers),
-                "factored": _factored_label(inv, desc.labels, weight_names),
-                "expanded": inv.polynomial.render(desc.labels),
-            }
-        )
+    expanded = render_polynomials([inv.polynomial for inv in invs],
+                                  desc.labels)
+    entries = [
+        {
+            "powers": list(inv.powers),
+            "factored": _factored_label(inv, desc.labels, weight_names),
+            "expanded": text,
+        }
+        for inv, text in zip(invs, expanded)
+    ]
     report = {
         "command": "invariants",
         "labels": list(desc.labels),

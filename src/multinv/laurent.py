@@ -5,8 +5,13 @@ A polynomial maps integer exponent vectors to nonzero `int`
 coefficients.  The fundamental invariants are products of orbit sums of
 fundamental weights.  They are multiplied in the orbit-sum basis, on
 {dominant weight: coefficient} dicts in integer weight coordinates, and
-each dominant term's Weyl orbit is expanded and mapped to the lattice
-once, at the end.
+each dominant term's Weyl orbit is expanded and mapped to the lattice at
+the end.  Within one call each repeated piece is computed once: the
+product of an orbit sum by a fundamental one, a dominant weight's orbit
+under a given unit prefix, however many invariants hold it, and, in
+`render_polynomials`, the text of each exponent's term.  The columns
+each generator moves, which `is_invariant` reads, are a fact of the
+action (`groups.memoised`).
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import add, mul
+from operator import add, getitem, mul
 
 from .errors import AxiomFailure, SupportEscape
-from .groups import GroupAction
+from .groups import GroupAction, memoised
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
 from .roots import (RootDatum, _dominant, _dot, _orbit_sizes, _sparse,
@@ -93,39 +98,52 @@ class LaurentPolynomial:
         return list(zip(exponents, map(self.terms.__getitem__, exponents)))
 
     def render(self, labels=None) -> str:
-        if not self.terms:
-            return "0"
         labels = variable_labels(self.rank) if labels is None else labels
-        factor = _Factors(labels).__getitem__
-        out = []
-        for e, c in self.sorted_terms():
-            body = "*".join(filter(None, map(factor, enumerate(e))))
-            mag = abs(c)
-            if mag != 1:
-                body = f"{mag}*{body}" if body else str(mag)
-            out += (" - " if c < 0 else " + "), body or "1"
-        out[0] = "-" if out[0] == " - " else ""
-        return "".join(out)
+        return render_polynomials([self], labels)[0]
 
     def __repr__(self):
         return f"LaurentPolynomial({self.render()!r})"
 
 
+def render_polynomials(polys, labels) -> list[str]:
+    """Each polynomial as text, "0" for the zero polynomial, its terms in
+    `sorted_terms` order, the coordinates named by `labels`.  A term's
+    body, its factors joined by "*", is built once for each exponent
+    over all the polynomials, from one table of factors per coordinate
+    (`_Factors`)."""
+    factors = [_Factors(name) for name in labels]
+    bodies = {}  # exponent -> its term's body, "" for the zero exponent
+    texts = []
+    for p in polys:
+        out = []
+        for e, c in p.sorted_terms():
+            body = bodies.get(e)
+            if body is None:
+                body = bodies[e] = "*".join(
+                    filter(None, map(getitem, factors, e)))
+            mag = abs(c)
+            if mag != 1:
+                body = f"{mag}*{body}" if body else str(mag)
+            out += (" - " if c < 0 else " + "), body or "1"
+        if out:
+            out[0] = "-" if out[0] == " - " else ""
+        texts.append("".join(out) or "0")
+    return texts
+
+
 class _Factors(dict):
-    """(coordinate, exponent) -> the factor a rendered term shows for
-    it, "" for exponent zero; each is formatted on first use."""
+    """exponent -> the factor a rendered term shows for it in one
+    coordinate, "" for exponent zero; each is formatted on first use."""
 
-    __slots__ = ("labels",)
+    __slots__ = ("name",)
 
-    def __init__(self, labels):
+    def __init__(self, name):
         super().__init__()
-        self.labels = labels
+        self.name = name
 
-    def __missing__(self, key):
-        k, x = key
-        name = self.labels[k]
-        text = "" if not x else name if x == 1 else f"{name}^{x}"
-        self[key] = text
+    def __missing__(self, x):
+        name = self.name
+        text = self[x] = "" if not x else name if x == 1 else f"{name}^{x}"
         return text
 
 
@@ -142,26 +160,29 @@ def is_invariant(action: GroupAction, p: LaurentPolynomial) -> bool:
 
     Coordinate k of e.g is e . (column k of g), so e.g differs from e
     only in the coordinates whose column of g differs from the
-    identity's.  The exponents are held coordinate by coordinate, and
-    each such coordinate of every image is a combination of them by the
-    column's nonzero entries."""
+    identity's, which are read once per action (`_moved_columns`).  The
+    exponents are held coordinate by coordinate, and each such
+    coordinate of every image is a combination of them by the column's
+    nonzero entries."""
     coefficients = list(p.terms.values())
     coords = list(zip(*p.terms)) if p.terms else [()] * p.rank
-    for g in action.generators:
+    for moved in _moved_columns(action):
         images = list(coords)
-        for k, column in _moved_columns(g):
+        for k, column in moved:
             images[k] = _combination(coords, column)
         if list(map(p.terms.get, zip(*images))) != coefficients:
             return False
     return True
 
 
-def _moved_columns(g: IntMatrix):
-    """(k, ((i, g[i][k]) for the nonzero entries)) for each column k of g
-    that differs from the identity's."""
-    return [(k, tuple((i, a) for i, a in enumerate(column) if a))
-            for k, column in enumerate(zip(*g.entries))
-            if any(a != (i == k) for i, a in enumerate(column))]
+@memoised
+def _moved_columns(action: GroupAction) -> tuple:
+    """For each generator g, (k, ((i, g[i][k]) for the nonzero entries))
+    for each column k of g that differs from the identity's."""
+    return tuple(tuple((k, tuple((i, a) for i, a in enumerate(column) if a))
+                       for k, column in enumerate(zip(*g.entries))
+                       if any(a != (i == k) for i, a in enumerate(column)))
+                 for g in action.generators)
 
 
 def _combination(coords, column) -> list:
@@ -204,6 +225,8 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     N the common denominator of the weights; the rest of its orbit is
     walked down from there as `weight_orbit` walks it, in lattice
     coordinates, since s_i moves the exponent of mu by -mu_i * alpha_i.
+    A dominant weight that recurs under the same unit prefix is walked
+    once.
 
     For non-effective actions the bare product lives in a refinement of
     the lattice; multiplying by the fixed-lattice monomial of a lattice
@@ -217,6 +240,7 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     # ambient exponent of the weight mu, in 1/N units
     columns = tuple(zip(*(tuple(int(x * den) for x in w)
                           for w in rd.fundamental_weights)))
+    orbits = {}  # (dominant weight, shift) -> its orbit's exponents
     out = []
     for row, terms in zip(wm.hilbert_basis,
                           _orbit_sum_products(rd, wm.hilbert_basis)):
@@ -234,14 +258,16 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
         # map to the lattice injectively: no two terms share an exponent
         exponents = {}
         for lam, c in terms.items():
-            point = [s + _dot(lam, col) for s, col in zip(shift, columns)]
-            if any(x % den for x in point):
-                raise SupportEscape(
-                    f"invariant for {row} has support outside the lattice"
-                )
-            for _, e in _walk_down(cartan, simple_roots, lam,
-                                   [x // den for x in point]):
-                exponents[e] = c
+            key = lam, shift
+            if key not in orbits:
+                point = [s + _dot(lam, col) for s, col in zip(shift, columns)]
+                if any(x % den for x in point):
+                    raise SupportEscape(
+                        f"invariant for {row} has support outside the lattice"
+                    )
+                orbits[key] = [e for _, e in _walk_down(
+                    cartan, simple_roots, lam, [x // den for x in point])]
+            exponents.update(zip(orbits[key], repeat(c)))
         # int coefficients from the products, exponent tuples of ints
         poly = LaurentPolynomial._from_checked_terms(n, exponents)
         if not is_invariant(action, poly):
@@ -262,32 +288,43 @@ def _orbit_sum_products(rd: RootDatum, rows) -> list[dict]:
     with kappa' = kappa.  The sum runs over the smaller of the two
     orbits, and the counts for each lambda are added up before dividing
     (as LiE does; van Leeuwen, Cohen and Lisser, CAN 1992).  Partial
-    products are shared between rows."""
+    products are shared between rows, and each m_kappa * m_j is taken
+    once."""
     r = rd.rank
     cartan = _sparse(rd.cartan.entries)
     size = _orbit_sizes(rd)
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     orbits = {}  # dominant weight -> its orbit, listed on first use
+    pairs = {}  # (kappa, j) -> m_kappa * m_j, taken on first use
 
-    def times(terms: dict, unit) -> dict:
+    def pair(kappa, unit) -> dict:
+        # m_kappa * m_unit, summed over the smaller orbit, W mu
+        kappa, mu = ((unit, kappa) if size(kappa) < size(unit)
+                     else (kappa, unit))
+        if mu not in orbits:
+            orbits[mu] = weight_orbit(rd, mu)
+        counts: dict = {}
+        for nu in orbits[mu]:
+            lam = _dominant(cartan, [a + b for a, b in zip(kappa, nu)])
+            counts[lam] = counts.get(lam, 0) + 1
+        k = size(kappa)
+        out = {}
+        for lam, m in counts.items():
+            q, rem = divmod(k * m, size(lam))
+            if rem:
+                raise AxiomFailure(
+                    f"orbit-sum product coefficient {k * m}/{size(lam)}"
+                    " is not an integer")
+            out[lam] = q
+        return out
+
+    def times(terms: dict, j: int) -> dict:
         out: dict = {}
         for kappa, c in terms.items():
-            # m_kappa * m_unit, summed over the smaller orbit, W mu
-            kappa, mu = ((unit, kappa) if size(kappa) < size(unit)
-                         else (kappa, unit))
-            if mu not in orbits:
-                orbits[mu] = weight_orbit(rd, mu)
-            counts: dict = {}
-            for nu in orbits[mu]:
-                lam = _dominant(cartan, [a + b for a, b in zip(kappa, nu)])
-                counts[lam] = counts.get(lam, 0) + 1
-            k = size(kappa)
-            for lam, m in counts.items():
-                q, rem = divmod(k * m, size(lam))
-                if rem:
-                    raise AxiomFailure(
-                        f"orbit-sum product coefficient {k * m}/{size(lam)}"
-                        " is not an integer")
+            key = kappa, j
+            if key not in pairs:
+                pairs[key] = pair(kappa, units[j])
+            for lam, q in pairs[key].items():
                 out[lam] = out.get(lam, 0) + c * q
         return out
 
@@ -300,7 +337,7 @@ def _orbit_sum_products(rd: RootDatum, rows) -> list[dict]:
             for _ in range(power):
                 prev, key = key, key[:j] + (key[j] + 1,) + key[j + 1:]
                 if key not in products:
-                    products[key] = times(products[prev], units[j])
+                    products[key] = times(products[prev], j)
         out.append(products[key])
     return out
 
@@ -309,6 +346,7 @@ __all__ = [
     "LaurentPolynomial",
     "FundamentalInvariant",
     "variable_labels",
+    "render_polynomials",
     "is_invariant",
     "fundamental_invariants_detailed",
 ]

@@ -417,9 +417,10 @@ def _check_base(roots: frozenset, base, rank: int, strict: bool) -> dict:
     over which every root has integer coordinates of one sign.  Returns
     {root: its coordinates over the base}.
 
-    The coordinates of all roots come from one fraction-free elimination
-    of [base^T | roots^T] on the base columns: divided by the last pivot,
-    the first `rank` rows hold them.
+    The coordinates come from one fraction-free elimination of
+    [base^T | roots^T] on the base columns, over the first root of each
+    +-pair in `roots` (the other's are those negated): divided by the
+    last pivot, the first `rank` rows hold them.
     """
     exc = InvalidBase if strict else AxiomFailure
     if len(base) != rank:
@@ -427,20 +428,22 @@ def _check_base(roots: frozenset, base, rank: int, strict: bool) -> dict:
     for b in base:
         if b not in roots:
             raise exc(f"base vector {b} is not a root")
-    order = list(roots)
-    columns = [*base, *order]
+    pairs = {}
+    for r in roots:
+        pairs.setdefault(max(r, _negated(r)), []).append(r)
+    columns = [*base, *(r for r, _ in pairs.values())]
     rows, pivots, scale, _ = _echelon(zip(*columns), rank, reduced=True)
     if len(pivots) != rank:
         raise exc("base vectors are linearly dependent")
     coordinates = {}
-    for j, r in enumerate(order, rank):
+    for j, (r, minus_r) in enumerate(pairs.values(), rank):
         split = [divmod(row[j], scale) for row in rows[:rank]]
         if any(row[j] for row in rows[rank:]) or any(m for _, m in split):
             raise exc(f"root {r} is not an integer combination of the base")
         coeffs = tuple(q for q, _ in split)
         if max(coeffs) > 0 and min(coeffs) < 0:
             raise exc(f"root {r} has mixed signs over the base")
-        coordinates[r] = coeffs
+        coordinates[r], coordinates[minus_r] = coeffs, _negated(coeffs)
     return coordinates
 
 

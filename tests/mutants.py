@@ -237,7 +237,7 @@ MUTANTS = [
      "gives no rows and a fixed sublattice of rank 0"),
     ("src/multinv/laurent.py",
      "        images = list(coords)\n",
-     "        if not _moved_columns(g):\n"
+     "        if not moved:\n"
      "            continue\n"
      "        images = list(coords)\n",
      ["tests/test_laurent.py"],
@@ -410,8 +410,8 @@ MUTANTS = [
      ["tests/test_laurent.py"],
      "`is_invariant` reads one entry per moved column"),
     ("src/multinv/laurent.py",
-     "        for k, column in _moved_columns(g):\n",
-     "        for k, column in _moved_columns(g)[:1]:\n",
+     "        for k, column in moved:\n",
+     "        for k, column in moved[:1]:\n",
      ["tests/test_laurent.py"],
      "`is_invariant` reads only the first moved column"),
     ("src/multinv/laurent.py",
@@ -421,10 +421,11 @@ MUTANTS = [
      ["tests/test_laurent.py"],
      "`is_invariant` reads every entry as 1"),
     ("src/multinv/laurent.py",
-     "    for g in action.generators:\n",
-     "    for g in action.generators[:-1]:\n",
+     "                 for g in action.generators)\n",
+     "                 for g in action.generators[:-1])\n",
      ["tests/test_laurent.py"],
-     "`is_invariant` skips the last generator"),
+     "the moved columns of the last generator are left out, so "
+     "`is_invariant` skips it"),
     ("src/multinv/roots.py",
      "h for support, h in supports if not support & ~zeros))",
      "h for support, h in supports if not support & zeros))",
@@ -437,8 +438,8 @@ MUTANTS = [
      "`weight_orbit` walks from the weight itself, not its dominant "
      "representative"),
     ("src/multinv/laurent.py",
-     "            k = size(kappa)\n",
-     "            k = 1\n",
+     "        k = size(kappa)\n",
+     "        k = 1\n",
      ["tests/test_laurent.py"],
      "the product ignores |W kappa|"),
     ("src/multinv/laurent.py",
@@ -546,6 +547,37 @@ MUTANTS = [
      ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
      "with no reflection generator, the reflections of G are not walked, so "
      "the cube of -1 + C3 is missed"),
+    ("src/multinv/laurent.py",
+     "            key = lam, shift\n",
+     "            key = lam\n",
+     ["tests/test_laurent.py::"
+      "test_an_orbit_is_shared_only_under_the_same_unit_prefix"],
+     "an orbit is shared by dominant weight alone, so a row with another "
+     "unit prefix gets the first row's exponents"),
+    ("src/multinv/laurent.py",
+     "            key = kappa, j\n",
+     "            key = kappa\n",
+     ["tests/test_laurent.py"],
+     "a pair product is shared by kappa alone, so m_kappa times every "
+     "fundamental orbit sum is the first one computed"),
+    ("src/multinv/laurent.py",
+     "        texts.append(\"\".join(out) or \"0\")\n",
+     "        texts.append(\"\".join(out))\n",
+     ["tests/test_laurent.py::"
+      "test_one_render_pass_gives_each_polynomial_its_own_text"],
+     "the zero polynomial renders as the empty string"),
+    ("src/multinv/roots.py",
+     "        coordinates[r], coordinates[minus_r] = coeffs, _negated(coeffs)\n",
+     "        coordinates[r], coordinates[minus_r] = coeffs, coeffs\n",
+     ["tests/test_weyl.py"],
+     "the second root of each +-pair takes the coordinates of the first, "
+     "not their negatives"),
+    ("src/multinv/roots.py",
+     "        pairs.setdefault(max(r, _negated(r)), []).append(r)\n",
+     "        pairs.setdefault(max(r, _negated(r)), []).insert(0, r)\n",
+     ["tests/test_roots.py"],
+     "the last root of each +-pair is eliminated, so a bad base is "
+     "reported on another root"),
 ]
 
 

@@ -11,6 +11,7 @@ from multinv import (
     AxiomFailure,
     IntMatrix,
     LaurentPolynomial,
+    Sublattice,
     build_root_system,
     build_weight_monoid,
     close_group,
@@ -19,6 +20,7 @@ from multinv import (
     kernel_lattice,
     laurent,
     reflection_monoid,
+    render_polynomials,
     weight_orbit,
 )
 from multinv.groups import DEFAULT_CLOSURE_CAP, _search
@@ -213,7 +215,9 @@ def test_invariance_reads_every_entry_of_a_moved_column():
     # entries: (e0, e1) -> (e0, -e0 - e1).  Read from one entry alone,
     # (1, 1) would go to (1, -1) and back; it goes to (1, -2)
     g = close_group([S2])
-    assert laurent._moved_columns(S2) == [(1, ((0, -1), (1, -1)))]
+    assert laurent._moved_columns(g) == (((1, ((0, -1), (1, -1))),),)
+    # a fact of the action, computed once for every polynomial
+    assert laurent._moved_columns(g) is laurent._moved_columns(g)
     assert not is_invariant(g, poly(2, {(1, 1): 1, (1, -1): 1}))
     assert is_invariant(g, poly(2, {(1, 1): 1, (1, -2): 1}))
     assert not is_invariant(g, poly(2, {(1, 1): 1, (1, -2): 2}))
@@ -475,6 +479,29 @@ def test_orbit_sum_products_are_the_orbit_sum_decomposition(gens):
             group, inv.polynomial.terms) == expect
 
 
+def test_an_orbit_is_shared_only_under_the_same_unit_prefix():
+    # S4 permuting the coordinates of the D4 root lattice (even
+    # coordinate sum), in its Hermite basis: the lattice holds 2 w2 but
+    # not w2, and does not split as moving part plus fixed part, so the
+    # dominant weight w2 is a term of three rows, under two prefixes
+    d4 = Sublattice(4, [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1),
+                        (0, 0, 1, 1)])
+    group = close_group([
+        IntMatrix([[int(c) for c in d4.coefficients(g.apply(b))]
+                   for b in d4.basis])
+        for g in weyl_generators("S", 4)])
+    pipe = reflection_monoid(group)
+    rd, wm = pipe.root_datum, pipe.weight_monoid
+    invs = fundamental_invariants_detailed(group, rd, wm)
+    prefixes = {}
+    for terms, inv in zip(laurent._orbit_sum_products(rd, wm.hilbert_basis),
+                          invs):
+        for lam in terms:
+            prefixes.setdefault(lam, set()).add(inv.unit_prefix)
+    assert len(prefixes[(0, 1, 0)]) == 2
+    assert invs == oracle_fundamental_invariants(group, rd, wm)
+
+
 def test_e6_invariants_have_the_product_term_count():
     # the orbit-sum product of powers (p_j) of orbits of sizes s_j is a
     # sum of prod s_j ** p_j monomials, counted with multiplicity
@@ -519,3 +546,29 @@ def test_render_formats():
     r = LaurentPolynomial(2, {(1, 2): 1, (4, -3): -2, (-2, 0): 3,
                               (2, 1): -1})
     assert r.render() == "-a^2*b + a*b^2 - 2*a^4*b^-3 + 3*a^-2"
+
+
+def test_one_render_pass_gives_each_polynomial_its_own_text():
+    # the zero polynomial, a constant, coefficients +-1 and beyond, and
+    # exponents shared between polynomials, which share a term body
+    polys = [
+        LaurentPolynomial(2, {}),
+        poly(2, {(0, 0): 7}),
+        poly(2, {(1, -1): 1, (0, 0): -1, (-1, 2): -2}),
+        poly(2, {(1, -1): -3, (-1, 2): 1, (0, 0): 1}),
+        poly(2, {(0, 0): -1}),
+    ]
+    texts = ["0", "7", "-2*a^-1*b^2 + a*b^-1 - 1",
+             "a^-1*b^2 - 3*a*b^-1 + 1", "-1"]
+    assert render_polynomials(polys, variable_labels(2)) == texts
+    assert [p.render() for p in polys] == texts
+    assert render_polynomials(polys[::-1], ("u", "v")) == [
+        p.render(("u", "v")) for p in polys[::-1]]
+    # past rank 26 the coordinates are x1, x2, ...
+    e = [0] * 27
+    big = [poly(27, {tuple(e[:3] + [2] + e[4:]): -1,
+                     tuple([1] + e[1:26] + [-1]): 1, tuple(e): -5}),
+           poly(27, {tuple([1] + e[1:26] + [-1]): 2})]
+    texts = ["-x4^2 + x1*x27^-1 - 5", "2*x1*x27^-1"]
+    assert render_polynomials(big, variable_labels(27)) == texts
+    assert [p.render() for p in big] == texts
