@@ -157,8 +157,11 @@ def _is_sign_group(action: GroupAction) -> bool:
 
 def verdict(action: GroupAction, base=None) -> Verdict:
     """Decide (or honestly refuse to decide) whether the invariant
-    algebra is a semigroup algebra."""
+    algebra is a semigroup algebra.  A given `base` is checked on every
+    branch, also where no root datum is read."""
     if action.order == 1:
+        if base is not None:
+            build_root_system(action, base=base)
         empty = WeightMonoid((), (), ())
         return Verdict(
             SEMIGROUP_ALGEBRA,
@@ -177,6 +180,8 @@ def verdict(action: GroupAction, base=None) -> Verdict:
             f"semigroup algebra of {md}",
             md,
         )
+    if base is not None:
+        build_root_system(action, base=base)  # NotReflectionGroup
     quotient_rank = action.rank - fixed_sublattice(action).rank
     # over Q the lattice is the fixed space plus a G-stable complement,
     # and g is the identity on the fixed space: rank(1 - g) is the same

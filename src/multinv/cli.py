@@ -276,6 +276,8 @@ def cmd_verdict(action, desc: ActionDescription):
 
 
 def cmd_singular_locus(action, desc: ActionDescription):
+    if desc.base_override is not None:
+        raise InvalidInput("singular-locus takes no base override")
     rep = sign_group_singular_locus(action)
     components = [
         {"coordinates": [i + 1 for i in coords], "signs": list(signs)}

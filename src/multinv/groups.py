@@ -48,8 +48,8 @@ class GroupAction:
     walked reflections generate: |G| = |W_N| |Omega|.
 
     Facts derived from the group (fixed sublattice, least displacement
-    rank, reflections, whether the reflections generate, the columns each
-    generator moves) are memoised on the action (see `memoised`): each is
+    rank, the root walk, reflections, the columns each generator moves)
+    are memoised on the action (see `memoised`): each is
     computed on first use and read back after that.  They are
     deterministic, so sharing an action between threads can at worst
     compute a fact twice.

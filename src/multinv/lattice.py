@@ -260,9 +260,8 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             for j in range(t + 1, nc):
                 _row_step(t, j, t, dt, vt)
             d = [list(row) for row in zip(*dt)]
+            # the column steps clear row t, but may refill column t
             if any(d[i][t] for i in range(t + 1, nr)):
-                continue
-            if any(d[t][j] for j in range(t + 1, nc)):
                 continue
             p = d[t][t]
             bad = next(

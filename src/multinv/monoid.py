@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm, prod
+from math import prod
 from operator import add, and_, getitem, sub
 
 from .errors import AxiomFailure, BoxTooLarge, GenerationFailure
-from .lattice import Sublattice
+from .lattice import Sublattice, common_denominator
 from .roots import RootDatum
 
 # The most lattice points a weight box may hold before it is listed.
@@ -44,7 +44,7 @@ def minimal_multipliers(rd: RootDatum, pi_lattice: Sublattice) -> tuple[int, ...
         if coeffs is None:
             raise AxiomFailure("weight outside the span of the projected "
                                "lattice")
-        out.append(lcm(*(c.denominator for c in coeffs)))
+        out.append(common_denominator(coeffs))
     return tuple(out)
 
 

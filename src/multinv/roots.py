@@ -23,7 +23,9 @@ off the coordinates of the roots over a base, all from one
 fraction-free elimination, which also proves that the base spans every
 root, so its size is their rank.  The base is the first independent
 positive roots in the order of a generic functional, the pivot columns
-of one more elimination (Humphreys, Section 1.3).
+of one more elimination (Humphreys, Section 1.3).  The walk's
+{root: coroot} map, one root per line, is the one record of the root
+lines: the base, the coordinates and the simple coroots are read off it.
 
 W_N acts simply transitively on the positive systems, so
 G = W_N x| Omega, Omega the stabilizer of the generic positive system,
@@ -153,10 +155,10 @@ def _reflection_matrix(root, coroot) -> IntMatrix:
     return IntMatrix._from_checked_rows(tuple(map(tuple, rows)), len(root))
 
 
-# `_root_walk`'s answer: {root: coroot} of every reflection of G; the
-# roots, both signs of each; the base of a generic functional and each
-# root's coordinates over it; Omega, listed; and |G|
-_Walk = namedtuple("_Walk", "pairs roots base coordinates omega order")
+# `_root_walk`'s answer: {root: coroot} of every reflection of G, the one
+# record of the root lines; the base of a generic functional and the
+# coordinates over it of both signs of each root; Omega, listed; and |G|
+_Walk = namedtuple("_Walk", "pairs base coordinates omega order")
 
 
 @memoised
@@ -219,7 +221,7 @@ def _root_walk(action: GroupAction) -> _Walk:
         omega = _complement(action, others, 1)
         pairs = [pair for w in omega if (pair := _reflection_pair(w))]
         if not pairs:
-            return _Walk({}, frozenset(), (), {}, omega, len(omega))
+            return _Walk({}, (), {}, omega, len(omega))
     conjugations = [(tuple(zip(*h.entries)), _inverse_rows(h))
                     for h in others]
     identity = IntMatrix.identity(action.rank)
@@ -227,13 +229,11 @@ def _root_walk(action: GroupAction) -> _Walk:
         found = _walk_pairs(pairs, action.cap, conjugations)
         if found is None:
             raise GroupTooLarge(_too_large(action.cap))
-        roots = frozenset(found) | frozenset(map(_negated, found))
-        base = _generic_base(roots)
-        coordinates = _check_base(roots, base, len(base), strict=False)
+        base = _generic_base(found)
+        coordinates = _check_base(found, base, len(base), strict=False)
         weyl_order = _kostant_order(sum(c) for c in coordinates.values()
                                     if min(c) >= 0)
-        simple = [(a, found[a]) if a in found
-                  else (a, _negated(found[_negated(a)])) for a in base]
+        simple = _simple_pairs(found, base)
         if omega is None:
             omega = _complement(action, [
                 w for h in others
@@ -244,7 +244,7 @@ def _root_walk(action: GroupAction) -> _Walk:
                                         for w in omega))
         absorbed = [pair for w in omega if (pair := _reflection_pair(w))]
         if not absorbed:
-            return _Walk(found, roots, base, coordinates, omega,
+            return _Walk(found, base, coordinates, omega,
                          weyl_order * len(omega))
         pairs += absorbed
 
@@ -348,7 +348,6 @@ def _kostant_order(heights) -> int:
     return order
 
 
-@memoised
 def is_reflection_group(action: GroupAction) -> bool:
     """True when the reflections generate the whole group (vacuously true
     for the trivial group): when Omega, the complement of `_root_walk`,
@@ -378,7 +377,6 @@ class RootDatum:
     ambient_rank: int
     roots: frozenset
     base: tuple[tuple[int, ...], ...]
-    base_reflections: tuple[Reflection, ...]
     coroots: IntMatrix
     cartan: IntMatrix
     fundamental_weights: tuple[tuple[Fraction, ...], ...]
@@ -393,58 +391,63 @@ class RootDatum:
                                         for i in range(self.rank)))
 
 
-def _generic_base(roots: frozenset) -> tuple[tuple[int, ...], ...]:
+def _generic_base(lines) -> tuple[tuple[int, ...], ...]:
     """The base of the positive system of a generic linear functional: the
-    pivot columns of one forward elimination over the positive roots in
-    the order of their values.  A positive root that is not simple is a
-    positive combination of simple roots of smaller value, so it is never
-    a pivot, and each simple root is one (Humphreys, Section 1.3)."""
-    n = len(next(iter(roots)))
+    pivot columns of one forward elimination over the positive roots, one
+    on each line of `lines`, in the order of their values.  A positive
+    root that is not simple is a positive combination of simple roots of
+    smaller value, so it is never a pivot, and each simple root is one
+    (Humphreys, Section 1.3)."""
+    n = len(next(iter(lines)))
     for t in count(1):
         functional = tuple(t**k for k in range(n))
-        values = {r: _dot(functional, r) for r in roots}
-        if any(v == 0 for v in values.values()):
+        values = [(_dot(functional, r), r) for r in lines]
+        if any(v == 0 for v, _ in values):
             continue
-        positive = [r for _, r in sorted((v, r) for r, v in values.items()
-                                         if v > 0)]
+        positive = [r for _, r in sorted(
+            (abs(v), r if v > 0 else _negated(r)) for v, r in values)]
         # the positive roots as columns
         _, pivots, _, _ = _echelon(zip(*positive), len(positive))
         return tuple(sorted(positive[j] for j in pivots))
 
 
-def _check_base(roots: frozenset, base, rank: int, strict: bool) -> dict:
-    """Check that `base` is a base of the roots: `rank` independent roots
-    over which every root has integer coordinates of one sign.  Returns
-    {root: its coordinates over the base}.
+def _check_base(lines, base, rank: int, strict: bool) -> dict:
+    """Check that `base` is a base of the roots +-`lines`: `rank`
+    independent roots over which every root has integer coordinates of
+    one sign.  Returns {root: its coordinates over the base}.
 
     The coordinates come from one fraction-free elimination of
-    [base^T | roots^T] on the base columns, over the first root of each
-    +-pair in `roots` (the other's are those negated): divided by the
-    last pivot, the first `rank` rows hold them.
+    [base^T | lines^T] on the base columns (those of -a are those of a
+    negated): divided by the last pivot, the first `rank` rows hold them.
+    The first root of `lines` that fails is named, as `lines` holds it.
     """
     exc = InvalidBase if strict else AxiomFailure
     if len(base) != rank:
         raise exc(f"base must have {rank} roots, got {len(base)}")
     for b in base:
-        if b not in roots:
+        if b not in lines and _negated(b) not in lines:
             raise exc(f"base vector {b} is not a root")
-    pairs = {}
-    for r in roots:
-        pairs.setdefault(max(r, _negated(r)), []).append(r)
-    columns = [*base, *(r for r, _ in pairs.values())]
+    columns = [*base, *lines]
     rows, pivots, scale, _ = _echelon(zip(*columns), rank, reduced=True)
     if len(pivots) != rank:
         raise exc("base vectors are linearly dependent")
     coordinates = {}
-    for j, (r, minus_r) in enumerate(pairs.values(), rank):
+    for j, r in enumerate(lines, rank):
         split = [divmod(row[j], scale) for row in rows[:rank]]
         if any(row[j] for row in rows[rank:]) or any(m for _, m in split):
             raise exc(f"root {r} is not an integer combination of the base")
         coeffs = tuple(q for q, _ in split)
         if max(coeffs) > 0 and min(coeffs) < 0:
             raise exc(f"root {r} has mixed signs over the base")
-        coordinates[r], coordinates[minus_r] = coeffs, _negated(coeffs)
+        coordinates[r], coordinates[_negated(r)] = coeffs, _negated(coeffs)
     return coordinates
+
+
+def _simple_pairs(pairs: dict, base) -> list:
+    """The (root, coroot) pair of each base root, from the walk's `pairs`:
+    a base root -a has the coroot of a, negated."""
+    return [(a, pairs[a]) if a in pairs else (a, _negated(pairs[_negated(a)]))
+            for a in base]
 
 
 def build_root_system(action: GroupAction, base=None) -> RootDatum:
@@ -465,28 +468,19 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
         )
 
     walk = _root_walk(action)
-    roots, generic, coordinates = walk.roots, walk.base, walk.coordinates
     rank = n - fixed_sublattice(action).rank
-    if len(generic) != rank:
+    if len(walk.base) != rank:
         raise AxiomFailure("roots do not span the moving subspace")
     if base is None:
-        base = generic
+        base, coordinates = walk.base, walk.coordinates
     else:
         try:
-            base = tuple(
-                tuple(index(x) for x in b) for b in base
-            )
+            base = tuple(tuple(map(index, b)) for b in base)
         except TypeError as exc:
             raise InvalidBase("base vectors must be integral") from exc
-        coordinates = _check_base(roots, base, rank, strict=True)
+        coordinates = _check_base(walk.pairs, base, rank, strict=True)
 
-    # the reflection of each base root, and its coroot, negated when the
-    # base root is the negated root
-    by_line = {r.root: r for r in refls}
-    base_reflections = tuple(by_line[a if a in by_line else _negated(a)]
-                             for a in base)
-    coroots = IntMatrix((r.coroot if a == r.root else _negated(r.coroot)
-                         for a, r in zip(base, base_reflections)),
+    coroots = IntMatrix((c for _, c in _simple_pairs(walk.pairs, base)),
                         ncols=n).transpose()
     cartan = IntMatrix(base, ncols=n) * coroots
     # Cartan^-1 . base: Gauss-Jordan on the rows [Cartan | base] leaves
@@ -502,9 +496,8 @@ def build_root_system(action: GroupAction, base=None) -> RootDatum:
     return RootDatum(
         rank=rank,
         ambient_rank=n,
-        roots=roots,
+        roots=frozenset(coordinates),  # both signs of each root
         base=base,
-        base_reflections=base_reflections,
         coroots=coroots,
         cartan=cartan,
         fundamental_weights=tuple(

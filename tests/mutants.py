@@ -204,14 +204,11 @@ MUTANTS = [
      "the base check reads the rows' length off the first base root, and "
      "an empty base override on the trivial group has none"),
     ("src/multinv/roots.py",
-     "    coroots = IntMatrix((r.coroot if a == r.root else "
-     "_negated(r.coroot)\n"
-     "                         for a, r in zip(base, base_reflections)),\n"
+     "    coroots = IntMatrix((c for _, c in _simple_pairs(walk.pairs, "
+     "base)),\n"
      "                        ncols=n).transpose()\n",
-     "    coroots = IntMatrix(zip(*(r.coroot if a == r.root else "
-     "_negated(r.coroot)\n"
-     "                              for a, r in zip(base, "
-     "base_reflections))),\n"
+     "    coroots = IntMatrix(zip(*(c for _, c in _simple_pairs(walk.pairs, "
+     "base))),\n"
      "                        ncols=rank)\n",
      ["tests/test_roots.py::test_build_root_system_trivial_group"],
      "the coroot matrix is built from its columns by zip, so no base root "
@@ -243,12 +240,6 @@ MUTANTS = [
      ["tests/test_laurent.py"],
      "equivalent: a generator that moves no column maps every term to "
      "itself, so skipping it changes no answer"),
-    ("src/multinv/monoid.py",
-     "        out.append(lcm(*(c.denominator for c in coeffs)))\n",
-     "        out.append(lcm(*(c.denominator for c in coeffs)) if coeffs "
-     "else 1)\n",
-     ["tests/test_monoid.py"],
-     "equivalent: lcm() is 1, so the guard changes nothing"),
     ("src/multinv/lattice.py",
      "    return lcm(*(Fraction(x).denominator for x in v))\n",
      "    return lcm(*(Fraction(x).denominator for x in v)) if len(v) else "
@@ -313,13 +304,6 @@ MUTANTS = [
      "all(c % 2 == 1 for c in coroot)",
      ["tests/test_roots.py"],
      "the diagonalizable test is inverted"),
-    ("src/multinv/roots.py",
-     "    coroots = IntMatrix((r.coroot if a == r.root else "
-     "_negated(r.coroot)\n",
-     "    coroots = IntMatrix((r.coroot if a == r.root else r.coroot\n",
-     ["tests/test_roots.py"],
-     "the coroot of a base root that is a negated reflection root keeps its "
-     "sign"),
     ("src/multinv/roots.py",
      "    if _dot(root, coroot) != 2 or any(\n",
      "    if _dot(root, coroot) != 2 and any(\n",
@@ -567,17 +551,52 @@ MUTANTS = [
       "test_one_render_pass_gives_each_polynomial_its_own_text"],
      "the zero polynomial renders as the empty string"),
     ("src/multinv/roots.py",
-     "        coordinates[r], coordinates[minus_r] = coeffs, _negated(coeffs)\n",
-     "        coordinates[r], coordinates[minus_r] = coeffs, coeffs\n",
+     "        coordinates[r], coordinates[_negated(r)] = coeffs, "
+     "_negated(coeffs)\n",
+     "        coordinates[r], coordinates[_negated(r)] = coeffs, coeffs\n",
      ["tests/test_weyl.py"],
-     "the second root of each +-pair takes the coordinates of the first, "
-     "not their negatives"),
+     "the negative of each walked root takes its coordinates, not their "
+     "negatives"),
     ("src/multinv/roots.py",
-     "        pairs.setdefault(max(r, _negated(r)), []).append(r)\n",
-     "        pairs.setdefault(max(r, _negated(r)), []).insert(0, r)\n",
-     ["tests/test_roots.py"],
-     "the last root of each +-pair is eliminated, so a bad base is "
-     "reported on another root"),
+     "    for j, r in enumerate(lines, rank):\n",
+     "    for j, r in reversed(list(enumerate(lines, rank))):\n",
+     ["tests/test_roots.py::test_bad_user_base_messages"],
+     "the roots are checked from the last the walk found, so a bad base "
+     "is reported on another root"),
+    ("src/multinv/roots.py",
+     "(a, _negated(pairs[_negated(a)]))",
+     "(a, pairs[_negated(a)])",
+     ["tests/test_roots.py::test_weight_orbit_of_the_rank2_golden_group"],
+     "a base root that is the negative of a walked root gets the walked "
+     "root's coroot, so its coroot pairs to -2 with it"),
+    ("src/multinv/roots.py",
+     "        if b not in lines and _negated(b) not in lines:\n",
+     "        if b not in lines:\n",
+     ["tests/test_cli.py::test_invariants_with_base_override"],
+     "a base root that is the negative of a walked root is refused as no "
+     "root"),
+    ("src/multinv/classify.py",
+     "        if base is not None:\n"
+     "            build_root_system(action, base=base)\n",
+     "",
+     ["tests/test_cli.py::"
+      "test_a_base_override_on_the_trivial_group_is_checked"],
+     "analyze and verdict ignore a base override on the trivial group"),
+    ("src/multinv/classify.py",
+     "    if base is not None:\n"
+     "        build_root_system(action, base=base)  # NotReflectionGroup\n",
+     "",
+     ["tests/test_cli.py::"
+      "test_a_base_override_on_a_group_without_reflections_is_refused"],
+     "analyze and verdict ignore a base override on a group that is not "
+     "generated by reflections"),
+    ("src/multinv/cli.py",
+     "    if desc.base_override is not None:\n"
+     "        raise InvalidInput(\"singular-locus takes no base override\")\n",
+     "",
+     ["tests/test_cli.py::"
+      "test_a_base_override_on_a_group_without_reflections_is_refused"],
+     "singular-locus ignores a base override"),
 ]
 
 

@@ -829,10 +829,36 @@ def test_the_trivial_group_lists_no_element(tmp_path, capsys, monkeypatch,
 
 def test_a_base_override_on_the_trivial_group_is_checked(tmp_path, capsys):
     # the trivial group has no roots, so its base is empty, and a base of
-    # one vector is refused as it is for any group of another rank
+    # one vector is refused as it is for any group of another rank, also
+    # by analyze and verdict, which need no root datum; singular-locus
+    # reads no base, so it takes none
     path = write_doc(tmp_path, TRIVIAL_DOCS["identity"])
-    for command in ("invariants", "classgroup", "hilbert-basis"):
-        assert run(capsys, [command, path, "--base-override", "[]"]) == \
-            trivial_group_runs(2)[command, ()]
-        assert run(capsys, [command, path, "--base-override", "[[1, 0]]"]) \
-            == (2, "", "error: base must have 0 roots, got 1\n")
+    refused = (2, "", "error: singular-locus takes no base override\n")
+    for command in cli.COMMANDS:
+        assert run(capsys, [command, path, "--base-override", "[]"]) == (
+            refused if command == "singular-locus"
+            else trivial_group_runs(2)[command, ()]), command
+        assert run(capsys, [command, path, "--base-override", "[[7, 7]]"]) \
+            == (refused if command == "singular-locus" else
+                (2, "", "error: base must have 0 roots, got 1\n")), command
+
+
+@pytest.mark.parametrize("doc, bases", [
+    ({"rank": 2, "generators": [[[-1, 0], [0, -1]]]}, ("[]", "[[7, 7]]")),
+    (SIGN3_DOC, ("[]", "[[1, 0, 0]]")),
+], ids=["minus-identity", "sign-group"])
+def test_a_base_override_on_a_group_without_reflections_is_refused(
+        tmp_path, capsys, doc, bases):
+    # no base of roots is read for a group without reflections, so every
+    # command refuses any base, the empty one too, also the three that
+    # answer without one, rather than ignore it
+    path = write_doc(tmp_path, doc)
+    errors = {"classgroup": "class group formula needs a reflection group",
+              "singular-locus": "singular-locus takes no base override"}
+    for command in cli.COMMANDS:
+        assert (run(capsys, [command, path])[0] == 0) == (
+            command in ("analyze", "verdict", "singular-locus")), command
+        message = errors.get(command, "the group contains no reflections")
+        for base in bases:
+            assert run(capsys, [command, path, "--base-override", base]) \
+                == (2, "", f"error: {message}\n"), (command, base)

@@ -394,7 +394,6 @@ def test_build_root_system_trivial_group():
             ambient_rank=n,
             roots=frozenset(),
             base=(),
-            base_reflections=(),
             coroots=IntMatrix([()] * n, ncols=0),
             cartan=IntMatrix([], ncols=0),
             fundamental_weights=(),
@@ -473,9 +472,9 @@ def test_a_base_of_non_integers_is_refused():
 
 BAD_BASES = [
     (s3_action, [(1, 0), (0, 1)],
-     "root (-1, 1) has mixed signs over the base"),
+     "root (1, -1) has mixed signs over the base"),
     (s4_action, [(1, 0, 0), (0, 1, 0), (1, 0, -1)],
-     "root (0, -1, 1) has mixed signs over the base"),
+     "root (1, -1, 0) has mixed signs over the base"),
     (b2_action, [(1, 1), (1, -1)],
      "root (0, 1) is not an integer combination of the base"),
     (s3_action, [(1, 0), (-1, 0)], "base vectors are linearly dependent"),
@@ -491,21 +490,51 @@ def test_bad_user_base_messages(action, base, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("action, base, message", BAD_BASES[:3])
+def test_a_bad_base_is_refused_on_the_walks_first_failing_root(action, base,
+                                                               message):
+    # the root `test_bad_user_base_messages` expects named is the first of
+    # the walk's roots, in the walk's order and with its sign (first
+    # nonzero coordinate positive), whose coordinates over the base,
+    # solved one root at a time, are not integers of one sign
+    group = action()
+    equations = [[b[k] for b in base] for k in range(group.rank)]
+
+    def fails(r):
+        c = oracle_solve_linear(equations, r)
+        return (c is None or any(x.denominator != 1 for x in c)
+                or max(c) > 0 > min(c))
+
+    first = next(r for r in roots._root_walk(group).pairs if fails(r))
+    assert next(filter(None, first)) > 0
+    assert message.startswith(f"root {first} ")
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(conjugated_block_sums(max_trivial=1))
 def test_base_coordinates_match_per_root_solves(gens):
     group = close_group(gens)
     rd = build_root_system(group)
-    coordinates = roots._check_base(rd.roots, rd.base, rd.rank, strict=True)
+    walk = roots._root_walk(group)
+    coordinates = roots._check_base(walk.pairs, rd.base, rd.rank,
+                                    strict=True)
     assert set(coordinates) == rd.roots
     equations = [[b[k] for b in rd.base] for k in range(group.rank)]
     for r, c in coordinates.items():
         assert oracle_solve_linear(equations, r) == c
-    walk = roots._root_walk(group)
     base, coordinates = walk.base, walk.coordinates
     positive = {r for r, c in coordinates.items() if min(c) >= 0}
     assert base == rd.base
     assert {tuple(-x for x in r) for r in positive} == rd.roots - positive
+
+
+def base_reflections(action, rd):
+    """The reflection of each base root, found by its line among
+    `find_reflections`, whose roots have their first nonzero coordinate
+    positive."""
+    by_line = {r.root: r for r in find_reflections(action)}
+    return [by_line.get(a) or by_line[tuple(-x for x in a)]
+            for a in rd.base]
 
 
 def test_root_system_axioms_hold_for_golden_groups():
@@ -528,7 +557,7 @@ def test_root_system_axioms_hold_for_golden_groups():
         # the defining pairing identity of the weights
         for i, w in enumerate(rd.fundamental_weights):
             for j, (alpha, refl) in enumerate(
-                zip(rd.base, rd.base_reflections)
+                zip(rd.base, base_reflections(action, rd))
             ):
                 moved = refl.matrix.apply(w)
                 diff = tuple(a - b for a, b in zip(w, moved))
@@ -541,7 +570,8 @@ def test_root_system_axioms_hold_for_golden_groups():
         for alpha in rd.base:
             coords = [
                 int(oracle_coroot_pairing(alpha, refl, root=beta))
-                for beta, refl in zip(rd.base, rd.base_reflections)
+                for beta, refl in zip(rd.base,
+                                      base_reflections(action, rd))
             ]
             assert pi_lat.contains(coords)
 
@@ -633,13 +663,13 @@ def test_root_datum_matches_the_average_and_kernel_oracles(gens):
     rd = build_root_system(group)
     coroot_rows = [
         tuple(oracle_pairing(e, s.matrix, alpha)
-              for alpha, s in zip(rd.base, rd.base_reflections))
+              for alpha, s in zip(rd.base, base_reflections(group, rd)))
         for e in units
     ]
     assert rd.coroots.entries == tuple(coroot_rows)
     assert rd.pi_lattice == Sublattice(rd.rank, coroot_rows)
     assert rd.fundamental_weights == oracle_weights(
-        group, rd.base, [s.matrix for s in rd.base_reflections])
+        group, rd.base, [s.matrix for s in base_reflections(group, rd)])
     for i, w in enumerate(rd.fundamental_weights):
         assert rd.coroots.apply(w) == tuple(int(i == j)
                                             for j in range(rd.rank))

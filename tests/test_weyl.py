@@ -290,9 +290,9 @@ def walk_moves_before_it_stops(monkeypatch, pairs) -> int:
 
 
 def assert_pivot_base_is_indecomposable(group):
-    root_set = roots._root_walk(group).roots
-    assert roots._generic_base(root_set) == \
-        oracle_indecomposable_base(root_set)
+    lines = roots._root_walk(group).pairs
+    root_set = set(lines) | {tuple(-x for x in r) for r in lines}
+    assert roots._generic_base(lines) == oracle_indecomposable_base(root_set)
 
 
 def test_pivot_base_is_the_indecomposable_roots_on_every_block_sum():
