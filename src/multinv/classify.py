@@ -180,8 +180,11 @@ def verdict(action: GroupAction, base=None) -> Verdict:
             f"semigroup algebra of {md}",
             md,
         )
-    if base is not None:
-        build_root_system(action, base=base)  # NotReflectionGroup
+    if base is not None:  # only the override reads a root datum here
+        try:
+            build_root_system(action, base=base)
+        except NotReflectionGroup as exc:
+            raise NotReflectionGroup(f"base override refused: {exc}") from None
     quotient_rank = action.rank - fixed_sublattice(action).rank
     # over Q the lattice is the fixed space plus a G-stable complement,
     # and g is the identity on the fixed space: rank(1 - g) is the same

@@ -9,9 +9,11 @@ each dominant term's Weyl orbit is expanded and mapped to the lattice at
 the end.  Within one call each repeated piece is computed once: the
 product of an orbit sum by a fundamental one, a dominant weight's orbit
 under a given unit prefix, however many invariants hold it, and, in
-`render_polynomials`, the text of each exponent's term.  The columns
-each generator moves, which `is_invariant` reads, are a fact of the
-action (`groups.memoised`).
+`render_polynomials`, the text of each exponent's term.  Invariance is
+proved once per distinct orbit, not once per invariant: a sum of
+disjoint stable orbits with constant coefficients is invariant.  The
+columns each generator moves, which `is_invariant` reads, are a fact of
+the action (`groups.memoised`).
 """
 
 from __future__ import annotations
@@ -217,7 +219,8 @@ class FundamentalInvariant:
 def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
                                     wm: WeightMonoid) -> list[FundamentalInvariant]:
     """Products of powers of the weight orbit sums, one per Hilbert basis
-    element, each verified invariant with support inside the lattice.
+    element, each with support inside the lattice and verified
+    invariant orbit by orbit.
 
     The products are taken in the orbit-sum basis
     (`_orbit_sum_products`).  Each dominant term lambda is mapped to the
@@ -226,7 +229,9 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     walked down from there as `weight_orbit` walks it, in lattice
     coordinates, since s_i moves the exponent of mu by -mu_i * alpha_i.
     A dominant weight that recurs under the same unit prefix is walked
-    once.
+    and checked once: its orbit, every coefficient 1, must be invariant.
+    Distinct dominant weights have disjoint orbits, so each invariant,
+    a sum of such orbits with one coefficient each, is invariant too.
 
     For non-effective actions the bare product lives in a refinement of
     the lattice; multiplying by the fixed-lattice monomial of a lattice
@@ -265,13 +270,15 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
                     raise SupportEscape(
                         f"invariant for {row} has support outside the lattice"
                     )
-                orbits[key] = [e for _, e in _walk_down(
+                orbit = orbits[key] = [e for _, e in _walk_down(
                     cartan, simple_roots, lam, [x // den for x in point])]
+                stable = LaurentPolynomial._from_checked_terms(
+                    n, dict.fromkeys(orbit, 1))
+                if not is_invariant(action, stable):
+                    raise AxiomFailure("fundamental invariant is not invariant")
             exponents.update(zip(orbits[key], repeat(c)))
         # int coefficients from the products, exponent tuples of ints
         poly = LaurentPolynomial._from_checked_terms(n, exponents)
-        if not is_invariant(action, poly):
-            raise AxiomFailure("fundamental invariant is not invariant")
         out.append(FundamentalInvariant(tuple(row), prefix, poly))
     return out
 

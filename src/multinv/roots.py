@@ -63,8 +63,10 @@ O(r * |R|) steps, not one check per reflection and root: the
 `_root_walk` uses must be exactly the reflections' pairs.  Then each
 simple reflection s_i maps the roots into themselves, and every
 reflection is w s_i w^-1 with w in the group the s_i generate, so it
-permutes the roots too (Humphreys, Sections 1.5 and 1.14).  The weights
-are checked in the integers scale * weights that the elimination gives.
+permutes the roots too (Humphreys, Sections 1.5 and 1.14).  When the
+generators are the simple reflections, `_root_walk` has made that very
+walk, and it is read back rather than walked again.  The weights are
+checked in the integers scale * weights that the elimination gives.
 """
 
 from __future__ import annotations
@@ -157,8 +159,10 @@ def _reflection_matrix(root, coroot) -> IntMatrix:
 
 # `_root_walk`'s answer: {root: coroot} of every reflection of G, the one
 # record of the root lines; the base of a generic functional and the
-# coordinates over it of both signs of each root; Omega, listed; and |G|
-_Walk = namedtuple("_Walk", "pairs base coordinates omega order")
+# coordinates over it of both signs of each root; Omega, listed; |G|; and
+# the set of seed pairs when every generator is a reflection, else None
+_Walk = namedtuple("_Walk", "pairs base coordinates omega order seeds",
+                   defaults=(None,))
 
 
 @memoised
@@ -245,7 +249,8 @@ def _root_walk(action: GroupAction) -> _Walk:
         absorbed = [pair for w in omega if (pair := _reflection_pair(w))]
         if not absorbed:
             return _Walk(found, base, coordinates, omega,
-                         weyl_order * len(omega))
+                         weyl_order * len(omega),
+                         None if conjugations else set(pairs))
         pairs += absorbed
 
 
@@ -618,11 +623,16 @@ def _verify_axioms(action, refls, base, coroots, scaled_weights, scale,
     # maps each root it walks by each s_i to one it walks (a skipped
     # move fixes the root), and s(-beta) = -s(beta), so when it walks
     # exactly the reflections' pairs, each s_i, and so each w s_i w^-1,
-    # maps the roots into themselves
-    walked = _walk_pairs([(a, c) if next(filter(None, a)) > 0
-                          else (_negated(a), _negated(c))
-                          for a, c in zip(base, zip(*coroots.entries))],
-                         len(refls))
+    # maps the roots into themselves.  When `_root_walk` walked from the
+    # same seeds under no conjugation, it made this walk, under a cap no
+    # smaller, which changes no walk that ends at the reflections' pairs:
+    # it is read back
+    simple = [(a, c) if next(filter(None, a)) > 0
+              else (_negated(a), _negated(c))
+              for a, c in zip(base, zip(*coroots.entries))]
+    walk = _root_walk(action)
+    walked = (walk.pairs if walk.seeds == set(simple)
+              else _walk_pairs(simple, len(refls)))
     if walked != {r.root: r.coroot for r in refls}:
         raise AxiomFailure("a reflection does not permute the roots")
     # defining property of the weights, as exact identities: they pair to

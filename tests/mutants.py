@@ -109,8 +109,8 @@ MUTANTS = [
      "--require-verdict looks for the status at the top of the report, "
      "where no command puts it, and never exits 3"),
     ("src/multinv/roots.py",
-     "                         weyl_order * len(omega))\n",
-     "                         weyl_order)\n",
+     "                         weyl_order * len(omega),\n",
+     "                         weyl_order,\n",
      ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
      "|G| is |W_N|, without the complement: 120 for W(A4) x {+-1}"),
     ("src/multinv/groups.py",
@@ -583,9 +583,12 @@ MUTANTS = [
       "test_a_base_override_on_the_trivial_group_is_checked"],
      "analyze and verdict ignore a base override on the trivial group"),
     ("src/multinv/classify.py",
-     "    if base is not None:\n"
-     "        build_root_system(action, base=base)  # NotReflectionGroup\n",
-     "",
+     "        try:\n"
+     "            build_root_system(action, base=base)\n"
+     "        except NotReflectionGroup as exc:\n"
+     "            raise NotReflectionGroup(f\"base override refused: {exc}\")"
+     " from None\n",
+     "        pass\n",
      ["tests/test_cli.py::"
       "test_a_base_override_on_a_group_without_reflections_is_refused"],
      "analyze and verdict ignore a base override on a group that is not "
@@ -597,6 +600,48 @@ MUTANTS = [
      ["tests/test_cli.py::"
       "test_a_base_override_on_a_group_without_reflections_is_refused"],
      "singular-locus ignores a base override"),
+    ("src/multinv/classify.py",
+     "            raise NotReflectionGroup(f\"base override refused: {exc}\")"
+     " from None\n",
+     "            raise\n",
+     ["tests/test_cli.py::"
+      "test_a_base_override_on_a_group_without_reflections_is_refused",
+      "tests/test_cli.py::test_a_base_override_refused_by_analyze_and_verdict"
+      "_names_the_override"],
+     "analyze and verdict refuse a base override on a group not generated "
+     "by reflections without naming the override"),
+    ("src/multinv/roots.py",
+     "    walked = (walk.pairs if walk.seeds == set(simple)\n",
+     "    walked = (walk.pairs if walk.seeds is not None\n",
+     ["tests/test_weyl.py::"
+      "test_e8_axioms_walk_the_reflections_once_per_simple_root",
+      "tests/test_roots.py::"
+      "test_axioms_stop_an_endless_walk_at_the_reflection_count"],
+     "the axioms read back the root walk whenever it used no conjugation, "
+     "whatever its seeds: over a base override, or with a corrupted "
+     "coroot, nothing is walked from the simple pairs"),
+    ("src/multinv/roots.py",
+     "    walked = (walk.pairs if walk.seeds == set(simple)\n",
+     "    walked = (walk.pairs if walk.seeds == set(zip(base, zip(*coroots"
+     ".entries)))\n",
+     ["tests/test_weyl.py::"
+      "test_simple_reflections_read_the_walk_back_up_to_sign"],
+     "the seeds are compared with the simple pairs before their signs are "
+     "normalised, so S6, D5 and B5 walk again"),
+    ("src/multinv/laurent.py",
+     "                if not is_invariant(action, stable):\n",
+     "                if not any(shift) and not is_invariant(action, stable):\n",
+     ["tests/test_laurent.py::"
+      "test_an_orbit_missing_a_weight_is_not_invariant"],
+     "an orbit under a nonzero unit prefix is not checked"),
+    ("src/multinv/laurent.py",
+     "                if not is_invariant(action, stable):\n",
+     "                if False:\n",
+     ["tests/test_laurent.py::"
+      "test_an_orbit_missing_a_weight_is_not_invariant",
+      "tests/test_laurent.py::"
+      "test_invariance_is_checked_once_per_distinct_orbit"],
+     "no orbit is checked invariant"),
 ]
 
 

@@ -853,8 +853,10 @@ def test_a_base_override_on_a_group_without_reflections_is_refused(
     # command refuses any base, the empty one too, also the three that
     # answer without one, rather than ignore it
     path = write_doc(tmp_path, doc)
+    refused = "base override refused: the group contains no reflections"
     errors = {"classgroup": "class group formula needs a reflection group",
-              "singular-locus": "singular-locus takes no base override"}
+              "singular-locus": "singular-locus takes no base override",
+              "analyze": refused, "verdict": refused}
     for command in cli.COMMANDS:
         assert (run(capsys, [command, path])[0] == 0) == (
             command in ("analyze", "verdict", "singular-locus")), command
@@ -862,3 +864,19 @@ def test_a_base_override_on_a_group_without_reflections_is_refused(
         for base in bases:
             assert run(capsys, [command, path, "--base-override", base]) \
                 == (2, "", f"error: {message}\n"), (command, base)
+
+
+def test_a_base_override_refused_by_analyze_and_verdict_names_the_override(
+        tmp_path, capsys):
+    # S3 permuting Z^3, times -I: the transpositions generate S3 alone, so
+    # the two commands answer the group, but refuse a base of its roots
+    path = write_doc(tmp_path, {"rank": 3, "generators": [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]]})
+    for command in ("analyze", "verdict"):
+        assert run(capsys, [command, path])[0] == 0, command
+        assert run(capsys, [command, path, "--base-override",
+                            "[[1, -1, 0], [0, 1, -1]]"]) == (
+            2, "", "error: base override refused: the reflections generate "
+            "a proper subgroup\n"), command

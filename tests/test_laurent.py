@@ -267,6 +267,22 @@ def test_fundamental_invariants_make_no_matrix_application(monkeypatch):
     assert sum(len(f.polynomial.terms) for f in invs) == 2874
 
 
+def test_invariance_is_checked_once_per_distinct_orbit(monkeypatch):
+    # the A4 invariants print 2,874 terms over 931 distinct exponents:
+    # each distinct orbit, not each printed term, is checked
+    group = close_group(weyl_generators("A", 4))
+    pipe = reflection_monoid(group)
+    read = []
+    check = laurent.is_invariant
+    monkeypatch.setattr(laurent, "is_invariant",
+                        lambda g, p: read.append(p.terms) or check(g, p))
+    invs = fundamental_invariants_detailed(group, pipe.root_datum,
+                                           pipe.weight_monoid)
+    assert sum(map(len, read)) == 931
+    assert all(set(c) == {1} for c in map(dict.values, read))
+    assert len({e for inv in invs for e in inv.polynomial.terms}) == 931
+
+
 def test_orbit_sum_products_raise_on_an_inexact_quotient(monkeypatch):
     # with wrong orbit sizes (1 + sum of the coordinates: 2 for w1, 3
     # for 2 w1) the count of 2 w1 in m_w1 * m_w1 fails to divide
@@ -395,6 +411,37 @@ def test_fundamental_invariant_of_swap_action():
     assert is_invariant(g, inv.polynomial)
     decomposition = oracle_orbit_sum_decomposition(g, inv.polynomial.terms)
     assert list(decomposition.values()) == [1]
+
+
+def swap_invariants():
+    g = swap_action()
+    rd = build_root_system(g)
+    return g, rd, build_weight_monoid(rd, rd.pi_lattice)
+
+
+@pytest.mark.parametrize("setup, shifted", [(rank2_invariants, False),
+                                            (swap_invariants, True)],
+                         ids=["zero-prefix", "unit-prefix"])
+def test_an_orbit_missing_a_weight_is_not_invariant(monkeypatch, setup,
+                                                    shifted):
+    # one weight dropped from the first orbit of more than one weight:
+    # the check of that orbit, under its unit prefix, refuses it
+    g, rd, wm = setup()
+    invs = fundamental_invariants_detailed(g, rd, wm)
+    assert all(inv.has_unit_prefix == shifted for inv in invs)
+    walk_down, dropped = laurent._walk_down, []
+
+    def short_walk(*args):
+        found = walk_down(*args)
+        if not dropped and len(found) > 1:
+            dropped.append(found.pop())
+        return found
+
+    monkeypatch.setattr(laurent, "_walk_down", short_walk)
+    with pytest.raises(AxiomFailure,
+                       match="^fundamental invariant is not invariant$"):
+        fundamental_invariants_detailed(g, rd, wm)
+    assert len(dropped) == 1
 
 
 def test_rank1_squared_orbit_sum():

@@ -320,7 +320,25 @@ def test_e8_axioms_walk_the_reflections_once_per_simple_root(no_closure,
     group = close_group(gens, cap=696729600)
     build_root_system(group)
     moves = {name: count // 2 for name, count in products.items()}
-    # one step per simple reflection and positive root, not one check per
-    # reflection and root
-    assert 0 < moves["axioms"] <= 8 * 120
+    # the generators are the simple reflections of the generic base, so
+    # the axioms read back the walk `_root_walk` made and walk nothing
+    assert moves["axioms"] == 0
     assert 0 < moves["walk"] <= len(gens) * 120
+    # over another base, the rows of s_1 (the generic base's image under
+    # s_1), the axioms walk from its own simple pairs: one step per simple
+    # reflection and positive root, not one check per reflection and root
+    products.update(walk=0, axioms=0)
+    build_root_system(group, base=gens[0].entries)
+    moves = {name: count // 2 for name, count in products.items()}
+    assert 0 < moves["axioms"] <= 8 * 120
+    assert moves["walk"] == 0
+
+
+@pytest.mark.parametrize("kind, n", [("S", 6), ("D", 5), ("B", 5)])
+def test_simple_reflections_read_the_walk_back_up_to_sign(monkeypatch, kind,
+                                                          n):
+    # the generic base holds e_(i+1) - e_i, whose first nonzero coordinate
+    # is negative; normalised, its pairs are the generators' own
+    products = count_walk_products(monkeypatch)
+    build_root_system(close_group(weyl_generators(kind, n)))
+    assert products["axioms"] == 0 < products["walk"]
