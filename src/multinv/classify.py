@@ -1,12 +1,12 @@
 """Class groups, fixed-point-free tests, the sign-group singular-locus
 analyzer, and the semigroup-algebra verdict.
 
-The verdict logic: invariants of a reflection group (or of a trivial
-action) form a semigroup algebra, with an explicit monoid; a fixed point
-free action on an effective quotient of rank at least 2 never does, and
-neither does a diagonal sign group whose singular locus pins down at
-least two torus-fixed candidate points.  Everything else is honestly
-reported as unknown.
+The verdict logic: invariants of a reflection group (the trivial group,
+with no roots, included) form a semigroup algebra, with an explicit
+monoid; a fixed point free action on an effective quotient of rank at
+least 2 never does, and neither does a diagonal sign group whose
+singular locus pins down at least two torus-fixed candidate points.
+Everything else is honestly reported as unknown.
 """
 
 from __future__ import annotations
@@ -155,41 +155,39 @@ def _is_sign_group(action: GroupAction) -> bool:
     return True
 
 
+def _fixed_point_free(action: GroupAction) -> bool:
+    """Whether the action is fixed point free on its effective quotient,
+    as the trivial group is.  Over Q the lattice is the fixed space plus
+    a G-stable complement, and g is the identity on the fixed space:
+    rank(1 - g) is the same on the quotient, so the ranks known for G
+    decide it."""
+    return (action.order == 1 or min_displacement_rank(action)
+            == action.rank - fixed_sublattice(action).rank)
+
+
 def verdict(action: GroupAction, base=None) -> Verdict:
     """Decide (or honestly refuse to decide) whether the invariant
     algebra is a semigroup algebra.  A given `base` is checked on every
-    branch, also where no root datum is read."""
-    if action.order == 1:
-        if base is not None:
-            build_root_system(action, base=base)
-        empty = WeightMonoid((), (), ())
-        return Verdict(
-            SEMIGROUP_ALGEBRA,
-            "group-algebra",
-            "the action is trivial, so the invariants form the group "
-            "algebra of the full lattice",
-            MonoidDescription(action.rank, empty),
-        )
+    branch: by the root datum of a reflection group (the trivial group
+    is the one with no roots), and elsewhere on its own."""
     if is_reflection_group(action):
-        pipe = reflection_monoid(action, base=base)
-        md = pipe.monoid
-        return Verdict(
-            SEMIGROUP_ALGEBRA,
-            "reflection-invariants",
-            "the group is generated by reflections; the invariants are the "
-            f"semigroup algebra of {md}",
-            md,
-        )
+        md = reflection_monoid(action, base=base).monoid
+        if action.order == 1:
+            rule, detail = ("group-algebra", "the action is trivial, so the "
+                            "invariants form the group algebra of the full "
+                            "lattice")
+        else:
+            rule, detail = ("reflection-invariants", "the group is generated "
+                            "by reflections; the invariants are the "
+                            f"semigroup algebra of {md}")
+        return Verdict(SEMIGROUP_ALGEBRA, rule, detail, md)
     if base is not None:  # only the override reads a root datum here
         try:
             build_root_system(action, base=base)
         except NotReflectionGroup as exc:
             raise NotReflectionGroup(f"base override refused: {exc}") from None
     quotient_rank = action.rank - fixed_sublattice(action).rank
-    # over Q the lattice is the fixed space plus a G-stable complement,
-    # and g is the identity on the fixed space: rank(1 - g) is the same
-    # on the quotient, so the ranks known for G decide fixed-point-freeness
-    if quotient_rank >= 2 and min_displacement_rank(action) == quotient_rank:
+    if quotient_rank >= 2 and _fixed_point_free(action):
         if _is_odd_prime(action.order):
             return Verdict(
                 NOT_SEMIGROUP_ALGEBRA,

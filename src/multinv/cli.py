@@ -18,6 +18,7 @@ from functools import cache
 
 from .classify import (
     UNKNOWN,
+    _fixed_point_free,
     class_group,
     min_displacement_rank,
     reflection_monoid,
@@ -85,6 +86,8 @@ def load_action(doc) -> ActionDescription:
             or not all(isinstance(s, str) and s for s in labels)
         ):
             raise InvalidInput(f"'labels' must be {rank} nonempty strings")
+        if len(set(labels)) != rank:
+            raise InvalidInput("'labels' must be distinct")
         labels = tuple(labels)
     return ActionDescription(rank, tuple(gens), base, labels)
 
@@ -154,10 +157,7 @@ def cmd_analyze(action, desc: ActionDescription):
         "fixed_rank": fixed_rank,
         "effective_rank": effective_rank,
         "ideal_height": height,
-        # rank(1 - g) is the same on the effective quotient as on the
-        # lattice (see classify.verdict)
-        "fixed_point_free_on_quotient": (action.order == 1
-                                         or height == effective_rank),
+        "fixed_point_free_on_quotient": _fixed_point_free(action),
         "verdict": v,
     }
     lines = [

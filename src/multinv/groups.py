@@ -41,42 +41,31 @@ class GroupAction:
     """A finite subgroup of GL_n(Z), given by its generators.
 
     `generators` are the given ones without repeats, which orbits are
-    searched over.  `elements` is the complete, canonically sorted
-    element list (identity included), closed under `cap` on first read;
-    `order` is |G|, decided on first read by `roots._root_walk`, which
-    lists no more than a complement Omega to the normal subgroup W_N its
-    walked reflections generate: |G| = |W_N| |Omega|.
-
-    Facts derived from the group (fixed sublattice, least displacement
-    rank, the root walk, reflections, the columns each generator moves)
-    are memoised on the action (see `memoised`): each is
-    computed on first use and read back after that.  They are
-    deterministic, so sharing an action between threads can at worst
-    compute a fact twice.
+    searched over.  Every fact derived from the group is memoised on the
+    action (see `memoised`): computed on first use, read back after that.
+    `elements` reads the complete, canonically sorted element list
+    (identity included), closed under `cap`; `order` reads |G| off
+    `roots._root_walk`, which lists no more than a complement Omega to
+    the normal subgroup W_N its walked reflections generate:
+    |G| = |W_N| |Omega|.  Facts are deterministic, so sharing an action
+    between threads can at worst compute a fact twice.
     """
 
-    __slots__ = ("rank", "generators", "cap", "_elements", "_order", "_memo")
+    __slots__ = ("rank", "generators", "cap", "_memo")
 
     def __init__(self, rank, generators, cap=DEFAULT_CLOSURE_CAP):
         self.rank = rank
         self.generators = tuple(dict.fromkeys(generators))
         self.cap = cap
-        self._elements = None
-        self._order = None
         self._memo = {}
 
     @property
     def elements(self) -> tuple:
-        if self._elements is None:
-            self._elements = _close(self.rank, self.generators, self.cap)
-        return self._elements
+        return _elements(self)
 
     @property
     def order(self) -> int:
-        if self._order is None:
-            from .roots import _root_walk  # roots imports groups
-            self._order = _root_walk(self).order
-        return self._order
+        return roots._root_walk(self).order
 
     def __repr__(self):
         return f"GroupAction(rank={self.rank}, order={self.order})"
@@ -176,6 +165,12 @@ def _close(rank: int, gens, cap: int) -> tuple:
                                     for m in found))
 
 
+@memoised
+def _elements(action: GroupAction) -> tuple:
+    """G's element list, canonically sorted, closed under `action.cap`."""
+    return _close(action.rank, action.generators, action.cap)
+
+
 def _complement(action: GroupAction, gens, unit: int) -> tuple:
     """The elements of the group `gens` generate, a complement in G to a
     normal subgroup of order `unit`: the identity alone for no
@@ -233,3 +228,6 @@ __all__ = [
     "close_group",
     "fixed_sublattice",
 ]
+
+# last, as roots imports this module; read by `GroupAction.order`
+from . import roots  # noqa: E402

@@ -576,12 +576,12 @@ MUTANTS = [
      "a base root that is the negative of a walked root is refused as no "
      "root"),
     ("src/multinv/classify.py",
-     "        if base is not None:\n"
-     "            build_root_system(action, base=base)\n",
-     "",
+     "        md = reflection_monoid(action, base=base).monoid\n",
+     "        md = reflection_monoid(action).monoid\n",
      ["tests/test_cli.py::"
       "test_a_base_override_on_the_trivial_group_is_checked"],
-     "analyze and verdict ignore a base override on the trivial group"),
+     "analyze and verdict ignore a base override on a reflection group, "
+     "the trivial group included"),
     ("src/multinv/classify.py",
      "        try:\n"
      "            build_root_system(action, base=base)\n"
@@ -642,6 +642,19 @@ MUTANTS = [
       "tests/test_laurent.py::"
       "test_invariance_is_checked_once_per_distinct_orbit"],
      "no orbit is checked invariant"),
+    ("src/multinv/classify.py",
+     "        if action.order == 1:\n",
+     "        if action.order != 1:\n",
+     ["tests/test_cli.py::test_verdict_identity_only_is_group_algebra"],
+     "the trivial group is called a reflection group with invariants, "
+     "and every other reflection group the group algebra"),
+    ("src/multinv/classify.py",
+     "    return (action.order == 1 or min_displacement_rank(action)\n",
+     "    return (min_displacement_rank(action)\n",
+     ["tests/test_cli.py::"
+      "test_trivial_group_answers_every_command_as_before"],
+     "analyze asks the trivial group for its least displacement rank, "
+     "which it has not, and exits 2"),
 ]
 
 

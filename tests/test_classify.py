@@ -425,7 +425,7 @@ def test_sign_group_checks_read_the_generators(monkeypatch):
         raise AssertionError("the element list was built")
 
     monkeypatch.setattr(groups, "_close", no_closure)
-    assert reflections._elements is None
+    assert groups._elements.__wrapped__ not in reflections._memo
     with pytest.raises(HasReflections):
         sign_group_singular_locus(reflections)
     with pytest.raises(NotSignGroup):

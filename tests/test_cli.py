@@ -330,13 +330,15 @@ MALFORMED = [
     # well formed, but A2 has a base of 2 roots
     (RANK2_DOC, ["--base-override", "[[1, 0]]"],
      "base must have 2 roots, got 1"),
+    # two variables printed under one name would make the text ambiguous
+    (dict(RANK2_DOC, labels=["a", "a"]), [], "'labels' must be distinct"),
 ]
 
 
 @pytest.mark.parametrize("doc, flags, message", MALFORMED, ids=[
     "list-document", "generators-object", "short-row", "boolean-entry",
     "float-entry", "base-object", "base-length", "override-on-list",
-    "short-base"])
+    "short-base", "repeated-labels"])
 def test_malformed_document_exits_2(tmp_path, capsys, doc, flags, message):
     path = write_doc(tmp_path, doc)
     assert run(capsys, ["verdict", path, *flags]) == (
