@@ -10,7 +10,7 @@ class NotUnimodular(MultInvError):
 
 
 class GroupTooLarge(MultInvError):
-    """Group closure exceeded the element cap; the group is probably infinite."""
+    """The walk or a closure passed the cap: the group is probably infinite."""
 
 
 class NotReflectionGroup(MultInvError):
@@ -47,6 +47,10 @@ class LocusTooLarge(MultInvError):
 
 class BoxTooLarge(MultInvError):
     """The weight monoid's box holds too many lattice points to list."""
+
+
+class ExpansionTooLarge(MultInvError):
+    """The fundamental invariants expand to too many terms to list."""
 
 
 class HasReflections(MultInvError):

@@ -12,9 +12,9 @@ weights, down from its dominant one, by `roots._walk_down`.
 `roots._root_walk`: the reflections conjugate to a reflection among the
 generators generate a normal subgroup W_N whose order is read off its
 roots, and |G| = |W_N| |Omega|, Omega a complement listed by
-`_complement`, stopped at the cap.  Only Omega is listed: nothing when
-every generator descends into W_N, all of G when no generator is a
-reflection (W_N = 1).
+`_complement`.  Only Omega is listed: nothing when every generator
+descends into W_N, all of G when no generator is a reflection (W_N = 1).
+The cap bounds the pairs walked and the elements listed, never |G|.
 
 The closure enumerates a group on row orbits: row i of an element m is
 the lattice point e_i * m, and inside the search an element is the
@@ -45,10 +45,10 @@ class GroupAction:
     action (see `memoised`): computed on first use, read back after that.
     `elements` reads the complete, canonically sorted element list
     (identity included), closed under `cap`; `order` reads |G| off
-    `roots._root_walk`, which lists no more than a complement Omega to
-    the normal subgroup W_N its walked reflections generate:
-    |G| = |W_N| |Omega|.  Facts are deterministic, so sharing an action
-    between threads can at worst compute a fact twice.
+    `roots._root_walk`, which walks at most `cap` reflections and lists
+    a complement Omega, under `cap` elements, to the normal subgroup W_N
+    they generate: |G| = |W_N| |Omega|.  Facts are deterministic, so
+    sharing an action between threads can at worst compute a fact twice.
     """
 
     __slots__ = ("rank", "generators", "cap", "_memo")
@@ -109,17 +109,12 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
     """The group the given generators generate.
 
     Raises NotUnimodular for a generator that is not `rank` x `rank` (by
-    default the first generator's size) or has det outside {1, -1}, and
-    GroupTooLarge when the group has more than `cap` elements (it is then
-    almost certainly infinite).  An empty generator list needs an
-    explicit `rank` and yields the trivial group.
-
-    |G| is decided by `GroupAction.order`, read here against `cap`:
-    `roots._root_walk` walks the reflections' roots under every
-    generator, raising GroupTooLarge when the walk proves G infinite or
-    passes `cap` reflections, and lists only the complement Omega, under
-    cap // |W_N| elements (`_complement`, which closes as `_close`
-    describes).
+    default the first generator's size) or has det outside {1, -1}.  An
+    empty generator list needs an explicit `rank` and yields the trivial
+    group.  |G| is decided here, by `GroupAction.order`, and not bounded:
+    `roots._root_walk` raises GroupTooLarge when its walk of the roots
+    proves G infinite or passes `cap` reflections, or when the complement
+    Omega it lists (`_complement`, closed as `_close` describes) does.
     """
     gens = list(generators)
     if rank is None:
@@ -133,8 +128,7 @@ def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
             raise NotUnimodular(
                 f"generators[{i}] has determinant {det}, not +-1")
     action = GroupAction(rank, gens, cap)
-    if action.order > cap:
-        raise GroupTooLarge(_too_large(cap))
+    action.order  # a walk or closure past the cap raises here
     return action
 
 
@@ -173,18 +167,13 @@ def _elements(action: GroupAction) -> tuple:
 
 def _complement(action: GroupAction, gens, unit: int) -> tuple:
     """The elements of the group `gens` generate, a complement in G to a
-    normal subgroup of order `unit`: the identity alone for no
-    generator, G's own element list when `unit` is 1, else the closure
-    of `gens` under cap // unit elements.  Past those, G has more than
-    `action.cap` elements, and GroupTooLarge says so."""
+    normal subgroup of order `unit`: the identity for no generator, G's
+    element list when `unit` is 1, else their closure under the cap."""
     if not gens:
         return (IntMatrix.identity(action.rank),)
     if unit == 1:
         return action.elements
-    try:
-        return _close(action.rank, gens, action.cap // unit)
-    except GroupTooLarge:
-        raise GroupTooLarge(_too_large(action.cap)) from None
+    return _close(action.rank, gens, action.cap)
 
 
 def _search(start, moves, cap: int) -> list:

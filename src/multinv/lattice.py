@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import mul
 
 
@@ -94,7 +94,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)
+        return cls._from_checked_rows(
+            tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     def __mul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -446,10 +447,6 @@ class ElementaryDivisors:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None when there is a free summand."""
-        return None if self.free_rank else prod(self.divisors)
 
     def __str__(self):
         if self.is_trivial:

@@ -24,12 +24,14 @@ from itertools import repeat
 from math import lcm
 from operator import add, getitem, mul
 
-from .errors import AxiomFailure, SupportEscape
+from .errors import AxiomFailure, ExpansionTooLarge, SupportEscape
 from .groups import GroupAction, memoised
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
 from .roots import (RootDatum, _dominant, _dot, _orbit_sizes, _sparse,
                     _walk_down, weight_orbit)
+
+MAX_INVARIANT_TERMS = 10_000_000
 
 
 class LaurentPolynomial:
@@ -222,16 +224,20 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     element, each with support inside the lattice and verified
     invariant orbit by orbit.
 
-    The products are taken in the orbit-sum basis
-    (`_orbit_sum_products`).  Each dominant term lambda is mapped to the
-    lattice by lambda -> lambda . (N * fundamental weights) in 1/N units,
-    N the common denominator of the weights; the rest of its orbit is
+    The products are taken in the orbit-sum basis (`_orbit_sum_products`).
+    Their terms, |W lambda| over each row's dominant terms lambda, are
+    counted from root heights (`_orbit_sizes`) before any orbit is expanded,
+    and the sum of |W row| before any is listed: a row is a term of its own,
+    and each orbit listed is at most |W w_j| <= |W row| for some row_j > 0
+    (ExpansionTooLarge past MAX_INVARIANT_TERMS).  Each lambda is mapped to
+    the lattice by lambda -> lambda . (N * fundamental weights) in 1/N
+    units, N the common denominator of the weights; the rest of its orbit is
     walked down from there as `weight_orbit` walks it, in lattice
-    coordinates, since s_i moves the exponent of mu by -mu_i * alpha_i.
-    A dominant weight that recurs under the same unit prefix is walked
-    and checked once: its orbit, every coefficient 1, must be invariant.
-    Distinct dominant weights have disjoint orbits, so each invariant,
-    a sum of such orbits with one coefficient each, is invariant too.
+    coordinates, since s_i moves the exponent of mu by -mu_i * alpha_i.  A
+    dominant weight that recurs under the same unit prefix is walked and
+    checked once: its orbit, every coefficient 1, must be invariant.
+    Distinct dominant weights have disjoint orbits, so each invariant, a sum
+    of such orbits with one coefficient each, is invariant too.
 
     For non-effective actions the bare product lives in a refinement of
     the lattice; multiplying by the fixed-lattice monomial of a lattice
@@ -245,10 +251,19 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     # ambient exponent of the weight mu, in 1/N units
     columns = tuple(zip(*(tuple(int(x * den) for x in w)
                           for w in rd.fundamental_weights)))
+    size = _orbit_sizes(rd)
+    products, total = None, sum(map(size, wm.hilbert_basis))
+    if total <= MAX_INVARIANT_TERMS:
+        products = _orbit_sum_products(rd, wm.hilbert_basis, size)
+        total = sum(size(lam) for terms in products for lam in terms)
+    if total > MAX_INVARIANT_TERMS:
+        raise ExpansionTooLarge(
+            f"the invariants expand to {'' if products else 'at least '}"
+            f"{total} terms, more than the {MAX_INVARIANT_TERMS} that can "
+            "be listed")
     orbits = {}  # (dominant weight, shift) -> its orbit's exponents
     out = []
-    for row, terms in zip(wm.hilbert_basis,
-                          _orbit_sum_products(rd, wm.hilbert_basis)):
+    for row, terms in zip(wm.hilbert_basis, products):
         target = tuple(_dot(row, col) for col in columns)
         shift = (0,) * n  # the unit prefix, in 1/N units
         if any(t % den for t in target):
@@ -283,7 +298,7 @@ def fundamental_invariants_detailed(action: GroupAction, rd: RootDatum,
     return out
 
 
-def _orbit_sum_products(rd: RootDatum, rows) -> list[dict]:
+def _orbit_sum_products(rd: RootDatum, rows, size) -> list[dict]:
     """prod_j m_j ** row_j for each row, m_j the orbit sum of the j-th
     fundamental weight, as {dominant weight: coefficient}.
 
@@ -299,7 +314,6 @@ def _orbit_sum_products(rd: RootDatum, rows) -> list[dict]:
     once."""
     r = rd.rank
     cartan = _sparse(rd.cartan.entries)
-    size = _orbit_sizes(rd)
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
     orbits = {}  # dominant weight -> its orbit, listed on first use
     pairs = {}  # (kappa, j) -> m_kappa * m_j, taken on first use
@@ -350,6 +364,7 @@ def _orbit_sum_products(rd: RootDatum, rows) -> list[dict]:
 
 
 __all__ = [
+    "MAX_INVARIANT_TERMS",
     "LaurentPolynomial",
     "FundamentalInvariant",
     "variable_labels",

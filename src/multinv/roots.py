@@ -161,8 +161,7 @@ def _reflection_matrix(root, coroot) -> IntMatrix:
 # record of the root lines; the base of a generic functional and the
 # coordinates over it of both signs of each root; Omega, listed; |G|; and
 # the set of seed pairs when every generator is a reflection, else None
-_Walk = namedtuple("_Walk", "pairs base coordinates omega order seeds",
-                   defaults=(None,))
+_Walk = namedtuple("_Walk", "pairs base coordinates omega order seeds")
 
 
 @memoised
@@ -182,31 +181,29 @@ def _root_walk(action: GroupAction) -> _Walk:
     Sections 1.6-1.8), so G = W_N x| Omega, Omega the stabilizer of the
     positive system of the generic functional (`_generic_base`), and
     |G| = |W_N| |Omega|.  Each other generator descends to its
-    representative in Omega (`_descend`); these generate Omega, which is
-    listed under cap // |W_N| (`_complement`).  With no reflection among
-    the generators, W_N = 1 and Omega = G, `action.elements`, and the
-    reflections listed there are the seeds.
+    representative in Omega (`_descend`); these generate Omega, listed
+    under `action.cap` elements (`_complement`); with no reflection
+    generator, W_N = 1 and Omega = G, whose reflections seed the walk.
 
-    A reflection r of G outside W_N has a conjugate in Omega: its root
-    is no root of W_N (else r = s_alpha, or G is infinite), so some
-    functional fixed by r is nonzero on every root, and r keeps its
-    positive system, the image of the generic one under some w in W_N;
-    then w r w^-1 is a reflection in Omega.  So when Omega holds
-    reflections, their pairs are walked too, Omega's elements descend
-    again, and this repeats until Omega holds none: then every
-    reflection of G is walked, and G is generated by reflections exactly
-    when Omega = 1.
+    A reflection r of G outside W_N has a conjugate in Omega: its root is no
+    root of W_N (else r = s_alpha, or G is infinite), so some functional
+    fixed by r is nonzero on every root, and r keeps its positive system,
+    the image of the generic one under some w in W_N; then w r w^-1 is a
+    reflection in Omega.  So when Omega holds reflections, their pairs are
+    walked too, Omega's elements descend again, and this repeats until Omega
+    holds none: then every reflection of G is walked, and G is generated by
+    reflections exactly when Omega = 1.
 
     G is finite exactly when the walk ends with one coroot per root and
     Omega is finite.  A root a with coroots c1 != c2 gives
     s1 s2 = 1 + (c1 - c2) (x) a, of infinite order, as is a product of
-    two reflections that the dihedral rule of `_walk_pairs` refuses, and
-    each pair walked is a distinct reflection of G, so a walk past
-    `action.cap` pairs means |G| > cap: all raise GroupTooLarge, with
-    the closure's message, as does Omega past cap // |W_N| elements.  A
-    walk that ends leaves W_N permuting the finitely many roots, which
-    span the root span V, so W_N acts on V through a finite group,
-    orthogonal for some invariant inner product; there
+    two reflections that the dihedral rule of `_walk_pairs` refuses: all
+    raise GroupTooLarge, with the closure's message, as do a walk past
+    `action.cap` pairs, each a distinct reflection of G, and Omega past
+    `action.cap` elements; |G| itself is not bounded.  A walk that ends
+    leaves W_N permuting the finitely many roots, which span the root
+    span V, so W_N acts on V through a finite group, orthogonal for some
+    invariant inner product; there
     v . coroot = 2 (v, a) / (a, a), and the only vector of V pairing to
     zero with every coroot is 0.  An element w fixing every root fixes
     every coroot (a root has one), so v * w - v, which lies in V, pairs
@@ -220,24 +217,22 @@ def _root_walk(action: GroupAction) -> _Walk:
             pairs.append(pair)
         else:
             others.append(g)
-    omega = None
-    if not pairs:  # W_N = 1, so Omega = G; a reflection in it is a seed
-        omega = _complement(action, others, 1)
-        pairs = [pair for w in omega if (pair := _reflection_pair(w))]
-        if not pairs:
-            return _Walk({}, (), {}, omega, len(omega))
-    conjugations = [(tuple(zip(*h.entries)), _inverse_rows(h))
-                    for h in others]
+    omega = conjugations = None
     identity = IntMatrix.identity(action.rank)
     while True:
+        if pairs and conjugations is None:  # a walk of no pair moves none
+            conjugations = [(tuple(zip(*h.entries)), _inverse_rows(h))
+                            for h in others]
         found = _walk_pairs(pairs, action.cap, conjugations)
         if found is None:
             raise GroupTooLarge(_too_large(action.cap))
-        base = _generic_base(found)
-        coordinates = _check_base(found, base, len(base), strict=False)
-        weyl_order = _kostant_order(sum(c) for c in coordinates.values()
-                                    if min(c) >= 0)
-        simple = _simple_pairs(found, base)
+        base, coordinates, weyl_order, simple = (), {}, 1, ()  # W_N = 1
+        if found:
+            base = _generic_base(found)
+            coordinates = _check_base(found, base, len(base), strict=False)
+            weyl_order = _kostant_order(sum(c) for c in coordinates.values()
+                                        if min(c) >= 0)
+            simple = _simple_pairs(found, base)
         if omega is None:
             omega = _complement(action, [
                 w for h in others
@@ -250,7 +245,7 @@ def _root_walk(action: GroupAction) -> _Walk:
         if not absorbed:
             return _Walk(found, base, coordinates, omega,
                          weyl_order * len(omega),
-                         None if conjugations else set(pairs))
+                         None if others else set(pairs))
         pairs += absorbed
 
 

@@ -114,11 +114,13 @@ MUTANTS = [
      ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
      "|G| is |W_N|, without the complement: 120 for W(A4) x {+-1}"),
     ("src/multinv/groups.py",
-     "    if action.order > cap:\n",
-     "    if action.order >= cap:\n",
-     ["tests/test_groups.py::"
+     "    action.order  # a walk or closure past the cap raises here\n",
+     "",
+     ["tests/test_groups.py::test_close_group_infinite_raises",
+      "tests/test_groups.py::"
       "test_close_group_admits_a_group_of_exactly_cap_elements"],
-     "a group of exactly `cap` elements is refused"),
+     "close_group reads no |G|, so a walk or closure past the cap raises "
+     "on first use of the group, not in close_group"),
     ("src/multinv/lattice.py",
      "                rows[i] = [(p * a - f * b) // tags[i]\n",
      "                rows[i] = [(p * a - f * b) // last\n",
@@ -189,12 +191,12 @@ MUTANTS = [
      "a group with no reflection is listed as its own complement and "
      "again as its element list"),
     ("src/multinv/roots.py",
-     "    if not pairs:  # W_N = 1, so Omega = G; a reflection in it is a seed\n",
-     "    if False:\n",
+     "        if found:\n",
+     "        if True:\n",
      ["tests/test_groups.py::"
       "test_a_group_with_no_reflection_takes_its_order_from_the_closure"],
-     "a group with no reflection generator is walked as if it had one, and "
-     "the generic base of no roots has no rank to read"),
+     "the generic base is taken of the empty walk of a group with no "
+     "reflection generator, which has no root to read a rank from"),
     ("src/multinv/roots.py",
      "_echelon(zip(*columns), rank, reduced=True)",
      "_echelon([[v[k] for v in columns] for k in range(len(base[0]))], "
@@ -513,7 +515,8 @@ MUTANTS = [
      "        absorbed = []\n",
      ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
      "a reflection in Omega is not walked, so G2 given as W(A2) and -1 is "
-     "no reflection group"),
+     "no reflection group, and with no reflection generator the cube of "
+     "-1 + C3 is missed"),
     ("src/multinv/roots.py",
      "            omega = tuple(dict.fromkeys(_descend(w, simple, coordinates)\n"
      "                                        for w in omega))\n",
@@ -521,16 +524,18 @@ MUTANTS = [
      ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
      "Omega keeps the reflections it had before they were walked"),
     ("src/multinv/groups.py",
-     "        return _close(action.rank, gens, action.cap // unit)\n",
-     "        return _close(action.rank, gens, action.cap)\n",
+     "    return _close(action.rank, gens, action.cap)\n",
+     "    return _close(action.rank, gens, action.cap // unit)\n",
      ["tests/test_weyl.py::test_infinite_groups_take_the_closure"],
-     "the complement is closed to the whole cap, not cap // |W_N|"),
+     "the complement is closed to cap // |W_N|, so the cap bounds |G| "
+     "again"),
     ("src/multinv/roots.py",
-     "        pairs = [pair for w in omega if (pair := _reflection_pair(w))]\n",
-     "        pairs = []\n",
-     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
-     "with no reflection generator, the reflections of G are not walked, so "
-     "the cube of -1 + C3 is missed"),
+     "    for k in range(1, max(counts, default=0) + 1):\n",
+     "    for k in range(1, max(counts) + 1):\n",
+     ["tests/test_weyl.py::"
+      "test_orbit_sizes_from_heights_match_the_walked_orbits"],
+     "a weight with no zero coordinate has a trivial stabiliser, with no "
+     "root height to read its order 1 from"),
     ("src/multinv/laurent.py",
      "            key = lam, shift\n",
      "            key = lam\n",
@@ -655,6 +660,37 @@ MUTANTS = [
       "test_trivial_group_answers_every_command_as_before"],
      "analyze asks the trivial group for its least displacement rank, "
      "which it has not, and exits 2"),
+    ("src/multinv/laurent.py",
+     "    if total > MAX_INVARIANT_TERMS:\n",
+     "    if total >= MAX_INVARIANT_TERMS:\n",
+     ["tests/test_cli.py::"
+      "test_an_oversized_expansion_exits_2_before_an_orbit_is_walked"],
+     "an expansion of exactly MAX_INVARIANT_TERMS terms is refused"),
+    ("src/multinv/laurent.py",
+     "    if total > MAX_INVARIANT_TERMS:\n",
+     "    if False:\n",
+     ["tests/test_cli.py::"
+      "test_an_oversized_expansion_exits_2_before_an_orbit_is_walked",
+      "tests/test_laurent.py::test_the_term_count_is_the_printed_terms"],
+     "no expansion is refused, however many terms it prints"),
+    ("src/multinv/laurent.py",
+     "        total = sum(size(lam) for terms in products for lam in terms)\n",
+     "        total = sum(map(len, products))\n",
+     ["tests/test_laurent.py::test_the_term_count_is_the_printed_terms"],
+     "the bound counts the dominant terms, not the orbit terms they "
+     "expand to"),
+    ("src/multinv/laurent.py",
+     "    if total <= MAX_INVARIANT_TERMS:\n",
+     "    if True:\n",
+     ["tests/test_cli.py::test_an_expansion_past_the_bound_lists_no_orbit"],
+     "the products run whatever the rows' orbits add up to, listing "
+     "orbits of up to 2^25 weights for D26 before the count refuses it"),
+    ("src/multinv/laurent.py",
+     "    if total <= MAX_INVARIANT_TERMS:\n",
+     "    if total < MAX_INVARIANT_TERMS:\n",
+     ["tests/test_cli.py::test_an_expansion_past_the_bound_lists_no_orbit"],
+     "rows whose orbits add up to exactly the bound are refused with "
+     "that lower bound, before their terms are counted"),
 ]
 
 

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from multinv import classify, cli, groups, monoid, roots
+from multinv import (GroupAction, GroupTooLarge, classify, cli, groups,
+                     laurent, monoid, roots)
 from multinv.cli import main
 from multinv.lattice import IntMatrix
 from multinv.laurent import LaurentPolynomial
@@ -424,7 +425,7 @@ def test_a_huge_rank_exits_2_before_any_basis_is_built(tmp_path, capsys):
 
 def test_group_cap_flag(tmp_path, capsys):
     path = write_doc(tmp_path, RANK2_DOC)
-    code, _, err = run(capsys, ["analyze", path, "--group-cap", "3"])
+    code, _, err = run(capsys, ["analyze", path, "--group-cap", "2"])
     assert code == 2
     assert "exceeded" in err
 
@@ -435,15 +436,33 @@ def generator_doc(gens):
 
 
 def test_group_cap_bounds_a_reflection_group(tmp_path, capsys):
-    # |G| = 6 comes from the root heights, and the cap still binds
+    # |G| = 6 comes from the root heights, and the cap binds the 3
+    # (root, coroot) pairs walked, not |G|
     for doc in (RANK2_DOC, generator_doc(weyl_generators("A", 2))):
         path = write_doc(tmp_path, doc)
-        code, out, err = run(capsys, ["analyze", path, "--group-cap", "3"])
+        code, out, err = run(capsys, ["analyze", path, "--group-cap", "2"])
         assert (code, out, err) == (
-            2, "", "error: closure exceeded 3 elements; group is probably "
+            2, "", "error: closure exceeded 2 elements; group is probably "
                    "infinite\n")
-        code, out, _ = run(capsys, ["analyze", path, "--group-cap", "6"])
+        code, out, _ = run(capsys, ["analyze", path, "--group-cap", "3"])
         assert code == 0 and "group order:         6" in out
+
+
+def test_the_library_and_the_cli_agree_under_the_same_cap(tmp_path, capsys):
+    # B6 and -1: |G| = 46080 from the 36 reflections walked, with -1
+    # descending into W(B6); the cap bounds the 36 pairs, not |G|
+    gens = weyl_generators("B", 6) + [minus_identity(6)]
+    path = write_doc(tmp_path, generator_doc(gens))
+    assert classify.verdict(GroupAction(6, gens)).status == "SemigroupAlgebra"
+    code, out, err = run(capsys, ["verdict", path, "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"]["status"] == "SemigroupAlgebra"
+    message = "closure exceeded 35 elements; group is probably infinite"
+    with pytest.raises(GroupTooLarge) as exc:
+        classify.verdict(GroupAction(6, gens, 35))
+    assert str(exc.value) == message
+    assert run(capsys, ["verdict", path, "--group-cap", "35"]) == (
+        2, "", f"error: {message}\n")
 
 
 def test_group_cap_stops_the_walk_of_a_finite_reflection_group(
@@ -493,8 +512,7 @@ def test_an_oversized_weight_box_exits_2_before_it_is_listed(tmp_path, capsys):
     path = write_doc(tmp_path, generator_doc(root_lattice_generators("A", 10)))
     for command in ("verdict", "hilbert-basis"):
         start = time.perf_counter()
-        code, out, err = run(capsys,
-                             [command, path, "--group-cap", "39916800"])
+        code, out, err = run(capsys, [command, path])
         assert (code, out, err) == (
             2, "", "error: the weight box holds up to 2357947691 lattice "
                    "points, more than the 4000000 that can be listed\n")
@@ -512,37 +530,86 @@ def test_the_printed_closed_box_is_bounded_too(tmp_path, capsys, monkeypatch):
                "than the 5 that can be listed\n")
 
 
+def test_an_oversized_expansion_exits_2_before_an_orbit_is_walked(
+        tmp_path, capsys, monkeypatch):
+    # A4 on Z^5: the invariants print 2874 terms, counted from the root
+    # heights before any orbit of an invariant is expanded
+    def no_expansion(*args):
+        raise AssertionError("an orbit was expanded")
+
+    path = write_doc(tmp_path, generator_doc(weyl_generators("A", 4)))
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "MAX_INVARIANT_TERMS", 2873)
+        patch.setattr(laurent, "_walk_down", no_expansion)
+        assert run(capsys, ["invariants", path]) == (
+            2, "", "error: the invariants expand to 2874 terms, more than "
+                   "the 2873 that can be listed\n")
+    monkeypatch.setattr(laurent, "MAX_INVARIANT_TERMS", 2874)
+    assert run(capsys, ["invariants", path])[0] == 0
+
+
+def test_an_expansion_past_the_bound_lists_no_orbit(tmp_path, capsys,
+                                                    monkeypatch):
+    # D_n on Z^n: the sum of |W row| over the rows, each row a term of its
+    # own, bounds the terms from below and is refused before the products
+    # list any orbit; D5's rows give 242, and its invariants 463 terms
+    def no_orbit(*args):
+        raise AssertionError("an orbit was listed")
+
+    path = write_doc(tmp_path, generator_doc(weyl_generators("D", 5)))
+    message = ("error: the invariants expand to {} terms, more than the {} "
+               "that can be listed\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "MAX_INVARIANT_TERMS", 241)
+        patch.setattr(laurent, "weight_orbit", no_orbit)
+        patch.setattr(laurent, "_walk_down", no_orbit)
+        assert run(capsys, ["invariants", path]) == (
+            2, "", message.format("at least 242", 241))
+    monkeypatch.setattr(laurent, "MAX_INVARIANT_TERMS", 242)
+    assert run(capsys, ["invariants", path]) == (
+        2, "", message.format(463, 242))
+    # D26 walks 650 reflections, under the default cap, but the orbit of
+    # its row 2 w_26 alone has 2^25 weights
+    monkeypatch.undo()
+    monkeypatch.setattr(laurent, "weight_orbit", no_orbit)
+    path = write_doc(tmp_path, generator_doc(weyl_generators("D", 26)))
+    start = time.perf_counter()
+    assert run(capsys, ["invariants", path]) == (
+        2, "", message.format("at least 2541865828328", 10000000))
+    assert time.perf_counter() - start < 5.0
+
+
 def test_reflection_group_commands_list_no_element(tmp_path, capsys,
                                                    monkeypatch):
     def no_closure(*args):
         raise AssertionError("the element list was built")
 
     monkeypatch.setattr(groups, "_close", no_closure)
-    e8_cap = ["--group-cap", "696729600"]
-    runs = [("verdict", weyl_generators("S", 6), []),
-            ("verdict", weyl_generators("D", 5), []),
-            ("verdict", weyl_generators("B", 5), []),
-            ("verdict", root_lattice_generators("E", 8), e8_cap),
-            ("analyze", weyl_generators("B", 4), [])]
+    # every group answers under the default cap of 10000, which bounds
+    # the reflections walked (at most 120, for E8), not |G|
+    runs = [("verdict", weyl_generators("S", 6)),
+            ("verdict", weyl_generators("D", 5)),
+            ("verdict", weyl_generators("B", 5)),
+            ("verdict", root_lattice_generators("E", 8)),
+            ("analyze", weyl_generators("B", 4))]
     # a generator that is no reflection moves the pairs by conjugation
     # and descends to the identity: S9 from (1 2) and the 9-cycle, and
     # -1, which lies in W(B7) and W(E8)
     cycle = IntMatrix([[int(j == (i + 1) % 9) for j in range(9)]
                        for i in range(9)])
-    runs += [(command, gens, ["--group-cap", str(cap)])
-             for gens, cap in (
-                 ([weyl_generators("S", 9)[0], cycle], 362880),
-                 (weyl_generators("B", 7) + [minus_identity(7)], 645120),
-                 (root_lattice_generators("E", 8) + [minus_identity(8)],
-                  696729600))
+    runs += [(command, gens)
+             for gens in ([weyl_generators("S", 9)[0], cycle],
+                          weyl_generators("B", 7) + [minus_identity(7)],
+                          root_lattice_generators("E", 8)
+                          + [minus_identity(8)])
              for command in ("verdict", "analyze")]
     for n in (6, 7, 8):
-        runs += [(command, root_lattice_generators("E", n), e8_cap)
+        runs += [(command, root_lattice_generators("E", n))
                  for command in ("verdict", "classgroup", "analyze")]
-    for command, gens, flags in runs:
+    for command, gens in runs:
         path = write_doc(tmp_path, generator_doc(gens))
         start = time.perf_counter()
-        code, out, err = run(capsys, [command, path, "--json"] + flags)
+        code, out, err = run(capsys, [command, path, "--json"])
         assert (command, len(gens), code, err) == (command, len(gens), 0, "")
         assert time.perf_counter() - start < 5.0
     report = json.loads(out)  # analyze on E8
@@ -555,7 +622,7 @@ def test_reflection_group_commands_list_no_element(tmp_path, capsys,
     # which with s_e1 fails the dihedral rule
     [[[-1, 0], [0, 1]], [[2, 1], [1, 1]]],
     # s_e1 on Z^3 and a shear of e2 and e3: W_N = <s_e1> is finite, and
-    # the complement, the shear's powers, is closed to 10000 // 2
+    # the complement, the shear's powers, is closed to the cap of 10000
     [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]],
 ], ids=["reflection+hyperbolic", "reflection+shear"])
 def test_an_infinite_group_with_a_reflection_exits_2_at_once(tmp_path, capsys,

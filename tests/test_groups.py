@@ -49,12 +49,16 @@ ROT3_S3 = [mat([[0, 1], [-1, -1]]), R2]
 
 
 def test_close_group_admits_a_group_of_exactly_cap_elements():
-    # S3 from two reflections (the root walk) and from ROT3_S3 (the
-    # closure): |G| = 6 passes cap 6 and fails cap 5
-    for gens in ([R2, S2], ROT3_S3):
-        assert close_group(gens, cap=6).order == 6
-        with pytest.raises(GroupTooLarge):
-            close_group(gens, cap=5)
+    # the cap bounds what is built, never |G|: S3 from two reflections
+    # walks 3 pairs, so it passes cap 3 and fails cap 2; C6, with no
+    # reflection, is closed, and passes cap 6 and fails cap 5
+    for gens, cap, order in (([R2, S2], 3, 6),
+                             ([mat([[1, 1], [-1, 0]])], 6, 6)):
+        assert close_group(gens, cap=cap).order == order
+        with pytest.raises(GroupTooLarge) as exc:
+            close_group(gens, cap=cap - 1)
+        assert str(exc.value) == (f"closure exceeded {cap - 1} elements; "
+                                  "group is probably infinite")
 
 
 def test_a_group_with_no_reflection_takes_its_order_from_the_closure(

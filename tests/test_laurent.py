@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from multinv import (
     AxiomFailure,
+    ExpansionTooLarge,
     IntMatrix,
     LaurentPolynomial,
     Sublattice,
@@ -21,6 +22,7 @@ from multinv import (
     laurent,
     reflection_monoid,
     render_polynomials,
+    roots,
     weight_orbit,
 )
 from multinv.groups import DEFAULT_CLOSURE_CAP, _search
@@ -28,6 +30,7 @@ from multinv.lattice import common_denominator
 from multinv.laurent import variable_labels
 from helpers import (
     BASE_RANK2,
+    GOLDEN_REFLECTION_ACTIONS,
     a1a1_action,
     conjugated_block_sums,
     has_lattice_support,
@@ -283,6 +286,29 @@ def test_invariance_is_checked_once_per_distinct_orbit(monkeypatch):
     assert len({e for inv in invs for e in inv.polynomial.terms}) == 931
 
 
+def test_the_term_count_is_the_printed_terms(monkeypatch):
+    # on every golden reflection action the count taken before the
+    # expansion, which the refusal names, is the number of terms printed;
+    # the sum of |W row| taken before the products is at most that, and
+    # names it when equal
+    for action, base in GOLDEN_REFLECTION_ACTIONS.values():
+        group = action()
+        pipe = reflection_monoid(group, base=base)
+        rd, wm = pipe.root_datum, pipe.weight_monoid
+        printed = sum(len(inv.polynomial.terms)
+                      for inv in fundamental_invariants_detailed(group, rd, wm))
+        tops = sum(map(roots._orbit_sizes(rd), wm.hilbert_basis))
+        assert tops <= printed
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent, "MAX_INVARIANT_TERMS", printed - 1)
+            with pytest.raises(ExpansionTooLarge) as exc:
+                fundamental_invariants_detailed(group, rd, wm)
+        at_least = "at least " if tops == printed else ""
+        assert str(exc.value) == (
+            f"the invariants expand to {at_least}{printed} terms, more than "
+            f"the {printed - 1} that can be listed")
+
+
 def test_orbit_sum_products_raise_on_an_inexact_quotient(monkeypatch):
     # with wrong orbit sizes (1 + sum of the coordinates: 2 for w1, 3
     # for 2 w1) the count of 2 w1 in m_w1 * m_w1 fails to divide
@@ -510,7 +536,8 @@ def test_orbit_sum_products_are_the_orbit_sum_decomposition(gens):
     group = close_group(gens)
     pipe = reflection_monoid(group)
     rd, wm = pipe.root_datum, pipe.weight_monoid
-    products = laurent._orbit_sum_products(rd, wm.hilbert_basis)
+    products = laurent._orbit_sum_products(rd, wm.hilbert_basis,
+                                           laurent._orbit_sizes(rd))
     invs = fundamental_invariants_detailed(group, rd, wm)
     assert len(products) == len(invs)
     for terms, inv in zip(products, invs):
@@ -541,8 +568,9 @@ def test_an_orbit_is_shared_only_under_the_same_unit_prefix():
     rd, wm = pipe.root_datum, pipe.weight_monoid
     invs = fundamental_invariants_detailed(group, rd, wm)
     prefixes = {}
-    for terms, inv in zip(laurent._orbit_sum_products(rd, wm.hilbert_basis),
-                          invs):
+    products = laurent._orbit_sum_products(rd, wm.hilbert_basis,
+                                           laurent._orbit_sizes(rd))
+    for terms, inv in zip(products, invs):
         for lam in terms:
             prefixes.setdefault(lam, set()).add(inv.unit_prefix)
     assert len(prefixes[(0, 1, 0)]) == 2
@@ -552,7 +580,7 @@ def test_an_orbit_is_shared_only_under_the_same_unit_prefix():
 def test_e6_invariants_have_the_product_term_count():
     # the orbit-sum product of powers (p_j) of orbits of sizes s_j is a
     # sum of prod s_j ** p_j monomials, counted with multiplicity
-    group = close_group(root_lattice_generators("E", 6), cap=51840)
+    group = close_group(root_lattice_generators("E", 6))
     pipe = reflection_monoid(group)
     rd = pipe.root_datum
     sizes = [len(weight_orbit(rd, [int(i == j) for i in range(6)]))

@@ -21,6 +21,6 @@ def test_the_package_exports_each_layer_and_every_error():
     error_classes = [value for value in vars(errors).values()
                      if inspect.isclass(value)
                      and issubclass(value, errors.MultInvError)]
-    assert len(error_classes) == 14
+    assert len(error_classes) == 15
     for cls in error_classes:
         assert getattr(multinv, cls.__name__) is cls

@@ -675,14 +675,14 @@ def test_root_datum_matches_the_average_and_kernel_oracles(gens):
                                             for j in range(rd.rank))
 
 
-def verified_arguments(gens, monkeypatch, cap=10000):
+def verified_arguments(gens, monkeypatch):
     """The arguments `build_root_system` passes to `_verify_axioms`, for
-    the group the generators close to under the cap."""
+    the group the generators close to."""
     seen = []
     verify = roots._verify_axioms
     monkeypatch.setattr(roots, "_verify_axioms",
                         lambda *args: seen.append(args) or verify(*args))
-    build_root_system(close_group(gens, cap=cap))
+    build_root_system(close_group(gens))
     monkeypatch.undo()
     (args,) = seen
     return list(args)
@@ -744,7 +744,7 @@ def test_axioms_reject_every_single_corruption_of_the_reflections(
         monkeypatch, gens):
     # the walk from the simple pairs is the one proof that the
     # reflections permute the roots
-    args = verified_arguments(gens, monkeypatch, cap=696729600)
+    args = verified_arguments(gens, monkeypatch)
     for refls in corrupted_reflections(args):
         args[1] = refls
         with pytest.raises(AxiomFailure, match=PERMUTES):
