@@ -13,18 +13,18 @@ weights, down from its dominant one, by `roots._walk_down`.
 generators generate a normal subgroup W_N whose order is read off its
 roots, and |G| = |W_N| |Omega|, Omega a complement listed by
 `_complement`.  Only Omega is listed: nothing when every generator
-descends into W_N, all of G when no generator is a reflection (W_N = 1).
-The cap bounds the pairs walked and the elements listed, never |G|.
+descends into W_N, all of G, descending none, when none is a reflection
+(W_N = 1).  The cap bounds the pairs walked and elements listed, never |G|.
 
 The closure enumerates a group on row orbits: row i of an element m is
 the lattice point e_i * m, and inside the search an element is the
 tuple of ids of its n row points.  The rows of m * g are the rows of m,
-each moved by g, so a product is n lookups in a per-generator table of
-point images, filled on first use with one `IntMatrix.apply` (on the
-columns it keeps).  Every point is an integer vector, the image of a
-unit row under validated `IntMatrix` generators, so the matrices, built
-once after the search, are assembled from their rows without checking
-every entry again.
+each moved by g, so a product is n lookups in a per-generator `_Table`
+of point images (`_row_images`), each filled on first use with one
+`IntMatrix.apply` (on the columns it keeps).  Every point is an integer
+vector, the image of a unit row under validated `IntMatrix` generators,
+so the matrices, built once after the search, are assembled from their
+rows without checking every entry again.
 """
 
 from __future__ import annotations
@@ -84,24 +84,35 @@ def memoised(compute):
     return fact
 
 
-class _RowImages(dict):
-    """Point id -> id of its image under one generator, each entry filled
-    on first use: the image vector is computed once, by the generator's
-    `apply`, and interned in the shared `points` / `ids`."""
+class _Table(dict):
+    """A dict that fills a missing key with `fill(key)` on first lookup
+    and keeps the value.  `fill` must not read its own table: the table
+    would then hold a closure over itself, a reference cycle per table."""
 
-    __slots__ = ("apply", "points", "ids")
+    __slots__ = ("fill",)
 
-    def __init__(self, g: IntMatrix, points: list, ids: dict):
+    def __init__(self, fill):
         super().__init__()
-        self.apply, self.points, self.ids = g.apply, points, ids
+        self.fill = fill
 
-    def __missing__(self, pid: int) -> int:
-        image = self.apply(self.points[pid])
-        qid = self.ids.setdefault(image, len(self.points))
-        if qid == len(self.points):
-            self.points.append(image)
-        self[pid] = qid
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _row_images(g: IntMatrix, points: list, ids: dict) -> _Table:
+    """Point id -> id of its image under g, each entry filled on first
+    use: the image vector is computed once, by g's `apply`, and interned
+    in the shared `points` / `ids`."""
+
+    def image_id(pid: int) -> int:
+        image = g.apply(points[pid])
+        qid = ids.setdefault(image, len(points))
+        if qid == len(points):
+            points.append(image)
         return qid
+
+    return _Table(image_id)
 
 
 def close_group(generators, cap: int = DEFAULT_CLOSURE_CAP,
@@ -150,7 +161,7 @@ def _close(rank: int, gens, cap: int) -> tuple:
     """
     points = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     ids = {p: i for i, p in enumerate(points)}
-    moves = [lambda m, image=_RowImages(g, points, ids).__getitem__:
+    moves = [lambda m, image=_row_images(g, points, ids).__getitem__:
              tuple(map(image, m)) for g in gens]
     found = _search(tuple(range(rank)), moves, cap)
     checked = IntMatrix._from_checked_rows
@@ -162,17 +173,16 @@ def _close(rank: int, gens, cap: int) -> tuple:
 @memoised
 def _elements(action: GroupAction) -> tuple:
     """G's element list, canonically sorted, closed under `action.cap`."""
-    return _close(action.rank, action.generators, action.cap)
+    return _complement(action, action.generators)
 
 
-def _complement(action: GroupAction, gens, unit: int) -> tuple:
-    """The elements of the group `gens` generate, a complement in G to a
-    normal subgroup of order `unit`: the identity for no generator, G's
-    element list when `unit` is 1, else their closure under the cap."""
-    if not gens:
-        return (IntMatrix.identity(action.rank),)
-    if unit == 1:
-        return action.elements
+def _complement(action: GroupAction, gens) -> tuple:
+    """The elements of the group `gens` generate, in G: the identity
+    alone, not closed, when every generator is the identity, else their
+    closure under the cap."""
+    identity = IntMatrix.identity(action.rank)
+    if not (gens := [g for g in gens if g != identity]):
+        return (identity,)
     return _close(action.rank, gens, action.cap)
 
 

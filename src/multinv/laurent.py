@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import lcm
 from operator import add, getitem, mul
 
 from .errors import AxiomFailure, ExpansionTooLarge, SupportEscape
-from .groups import GroupAction, memoised
+from .groups import GroupAction, _Table, memoised
 from .lattice import IntMatrix, common_denominator, solve_integer
 from .monoid import WeightMonoid
 from .roots import (RootDatum, _dominant, _dot, _orbit_sizes, _sparse,
@@ -113,9 +114,9 @@ def render_polynomials(polys, labels) -> list[str]:
     """Each polynomial as text, "0" for the zero polynomial, its terms in
     `sorted_terms` order, the coordinates named by `labels`.  A term's
     body, its factors joined by "*", is built once for each exponent
-    over all the polynomials, from one table of factors per coordinate
-    (`_Factors`)."""
-    factors = [_Factors(name) for name in labels]
+    over all the polynomials, from one table of factors per coordinate,
+    each factor formatted on first use (`_factor`)."""
+    factors = [_Table(partial(_factor, name)) for name in labels]
     bodies = {}  # exponent -> its term's body, "" for the zero exponent
     texts = []
     for p in polys:
@@ -135,20 +136,10 @@ def render_polynomials(polys, labels) -> list[str]:
     return texts
 
 
-class _Factors(dict):
-    """exponent -> the factor a rendered term shows for it in one
-    coordinate, "" for exponent zero; each is formatted on first use."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        super().__init__()
-        self.name = name
-
-    def __missing__(self, x):
-        name = self.name
-        text = self[x] = "" if not x else name if x == 1 else f"{name}^{x}"
-        return text
+def _factor(name, x) -> str:
+    """The factor a rendered term shows for exponent x in the coordinate
+    `name`, "" for exponent zero."""
+    return "" if not x else name if x == 1 else f"{name}^{x}"
 
 
 def variable_labels(rank: int):
@@ -315,15 +306,12 @@ def _orbit_sum_products(rd: RootDatum, rows, size) -> list[dict]:
     r = rd.rank
     cartan = _sparse(rd.cartan.entries)
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-    orbits = {}  # dominant weight -> its orbit, listed on first use
-    pairs = {}  # (kappa, j) -> m_kappa * m_j, taken on first use
+    orbits = _Table(partial(weight_orbit, rd))  # dominant weight -> orbit
 
-    def pair(kappa, unit) -> dict:
-        # m_kappa * m_unit, summed over the smaller orbit, W mu
-        kappa, mu = ((unit, kappa) if size(kappa) < size(unit)
-                     else (kappa, unit))
-        if mu not in orbits:
-            orbits[mu] = weight_orbit(rd, mu)
+    def pair(key) -> dict:
+        kappa, j = key  # m_kappa * m_j, summed over the smaller orbit, W mu
+        kappa, mu = ((units[j], kappa) if size(kappa) < size(units[j])
+                     else (kappa, units[j]))
         counts: dict = {}
         for nu in orbits[mu]:
             lam = _dominant(cartan, [a + b for a, b in zip(kappa, nu)])
@@ -339,13 +327,12 @@ def _orbit_sum_products(rd: RootDatum, rows, size) -> list[dict]:
             out[lam] = q
         return out
 
+    pairs = _Table(pair)  # (kappa, j) -> m_kappa * m_j, taken on first use
+
     def times(terms: dict, j: int) -> dict:
         out: dict = {}
         for kappa, c in terms.items():
-            key = kappa, j
-            if key not in pairs:
-                pairs[key] = pair(kappa, units[j])
-            for lam, q in pairs[key].items():
+            for lam, q in pairs[kappa, j].items():
                 out[lam] = out.get(lam, 0) + c * q
         return out
 

@@ -25,6 +25,7 @@ from math import prod
 from operator import add, and_, getitem, sub
 
 from .errors import AxiomFailure, BoxTooLarge, GenerationFailure
+from .groups import _Table
 from .lattice import Sublattice, common_denominator
 from .roots import RootDatum
 
@@ -86,22 +87,12 @@ def enumerate_box(rd: RootDatum, pi_lattice: Sublattice,
     return tuple(points)
 
 
-class _Below(dict):
+def _below(elements, k) -> _Table:
     """One coordinate k of the dominance masks of `elements`: bit j of
-    self[v] is set when elements[j][k] <= v.  A value is filled in when
-    first looked up, and `_mark` keeps the filled ones up to date."""
-
-    __slots__ = ("elements", "k")
-
-    def __init__(self, elements, k):
-        super().__init__()
-        self.elements, self.k = elements, k
-
-    def __missing__(self, v):
-        k = self.k
-        bits = self[v] = sum(1 << j for j, e in enumerate(self.elements)
-                             if e[k] <= v)
-        return bits
+    its value at v is set when elements[j][k] <= v.  A value is filled in
+    when first looked up, and `_mark` keeps the filled ones up to date."""
+    return _Table(lambda v: sum(1 << j for j, e in enumerate(elements)
+                                if e[k] <= v))
 
 
 def _mark(masks, elements, m) -> None:
@@ -128,7 +119,7 @@ def hilbert_basis(points) -> tuple[tuple[int, ...], ...]:
     """
     points = sorted(points)
     basis = []
-    masks = [_Below(basis, k) for k in range(len(points[0]) if points else 0)]
+    masks = [_below(basis, k) for k in range(len(points[0]) if points else 0)]
     for m in points:
         # bit j of the AND is set when basis[j] <= m
         if any(m) and not reduce(and_, map(getitem, masks, m), -1):
@@ -153,7 +144,7 @@ def _check_generation(points, basis) -> None:
     """
     listed = set(points)
     steps = [b for b in basis if (sum(b), tuple(b)) > (0, (0,) * len(b))]
-    masks = [_Below(steps, k) for k in range(len(points[0]) if points else 0)]
+    masks = [_below(steps, k) for k in range(len(points[0]) if points else 0)]
     failed = []
     for p in points:
         if not any(p):

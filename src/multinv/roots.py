@@ -31,11 +31,11 @@ W_N acts simply transitively on the positive systems, so
 G = W_N x| Omega, Omega the stabilizer of the generic positive system,
 and |G| = |W_N| |Omega|.  Each generator that is no reflection descends
 into Omega by simple reflections (`_descend`; Humphreys, Sections
-1.6-1.8), and only Omega is listed.  A reflection of G outside W_N has
-a conjugate in Omega, so the reflections found in Omega are walked too,
-until Omega holds none; then the walk has every reflection of G
-(Humphreys, Section 1.14), and the reflections generate G exactly when
-Omega = 1.
+1.6-1.8), and only Omega is listed (all of G, with nothing descended,
+when no root is walked).  A reflection of G outside W_N has a conjugate
+in Omega, so the reflections found in Omega are walked too, until Omega
+holds none; then the walk has every reflection of G (Humphreys, Section
+1.14), and the reflections generate G exactly when Omega = 1.
 
 A base of simple roots fixes the rest through the coroots of its
 reflections, the columns of the n x r coroot matrix.  A vector v has
@@ -81,7 +81,7 @@ from operator import index, mul, neg
 
 from .errors import (AxiomFailure, GroupTooLarge, InvalidBase,
                      NotReflectionGroup)
-from .groups import (GroupAction, _complement, _one_minus_rows,
+from .groups import (GroupAction, _complement, _one_minus_rows, _Table,
                      _too_large, fixed_sublattice, memoised)
 from .lattice import (
     ElementaryDivisors,
@@ -181,9 +181,10 @@ def _root_walk(action: GroupAction) -> _Walk:
     Sections 1.6-1.8), so G = W_N x| Omega, Omega the stabilizer of the
     positive system of the generic functional (`_generic_base`), and
     |G| = |W_N| |Omega|.  Each other generator descends to its
-    representative in Omega (`_descend`); these generate Omega, listed
-    under `action.cap` elements (`_complement`); with no reflection
-    generator, W_N = 1 and Omega = G, whose reflections seed the walk.
+    representative in Omega (`_descend`); these generate Omega, closed
+    under `action.cap` elements (`_complement`).  With no reflection
+    generator, W_N = 1 and Omega = G, G's element list, with no generator
+    descended; its reflections seed the walk.
 
     A reflection r of G outside W_N has a conjugate in Omega: its root is no
     root of W_N (else r = s_alpha, or G is infinite), so some functional
@@ -218,7 +219,6 @@ def _root_walk(action: GroupAction) -> _Walk:
         else:
             others.append(g)
     omega = conjugations = None
-    identity = IntMatrix.identity(action.rank)
     while True:
         if pairs and conjugations is None:  # a walk of no pair moves none
             conjugations = [(tuple(zip(*h.entries)), _inverse_rows(h))
@@ -226,18 +226,18 @@ def _root_walk(action: GroupAction) -> _Walk:
         found = _walk_pairs(pairs, action.cap, conjugations)
         if found is None:
             raise GroupTooLarge(_too_large(action.cap))
-        base, coordinates, weyl_order, simple = (), {}, 1, ()  # W_N = 1
+        base, coordinates, weyl_order = (), {}, 1  # W_N = 1
         if found:
             base = _generic_base(found)
             coordinates = _check_base(found, base, len(base), strict=False)
             weyl_order = _kostant_order(sum(c) for c in coordinates.values()
                                         if min(c) >= 0)
             simple = _simple_pairs(found, base)
-        if omega is None:
-            omega = _complement(action, [
-                w for h in others
-                if (w := _descend(h, simple, coordinates)) != identity],
-                weyl_order)
+        if not found:  # Omega = G, and no generator descends
+            omega = action.elements
+        elif omega is None:
+            omega = _complement(action, [_descend(h, simple, coordinates)
+                                         for h in others])
         else:
             omega = tuple(dict.fromkeys(_descend(w, simple, coordinates)
                                         for w in omega))
@@ -586,19 +586,17 @@ def _orbit_sizes(rd: RootDatum):
     supports = [(sum(1 << i for i, x in enumerate(c) if x), sum(c))
                 for c in rd.coordinates.values() if min(c) >= 0]
     order = _kostant_order(h for _, h in supports)
-    sizes = {}
 
-    def size(weight) -> int:
-        zeros = sum(1 << i for i, x in enumerate(weight) if not x)
-        if zeros not in sizes:
-            q, rem = divmod(order, _kostant_order(
-                h for support, h in supports if not support & ~zeros))
-            if rem:
-                raise AxiomFailure("a parabolic order does not divide |W|")
-            sizes[zeros] = q
-        return sizes[zeros]
+    def parabolic_index(zeros) -> int:
+        q, rem = divmod(order, _kostant_order(
+            h for support, h in supports if not support & ~zeros))
+        if rem:
+            raise AxiomFailure("a parabolic order does not divide |W|")
+        return q
 
-    return size
+    sizes = _Table(parabolic_index)  # J, as a bit mask -> |W| / |W_J|
+    return lambda weight: sizes[
+        sum(1 << i for i, x in enumerate(weight) if not x)]
 
 
 def _verify_axioms(action, refls, base, coroots, scaled_weights, scale,

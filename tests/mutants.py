@@ -177,15 +177,17 @@ MUTANTS = [
     # the trivial group through the general root, class-group and
     # fixed-lattice code
     ("src/multinv/groups.py",
-     "    if not gens:\n"
-     "        return (IntMatrix.identity(action.rank),)\n",
-     "",
+     "    if not (gens := [g for g in gens if g != identity]):\n"
+     "        return (identity,)\n",
+     "    gens = [g for g in gens if g != identity]\n",
      ["tests/test_cli.py::test_the_trivial_group_lists_no_element"],
      "a complement with no generator is listed, so the trivial group's one "
      "element is closed"),
-    ("src/multinv/groups.py",
-     "    if unit == 1:\n        return action.elements\n",
-     "",
+    ("src/multinv/roots.py",
+     "        if not found:  # Omega = G, and no generator descends\n"
+     "            omega = action.elements\n"
+     "        elif omega is None:\n",
+     "        if omega is None:\n",
      ["tests/test_groups.py::"
       "test_a_group_with_no_reflection_takes_its_order_from_the_closure"],
      "a group with no reflection is listed as its own complement and "
@@ -290,8 +292,8 @@ MUTANTS = [
      ["tests/test_groups.py"],
      "a product maps the rows in reverse order"),
     ("src/multinv/groups.py",
-     "_RowImages(g, points, ids).__getitem__:",
-     "_RowImages(gens[0], points, ids).__getitem__:",
+     "_row_images(g, points, ids).__getitem__:",
+     "_row_images(gens[0], points, ids).__getitem__:",
      ["tests/test_groups.py"],
      "every generator reads the first generator's image table"),
     ("src/multinv/groups.py",
@@ -429,8 +431,8 @@ MUTANTS = [
      ["tests/test_laurent.py"],
      "the product ignores |W kappa|"),
     ("src/multinv/laurent.py",
-     "((unit, kappa) if size(kappa) < size(unit)",
-     "((unit, kappa) if size(kappa) > size(unit)",
+     "((units[j], kappa) if size(kappa) < size(units[j])",
+     "((units[j], kappa) if size(kappa) > size(units[j])",
      ["tests/test_laurent.py"],
      "equivalent: the product is symmetric in kappa and mu, so a sum over "
      "the larger orbit gives the same counts, only more slowly"),
@@ -525,10 +527,10 @@ MUTANTS = [
      "Omega keeps the reflections it had before they were walked"),
     ("src/multinv/groups.py",
      "    return _close(action.rank, gens, action.cap)\n",
-     "    return _close(action.rank, gens, action.cap // unit)\n",
+     "    return _close(action.rank, gens, action.cap // 2)\n",
      ["tests/test_weyl.py::test_infinite_groups_take_the_closure"],
-     "the complement is closed to cap // |W_N|, so the cap bounds |G| "
-     "again"),
+     "the complement and the element list are closed to half the cap, so "
+     "the cap no longer bounds what is listed"),
     ("src/multinv/roots.py",
      "    for k in range(1, max(counts, default=0) + 1):\n",
      "    for k in range(1, max(counts) + 1):\n",
@@ -544,11 +546,11 @@ MUTANTS = [
      "an orbit is shared by dominant weight alone, so a row with another "
      "unit prefix gets the first row's exponents"),
     ("src/multinv/laurent.py",
-     "            key = kappa, j\n",
-     "            key = kappa\n",
+     "            for lam, q in pairs[kappa, j].items():\n",
+     "            for lam, q in pairs[kappa, 0].items():\n",
      ["tests/test_laurent.py"],
-     "a pair product is shared by kappa alone, so m_kappa times every "
-     "fundamental orbit sum is the first one computed"),
+     "a pair product is looked up under j = 0 whatever j is, so m_kappa "
+     "times every fundamental orbit sum is m_kappa * m_0"),
     ("src/multinv/laurent.py",
      "        texts.append(\"\".join(out) or \"0\")\n",
      "        texts.append(\"\".join(out))\n",
@@ -691,6 +693,53 @@ MUTANTS = [
      ["tests/test_cli.py::test_an_expansion_past_the_bound_lists_no_orbit"],
      "rows whose orbits add up to exactly the bound are refused with "
      "that lower bound, before their terms are counted"),
+    ("src/multinv/monoid.py",
+     "                                if e[k] <= v))\n",
+     "                                if e[k] < v))\n",
+     ["tests/test_monoid.py"],
+     "a mask leaves out the elements equal to v in coordinate k, so a "
+     "point that shares a coordinate with a basis element above it is "
+     "kept"),
+    ("src/multinv/monoid.py",
+     "            if v >= x:\n",
+     "            if v > x:\n",
+     ["tests/test_monoid.py"],
+     "an element is not marked at its own coordinate's value, filled "
+     "when the element was looked up, so a later point above it with "
+     "that coordinate is kept"),
+    ("src/multinv/groups.py",
+     "        if qid == len(points):\n",
+     "        if True:\n",
+     ["tests/test_groups.py"],
+     "equivalent: an image already interned is appended again, but past "
+     "every id handed out, and each later image is interned at the new "
+     "length, so every id still names its own point; only memory grows"),
+    ("src/multinv/groups.py",
+     "        qid = ids.setdefault(image, len(points))\n",
+     "        qid = ids[image] = len(points)\n",
+     ["tests/test_groups.py"],
+     "an image already interned is interned again under a new id, so one "
+     "element has several id tuples and is listed more than once"),
+    ("src/multinv/roots.py",
+     "        if not found:  # Omega = G, and no generator descends\n",
+     "        if omega is None:  # Omega = G, and no generator descends\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "Omega is taken to be G on the first pass even when a pair was "
+     "walked, so the reflections of W_N are seeded again beside their "
+     "own pairs, and the repeated seeds refuse G as infinite"),
+    ("src/multinv/groups.py",
+     "    if not (gens := [g for g in gens if g != identity]):\n",
+     "    if not (gens := list(gens)):\n",
+     ["tests/test_roots.py::test_descent_on_groups_beyond_the_weyl_blocks"],
+     "a generator that descends to the identity is closed, so a trivial "
+     "Omega is listed"),
+    ("src/multinv/groups.py",
+     "        value = self[key] = self.fill(key)\n",
+     "        value = self.fill(key)\n",
+     ["tests/test_groups.py", "tests/test_monoid.py"],
+     "equivalent: every fill is deterministic, and `_mark` updates only "
+     "values a table keeps, so filling a value again on each lookup "
+     "gives the same one, only more slowly"),
 ]
 
 

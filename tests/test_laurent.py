@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 from fractions import Fraction
@@ -591,6 +592,23 @@ def test_e6_invariants_have_the_product_term_count():
     for inv in invs:
         assert sum(inv.polynomial.terms.values()) == prod(
             s ** p for s, p in zip(sizes, inv.powers))
+
+
+@pytest.mark.parametrize("kind, n", [("A", 4), ("E", 6)])
+def test_the_invariants_leave_no_cyclic_garbage(kind, n):
+    # the tables filled on first use go with the call, freed by their
+    # reference counts: a fill that read its own table would make a
+    # cycle for the collector to find
+    group = close_group(root_lattice_generators(kind, n))
+    pipe = reflection_monoid(group)
+    gc.collect()
+    gc.disable()
+    try:
+        fundamental_invariants_detailed(group, pipe.root_datum,
+                                        pipe.weight_monoid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind, n", [("A", 2), ("A", 3), ("A", 4),

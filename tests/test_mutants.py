@@ -1,9 +1,12 @@
 """The entries of `tests/mutants.py` are current: each old text occurs
-once in its file, the patched file differs and still compiles, and each
-selected test file and function exists.  A patch that breaks the syntax
-fails every selection, so it would be "killed" while testing nothing.
-The mutation runs themselves stay out of the test suite."""
+once in its file, the patched file still compiles and parses to another
+syntax tree, and each selected test file and function exists.  A patch
+that breaks the syntax fails every selection, so it would be "killed"
+while testing nothing; one that leaves the tree unchanged edits only
+comments or layout, so it can only survive.  The mutation runs
+themselves stay out of the test suite."""
 
+import ast
 import re
 
 import pytest
@@ -16,7 +19,10 @@ from mutants import MUTANTS, ROOT
 def test_a_mutant_entry_is_not_stale(file, old, new, selection, reason):
     text = (ROOT / file).read_text()
     assert text.count(old) == 1 and new != old
-    compile(text.replace(old, new), file, "exec")
+    patched = text.replace(old, new)
+    compile(patched, file, "exec")
+    assert ast.dump(ast.parse(patched)) != ast.dump(ast.parse(text)), \
+        "the patch changes only comments or layout"
     for test in selection:
         path, _, name = test.partition("::")
         text = (ROOT / path).read_text()

@@ -154,6 +154,25 @@ def test_is_reflection_group():
     assert not is_reflection_group(z3_action())
 
 
+def test_a_group_without_a_reflection_descends_nothing(monkeypatch):
+    # no root is walked, so W_N = 1 and Omega is G's element list: no
+    # generator is descended into it
+    def no_descent(*args):
+        raise AssertionError("a generator was descended")
+
+    monkeypatch.setattr(roots, "_descend", no_descent)
+    cycle = mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    signs = [mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+             mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]])]
+    for gens, order in (([minus_identity(2)], 2),
+                        ([mat([[0, -1], [1, 0]])], 4),
+                        ([cycle, minus_identity(3)], 6),
+                        (signs, 4)):
+        group = close_group(gens)
+        assert group.order == order, gens
+        assert not is_reflection_group(group), gens
+
+
 WEYL_CASES = [
     ("B", 4, 2 ** 4 * 24, 4 * 4, "Z/2"),
     ("D", 5, 2 ** 4 * 120, 5 * 4, "Z/4"),
